@@ -6,9 +6,10 @@
 //!   contiguous chunk per thread, fresh `std::thread::scope` threads per
 //!   call. A chunk that draws the Skewed family's hot blocks serializes
 //!   the whole call behind it.
-//! * **stealing** — the same items through the rayon-shim facade onto the
-//!   `popqc-exec` work-stealing pool (recursive splitting, stolen halves
-//!   re-split on the thief).
+//! * **stealing** — the same items through `qexec::par_map_range` at
+//!   minimum chunk 1, as the engine calls it: about eight chunks per
+//!   worker, claimed one at a time from a shared cursor by the caller and
+//!   the persistent pool's helpers.
 //!
 //! A second group sweeps full `optimize_circuit` runs across widths on
 //! the same family — the end-to-end Figure 3 curve of this reproduction.
@@ -24,7 +25,6 @@ use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use popqc_core::PopqcConfig;
 use qcir::Gate;
 use qoracle::{RuleBasedOptimizer, SegmentOracle};
-use rayon::prelude::*;
 use std::time::Instant;
 
 /// Segment length of the parmap proxy (2Ω at Ω = 50 — smaller than the
@@ -71,7 +71,7 @@ fn widths() -> Vec<usize> {
 
 /// The old shim's splitter, reproduced exactly: one contiguous chunk per
 /// thread, fresh scoped threads per call. This is the baseline the
-/// work-stealing executor replaced.
+/// qexec pool replaced.
 fn naive_chunked(items: &[Vec<Gate>], threads: usize, oracle: &RuleBasedOptimizer) -> usize {
     if threads <= 1 {
         return items
@@ -99,18 +99,10 @@ fn naive_chunked(items: &[Vec<Gate>], threads: usize, oracle: &RuleBasedOptimize
     })
 }
 
-/// The same items through the rayon-shim facade onto the qexec
-/// work-stealing pool.
+/// The same items through qexec's flat map, one oracle call per index.
 fn work_stealing(items: &[Vec<Gate>], threads: usize, oracle: &RuleBasedOptimizer) -> usize {
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("pool");
-    pool.install(|| {
-        items
-            .par_iter()
-            .map(|seg| oracle.optimize(seg, QUBITS).len())
-            .collect::<Vec<usize>>()
+    qexec::with_width(threads, || {
+        qexec::par_map_range(items.len(), 1, |i| oracle.optimize(&items[i], QUBITS).len())
             .into_iter()
             .sum()
     })
@@ -141,12 +133,8 @@ fn bench_end_to_end(c: &mut Criterion) {
     let cfg = PopqcConfig::with_omega(50);
     g.throughput(Throughput::Elements(circuit.len() as u64));
     for &t in &widths() {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(t)
-            .build()
-            .unwrap();
         g.bench_with_input(BenchmarkId::from_parameter(t), &circuit, |b, c| {
-            b.iter(|| pool.install(|| popqc_core::optimize_circuit(c, &oracle, &cfg)))
+            b.iter(|| qexec::with_width(t, || popqc_core::optimize_circuit(c, &oracle, &cfg)))
         });
     }
     g.finish();

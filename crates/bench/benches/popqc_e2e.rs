@@ -18,16 +18,18 @@ fn bench_popqc(c: &mut Criterion) {
         let circuit = family.generate(qubits, 42);
         g.throughput(Throughput::Elements(circuit.len() as u64));
         for threads in [1usize, ncores] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
             let oracle = RuleBasedOptimizer::oracle();
             let cfg = PopqcConfig::with_omega(200);
             g.bench_with_input(
                 BenchmarkId::new(format!("{}-{}", family.name(), qubits), threads),
                 &circuit,
-                |b, c| b.iter(|| pool.install(|| popqc_core::optimize_circuit(c, &oracle, &cfg))),
+                |b, c| {
+                    b.iter(|| {
+                        qexec::with_width(threads, || {
+                            popqc_core::optimize_circuit(c, &oracle, &cfg)
+                        })
+                    })
+                },
             );
         }
     }
@@ -41,12 +43,8 @@ fn bench_oac_contrast(c: &mut Criterion) {
     let circuit = family.generate(family.ladder(0)[1], 42);
     let oracle = RuleBasedOptimizer::oracle();
     g.bench_function("popqc_1t_omega400", |b| {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap();
         let cfg = PopqcConfig::with_omega(400);
-        b.iter(|| pool.install(|| popqc_core::optimize_circuit(&circuit, &oracle, &cfg)))
+        b.iter(|| qexec::with_width(1, || popqc_core::optimize_circuit(&circuit, &oracle, &cfg)))
     });
     g.bench_function("oac_omega400", |b| {
         let cfg = oac::OacConfig::with_omega(400);

@@ -138,12 +138,14 @@ pub fn fig6(opts: &Opts) {
             let lc = c.layered();
             let cfg = PopqcConfig::with_omega(omega);
             let gate_arm = LayerSearchOracle::new(GateCount, budget, c.num_qubits);
-            let (out_g, _) = crate::harness::pool(opts.max_threads())
-                .install(|| popqc_core::optimize_layered(&lc, &gate_arm, &cfg));
+            let (out_g, _) = qexec::with_width(opts.max_threads(), || {
+                popqc_core::optimize_layered(&lc, &gate_arm, &cfg)
+            });
             let mixed_arm =
                 LayerSearchOracle::new(MixedDepthGates::default(), budget, c.num_qubits);
-            let (out_m, _) = crate::harness::pool(opts.max_threads())
-                .install(|| popqc_core::optimize_layered(&lc, &mixed_arm, &cfg));
+            let (out_m, _) = qexec::with_width(opts.max_threads(), || {
+                popqc_core::optimize_layered(&lc, &mixed_arm, &cfg)
+            });
             let gates0 = lc.gate_count() as f64;
             let depth0 = lc.depth() as f64;
             acc[0][0] += 1.0 - out_g.gate_count() as f64 / gates0;

@@ -8,18 +8,18 @@ pub use ablation::ablation;
 pub use figures::{fig3, fig4, fig5, fig6, fig7, fig8, fig9};
 pub use tables::{table1, table2, table3, table4};
 
-use crate::harness::{pool, Opts};
+use crate::harness::Opts;
 use popqc_core::{PopqcConfig, PopqcStats};
 use qcir::Circuit;
 use qoracle::RuleBasedOptimizer;
 use std::time::{Duration, Instant};
 
-/// Runs POPQC with the rule-based fixpoint oracle on a pool of the given
+/// Runs POPQC with the rule-based fixpoint oracle at the given `qexec`
 /// width, returning the optimized circuit and stats.
 pub(crate) fn run_popqc(c: &Circuit, omega: usize, threads: usize) -> (Circuit, PopqcStats) {
     let oracle = RuleBasedOptimizer::oracle();
     let cfg = PopqcConfig::with_omega(omega);
-    pool(threads).install(|| popqc_core::optimize_circuit(c, &oracle, &cfg))
+    qexec::with_width(threads, || popqc_core::optimize_circuit(c, &oracle, &cfg))
 }
 
 /// Runs the whole-circuit VOQC-profile baseline with a cooperative timeout.

@@ -114,14 +114,6 @@ pub fn extreme_instances(opts: &Opts) -> Vec<(Instance, Instance)> {
         .collect()
 }
 
-/// Builds a Rayon pool of the given width.
-pub fn pool(threads: usize) -> rayon::ThreadPool {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("pool")
-}
-
 /// Wall-clock timing.
 pub fn time<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let t0 = Instant::now();

@@ -21,9 +21,10 @@
 //! than an order of magnitude (measured ≥ 10× median-to-max at Ω = 50)
 //! — the blockwise cost skew HOPPS observes in real circuits. Splitting
 //! a round's fingers into one contiguous chunk per thread strands the
-//! whole round behind whichever chunk drew the hot blocks;
-//! work-stealing rebalances them. The `exec_scaling` bench sweeps worker
-//! counts over this family to show the two schedulers side by side.
+//! whole round behind whichever chunk drew the hot blocks; claiming
+//! many small chunks from a shared cursor rebalances them. The
+//! `exec_scaling` bench sweeps worker counts over this family to show
+//! the two schedulers side by side.
 
 use super::{grid_angle, GRID_DEN};
 use qcir::{Angle, Circuit};

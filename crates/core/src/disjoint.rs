@@ -54,16 +54,17 @@ impl<'a, T> DisjointWriter<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rayon::prelude::*;
 
     #[test]
     fn parallel_disjoint_writes_land() {
         let mut v = vec![0u64; 10_000];
         {
             let w = DisjointWriter::new(&mut v);
-            (0..10_000u64).into_par_iter().for_each(|i| {
-                // SAFETY: indices are unique by construction.
-                unsafe { w.write(i as usize, i * 3) };
+            qexec::with_width(4, || {
+                qexec::par_map_range(10_000, 1, |i| {
+                    // SAFETY: indices are unique by construction.
+                    unsafe { w.write(i, i as u64 * 3) };
+                })
             });
         }
         assert!(v.iter().enumerate().all(|(i, &x)| x == i as u64 * 3));

@@ -1,7 +1,7 @@
 //! The POPQC driver (Algorithms 2 and 3).
 //!
 //! Rounds of: select non-interfering fingers → optimize their 2Ω-segments in
-//! parallel (a single Rayon `par_iter` is the paper's `parmap`) → substitute
+//! parallel (a single `qexec::par_map_range` is the paper's `parmap`) → substitute
 //! the results → update the finger set. Terminates when no fingers remain;
 //! the potential function `|F| + 2·cost` (Lemma 2) strictly decreases with
 //! every oracle call, so termination needs no well-behavedness assumption.
@@ -14,7 +14,6 @@ use crate::fingers::{merge_dedup, select_fingers};
 use crate::sparse::{SparseCircuit, Update};
 use qcir::{Circuit, Gate, Layer, LayeredCircuit};
 use qoracle::SegmentOracle;
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
 
@@ -166,7 +165,7 @@ impl<U> SegmentCacheHook<U> for NoSegmentCache {
 /// POPQC (Algorithm 2) over an arbitrary unit sequence.
 ///
 /// Returns the optimized unit sequence and run statistics. Deterministic:
-/// the result is identical for every Rayon thread-pool size.
+/// the result is identical for every `qexec` width.
 pub fn popqc_units<U, O>(
     units: Vec<U>,
     num_qubits: u32,
@@ -234,12 +233,12 @@ where
         let round_accepted = AtomicU64::new(0);
 
         // The paper's parmap over selected fingers (Algorithm 3 line 3).
-        let results: Vec<(Vec<usize>, Vec<Update<U>>)> = selected
-            .par_iter()
-            .map(|&f| {
+        // Minimum chunk 1: every item is an oracle call.
+        let results: Vec<(Vec<usize>, Vec<Update<U>>)> =
+            qexec::par_map_range(selected.len(), 1, |i| {
                 optimize_one_segment(
                     &circuit,
-                    f,
+                    selected[i],
                     num_qubits,
                     oracle,
                     cfg.omega,
@@ -249,8 +248,7 @@ where
                     cache,
                     &seg_hits,
                 )
-            })
-            .collect();
+            });
 
         // Flatten preserving order: selected fingers ascend and their
         // segments are disjoint, so both lists arrive sorted.

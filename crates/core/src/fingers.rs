@@ -6,8 +6,8 @@
 //! `before`. Keeping physical indices makes fingers stable under
 //! substitution: tombstoning units elsewhere never moves a finger.
 
+use crate::index_tree::PAR_THRESHOLD;
 use crate::sparse::SparseCircuit;
-use rayon::prelude::*;
 
 /// `selectFingers` (Algorithm 4): partitions the sorted finger set into a
 /// non-interfering selection and the remainder.
@@ -28,10 +28,9 @@ pub fn select_fingers<U: Clone + Send + Sync>(
     }
     let group_width = 2 * omega;
     // O(|F| lg n) work, O(lg n) span: each finger's logical position.
-    let groups: Vec<usize> = fingers
-        .par_iter()
-        .map(|&f| circuit.before(f) / group_width)
-        .collect();
+    let groups = qexec::par_map_range(fingers.len(), PAR_THRESHOLD, |i| {
+        circuit.before(fingers[i]) / group_width
+    });
 
     let mut even: Vec<usize> = Vec::new();
     let mut odd: Vec<usize> = Vec::new();

@@ -14,17 +14,17 @@
 //!
 //! The tree is stored implicitly (1-indexed heap layout) in a flat vector of
 //! `AtomicU32`s. Atomics with relaxed ordering suffice because every mutation
-//! phase is separated from reads by a Rayon join, which provides the
-//! necessary happens-before edges; within a phase all writes target disjoint
-//! nodes (leaf updates write distinct leaves; level repairs write distinct
-//! parents).
+//! phase is separated from reads by the return of a `qexec` parallel map,
+//! which provides the necessary happens-before edges; within a phase all
+//! writes target disjoint nodes (leaf updates write distinct leaves; level
+//! repairs write distinct parents).
 
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 
-/// Sequential fallback threshold: below this many elements a phase runs
-/// sequentially rather than paying Rayon's fork-join overhead.
-const PAR_THRESHOLD: usize = 1 << 12;
+/// Minimum chunk of the cheap per-element phases (a store, a sum, a
+/// clone, a root-to-leaf walk): a phase with no more elements than this
+/// runs sequentially rather than paying for a cross-thread hand-off.
+pub(crate) const PAR_THRESHOLD: usize = 1 << 12;
 
 /// A fixed-capacity weighted index tree over `len` slots.
 pub struct IndexTree {
@@ -46,31 +46,18 @@ impl IndexTree {
         w.resize_with(2 * cap, || AtomicU32::new(0));
         let tree = IndexTree { w, cap, len };
         // Fill leaves.
-        if len >= PAR_THRESHOLD {
-            tree.w[cap..cap + len]
-                .par_iter()
-                .zip(weights.par_iter())
-                .for_each(|(slot, &v)| slot.store(v, Relaxed));
-        } else {
-            for (slot, &v) in tree.w[cap..cap + len].iter().zip(weights) {
-                slot.store(v, Relaxed);
-            }
-        }
+        qexec::par_map_range(len, PAR_THRESHOLD, |i| {
+            tree.w[cap + i].store(weights[i], Relaxed)
+        });
         // Build internal levels bottom-up; each level is an independent
         // parallel map over its nodes.
         let mut level_start = cap / 2;
         while level_start >= 1 {
-            let level_len = level_start;
-            let build = |i: usize| {
+            qexec::par_map_range(level_start, PAR_THRESHOLD, |i| {
                 let node = level_start + i;
                 let sum = tree.w[2 * node].load(Relaxed) + tree.w[2 * node + 1].load(Relaxed);
                 tree.w[node].store(sum, Relaxed);
-            };
-            if level_len >= PAR_THRESHOLD {
-                (0..level_len).into_par_iter().for_each(build);
-            } else {
-                (0..level_len).for_each(build);
-            }
+            });
             level_start /= 2;
         }
         tree
@@ -157,30 +144,22 @@ impl IndexTree {
             updates.windows(2).all(|w| w[0].0 < w[1].0),
             "update slots must be sorted and distinct"
         );
-        let write = |&(slot, v): &(usize, u32)| {
+        qexec::par_map_range(updates.len(), PAR_THRESHOLD, |i| {
+            let (slot, v) = updates[i];
             debug_assert!(slot < self.len);
             self.w[self.cap + slot].store(v, Relaxed);
-        };
-        if updates.len() >= PAR_THRESHOLD {
-            updates.par_iter().for_each(write);
-        } else {
-            updates.iter().for_each(write);
-        }
+        });
 
         // Repair: parent sets per level, dedup'd (sorted input keeps each
         // level's node list sorted, so dedup is a linear scan).
         let mut nodes: Vec<usize> = updates.iter().map(|&(s, _)| (self.cap + s) / 2).collect();
         nodes.dedup();
         while !nodes.is_empty() && nodes[0] >= 1 {
-            let repair = |&node: &usize| {
+            qexec::par_map_range(nodes.len(), PAR_THRESHOLD, |i| {
+                let node = nodes[i];
                 let sum = self.w[2 * node].load(Relaxed) + self.w[2 * node + 1].load(Relaxed);
                 self.w[node].store(sum, Relaxed);
-            };
-            if nodes.len() >= PAR_THRESHOLD {
-                nodes.par_iter().for_each(repair);
-            } else {
-                nodes.iter().for_each(repair);
-            }
+            });
             if nodes[0] == 1 {
                 break;
             }

@@ -6,8 +6,7 @@
 //! keeps segment extraction cheap as tombstones accumulate.
 
 use crate::disjoint::DisjointWriter;
-use crate::index_tree::IndexTree;
-use rayon::prelude::*;
+use crate::index_tree::{IndexTree, PAR_THRESHOLD};
 
 /// A substitution entry: put `unit` (or a tombstone) at slot `slot`.
 pub type Update<U> = (usize, Option<U>);
@@ -94,18 +93,12 @@ impl<U: Clone + Send + Sync> SparseCircuit<U> {
             .collect();
         {
             let writer = DisjointWriter::new(&mut self.slots);
-            if updates.len() >= 1 << 12 {
-                updates.into_par_iter().for_each(|(slot, unit)| {
-                    // SAFETY: slots are distinct (asserted above) and the
-                    // writer exclusively borrows `self.slots`.
-                    unsafe { writer.write(slot, unit) };
-                });
-            } else {
-                for (slot, unit) in updates {
-                    // SAFETY: as above.
-                    unsafe { writer.write(slot, unit) };
-                }
-            }
+            qexec::par_map_range(updates.len(), PAR_THRESHOLD, |i| {
+                let (slot, unit) = &updates[i];
+                // SAFETY: slots are distinct (asserted above) and the
+                // writer exclusively borrows `self.slots`.
+                unsafe { writer.write(*slot, unit.clone()) };
+            });
         }
         self.tree.update_leaves(&leaf_updates);
     }
@@ -113,8 +106,11 @@ impl<U: Clone + Send + Sync> SparseCircuit<U> {
     /// `gates` (Algorithm 1): the live units in order, tombstones dropped.
     /// O(n) work, O(lg n) span (parallel filter-collect).
     pub fn to_units(&self) -> Vec<U> {
-        if self.slots.len() >= 1 << 12 {
-            self.slots.par_iter().filter_map(|s| s.clone()).collect()
+        if self.slots.len() > PAR_THRESHOLD && qexec::current_width() > 1 {
+            qexec::par_map_range(self.slots.len(), PAR_THRESHOLD, |i| self.slots[i].clone())
+                .into_iter()
+                .flatten()
+                .collect()
         } else {
             self.slots.iter().filter_map(|s| s.clone()).collect()
         }

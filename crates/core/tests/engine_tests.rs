@@ -84,13 +84,7 @@ fn deterministic_across_thread_counts() {
     let oracle = RuleBasedOptimizer::oracle();
     let c = random_circuit(6, 400, 2024);
     let cfg = PopqcConfig::with_omega(20);
-    let run = |threads: usize| {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap();
-        pool.install(|| optimize_circuit(&c, &oracle, &cfg).0)
-    };
+    let run = |threads: usize| qexec::with_width(threads, || optimize_circuit(&c, &oracle, &cfg).0);
     let a = run(1);
     let b = run(2);
     let d = run(4);
@@ -165,7 +159,7 @@ fn stats_are_coherent() {
     let acc_sum: usize = stats.rounds_detail.iter().map(|r| r.accepted).sum();
     assert_eq!(acc_sum as u64, stats.accepted);
     assert!(stats.accepted <= stats.oracle_calls);
-    assert!(stats.oracle_nanos <= stats.total_nanos * rayon::current_num_threads() as u64 * 2);
+    assert!(stats.oracle_nanos <= stats.total_nanos * qexec::current_width() as u64 * 2);
     assert!((stats.reduction() - (1.0 - opt.len() as f64 / c.len() as f64)).abs() < 1e-12);
 }
 

@@ -866,7 +866,7 @@ impl SegmentCacheReport {
 // Executor
 // ---------------------------------------------------------------------------
 
-/// The work-stealing executor's counters, as embedded in
+/// The executor's counters, as embedded in
 /// [`StatsReport::executor`]. Not a top-level document, so it carries no
 /// `api_version` of its own.
 ///
@@ -878,15 +878,16 @@ pub struct ExecutorReport {
     /// Executor worker threads spawned so far (0 until the first parallel
     /// operation; the pool grows toward the widest parallelism requested).
     pub workers: u64,
-    /// Configured leaf grain size (`0` = adaptive splitting).
+    /// Always 0; kept for v1 wire compatibility (there is no grain
+    /// setting).
     pub grain: u64,
     /// Parallel map operations that actually went parallel.
     pub parallel_ops: u64,
-    /// Forked (stealable) tasks executed.
+    /// Chunks executed, by an operation's submitter or a pool worker.
     pub tasks_executed: u64,
-    /// Fork points that made a task half stealable.
+    /// Cut points: chunks beyond the first that operations were cut into.
     pub splits: u64,
-    /// Tasks taken from another worker's deque.
+    /// Chunks a pool worker ran instead of the operation's submitter.
     pub steals: u64,
 }
 
@@ -979,7 +980,7 @@ impl FrontendReport {
 /// report all derive from this one DTO, so their counters cannot drift.
 ///
 /// The `executor` counters are **process-global and monotonic** (the
-/// work-stealing pool is one per process, shared by every job): two
+/// executor pool is one per process, shared by every job): two
 /// jobs in, the report holds their cumulative totals. Interval figures
 /// come from differencing two reports (`qexec::ExecStats::delta_since`
 /// server-side, or plain field subtraction on the wire shape).
@@ -1018,8 +1019,8 @@ pub struct StatsReport {
     /// Engine-level segment-cache counters (all-zero with `enabled:
     /// false` when the cache is configured off).
     pub segment_cache: SegmentCacheReport,
-    /// Work-stealing executor counters (the process-wide pool every
-    /// parallel engine round runs on).
+    /// Executor counters (the process-wide pool every parallel engine
+    /// round runs on).
     pub executor: ExecutorReport,
     /// Jobs retained for `/v1/jobs/{id}` polling (HTTP frontend only;
     /// `None` omits the field).

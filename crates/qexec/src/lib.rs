@@ -1,56 +1,53 @@
-//! # popqc-exec — the work-stealing executor behind every parallel hot path
+//! # popqc-exec — the flat parallel map behind every parallel hot path
 //!
-//! POPQC's round-based `parmap` is only as fast as its slowest chunk: a
-//! `search`-oracle call on one 2Ω-segment can cost orders of magnitude
-//! more than a `rule_based` call on another, so splitting a round into one
-//! contiguous chunk per thread (what the scoped-thread rayon shim did)
-//! serializes the whole round behind the hot chunk and flattens the
-//! paper's Figure 3-style scaling curves. This crate replaces that model
-//! with a proper executor subsystem:
+//! The paper's only parallel primitive is a flat `parmap` over a round's
+//! selected fingers, plus flat loops over tree levels and slots
+//! (Algorithm 3). This crate is exactly that and nothing more: one
+//! order-preserving map over an index range, run by the calling thread
+//! and a persistent pool of helpers.
 //!
+//! * **one map, two spellings** — [`par_map_range`]`(n, min_chunk, f)`
+//!   maps `f` over `0..n`; [`par_map_vec`]`(items, f)` is the same thing
+//!   over owned items. Neither nests a scheduler inside: no `join`, no
+//!   task graph, no detached tasks;
+//! * **claim-by-index chunks** — an operation at width `w` is cut into
+//!   about `8·w` chunks (never smaller than the call site's `min_chunk`)
+//!   and every participant claims the next unclaimed chunk from one
+//!   atomic cursor, so when one `search`-oracle call costs orders of
+//!   magnitude more than its neighbours the remaining chunks flow to
+//!   whoever is free instead of queueing behind it;
 //! * **a persistent global worker pool** — created lazily on the first
 //!   parallel operation, sized by the documented precedence
 //!   `POPQC_NUM_THREADS` > installed width > available parallelism
 //!   ([`resolve_threads`]), and grown (never shrunk) toward the widest
-//!   parallelism requested, so no `par_iter`/`join` call site ever spawns
-//!   per-call OS threads again;
-//! * **per-worker deques with a shared injector** — Chase–Lev discipline
-//!   (owner LIFO at the bottom, thieves FIFO from the top), external
-//!   threads submitting through the injector and helping while they wait;
-//! * **recursive fork-join splitting** — [`par_map_vec`] halves the index
-//!   range down to a tunable grain ([`set_grain`], `POPQC_GRAIN`,
-//!   `popqc --grain`; default adaptive, ~8 leaves per worker), and a
-//!   stolen half re-splits on the thief, so skewed per-item costs
-//!   rebalance instead of stranding a round behind one chunk;
-//! * **panic capture across steals** — a panic in a stolen task is
-//!   re-raised on the forking caller with its original payload and leaves
-//!   the pool fully operational;
+//!   parallelism requested, so no call site ever spawns per-call OS
+//!   threads;
+//! * **nothing shared lives on a stack** — each operation's cursor,
+//!   completion count and condvar sit in one heap record that helpers
+//!   co-own; the submitter returns only after reading "all chunks
+//!   settled" under that record's mutex (the invariant every `unsafe`
+//!   block here cites);
+//! * **panic capture** — a panic in any chunk, on any thread, is
+//!   re-raised on the submitter with its original payload once the other
+//!   chunks have settled, and leaves the pool fully operational;
 //! * **observability** — [`stats`] snapshots the executor's counters
 //!   ([`ExecStats`]), surfaced end to end through `ServiceStats`,
 //!   `GET /v1/stats`, and the bench reports.
 //!
-//! Results are deterministic: [`par_map_vec`] writes each result at its
-//! item's index, so output is bit-identical to sequential execution for
-//! every pool width and steal schedule.
-//!
-//! The workspace's rayon shim (`crates/shims/rayon`) is a thin facade over
-//! this crate, so every existing `par_iter`/`into_par_iter`/
-//! `par_chunks_mut`/`join`/`ThreadPool::install` call site gets
-//! work-stealing with zero source changes; when the workspace moves to the
-//! real crates.io rayon, this crate's role is played by rayon's own pool
-//! and only the shim manifest changes.
+//! Results are deterministic: each result is written at its item's index,
+//! so output is bit-identical to sequential execution for every width and
+//! schedule. [`with_width`] scopes the width of everything a closure
+//! runs, nested operations included.
 
 #![deny(missing_docs)]
 
-mod job;
+mod map;
 mod metrics;
 mod pool;
 
+pub use map::{par_map_range, par_map_vec};
 pub use metrics::describe_metrics;
-pub use pool::{
-    configured_grain, current_width, join, par_map_vec, reserve_workers, resolve_threads,
-    set_grain, spawn_detached, with_width,
-};
+pub use pool::{current_width, reserve_workers, resolve_threads, with_width};
 
 /// A point-in-time snapshot of the executor's process-wide counters.
 ///
@@ -66,18 +63,18 @@ pub struct ExecStats {
     /// Worker threads spawned so far (0 until the first parallel
     /// operation; grows toward the widest parallelism requested).
     pub workers: u64,
-    /// Configured leaf grain size (`0` = adaptive, see [`set_grain`]).
+    /// Always 0: chunk sizes are derived per operation and there is no
+    /// grain setting. Kept for v1 wire compatibility.
     pub grain: u64,
-    /// Order-preserving parallel map/for_each operations that actually
-    /// went parallel (sequential fast paths are not counted).
+    /// Parallel maps that actually went parallel (sequential fast paths
+    /// are not counted).
     pub parallel_ops: u64,
-    /// Forked (stealable) tasks executed; first halves run inline on
-    /// their forker and are not counted.
+    /// Chunks executed, by the submitter or a pool worker.
     pub tasks_executed: u64,
-    /// Fork points: `join` calls that made their second half stealable.
+    /// Cut points: for every parallel map, the chunks beyond the first
+    /// it was cut into.
     pub splits: u64,
-    /// Tasks a worker took from another worker's deque (the injector is
-    /// not counted: taking submitted work is not stealing).
+    /// Chunks a pool worker claimed and ran instead of the submitter.
     pub steals: u64,
 }
 
@@ -101,18 +98,14 @@ impl ExecStats {
 
 /// Snapshots the executor counters. Never forces the pool (or its worker
 /// threads) into existence: before the first parallel operation every
-/// counter is zero and only `grain` reflects configuration.
+/// counter is zero.
 pub fn stats() -> ExecStats {
     use std::sync::atomic::Ordering::Relaxed;
-    let grain = configured_grain() as u64;
     match pool::global_if_started() {
-        None => ExecStats {
-            grain,
-            ..ExecStats::default()
-        },
+        None => ExecStats::default(),
         Some(pool) => ExecStats {
             workers: pool.started_workers() as u64,
-            grain,
+            grain: 0,
             parallel_ops: pool.parallel_ops.load(Relaxed),
             tasks_executed: pool.tasks_executed.load(Relaxed),
             splits: pool.splits.load(Relaxed),
@@ -175,5 +168,84 @@ mod stats_tests {
         let b = stats();
         assert!(b.tasks_executed >= a.tasks_executed);
         assert_eq!(a.grain, b.grain);
+    }
+}
+
+/// How the call-site idioms spell on the two map forms.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashSet;
+    use std::sync::Mutex;
+
+    #[test]
+    fn map_collect_preserves_order() {
+        let v: Vec<u64> = (0..10_000u64).collect();
+        let doubled = with_width(4, || par_map_range(v.len(), 1, |i| v[i] * 2));
+        assert!(doubled.iter().enumerate().all(|(i, &x)| x == 2 * i as u64));
+    }
+
+    #[test]
+    fn chunks_mut_and_install() {
+        // `POPQC_NUM_THREADS` deliberately outranks an installed width.
+        if std::env::var_os("POPQC_NUM_THREADS").is_none() {
+            assert_eq!(with_width(3, current_width), 3);
+        }
+        // Items may borrow mutably from the caller: the simulator's
+        // kernels map over `chunks_mut` blocks exactly like this.
+        let mut v = vec![1u32; 4096];
+        with_width(3, || {
+            par_map_vec(v.chunks_mut(64).enumerate().collect(), |(i, block)| {
+                block.fill(i as u32)
+            })
+        });
+        assert_eq!(v[0], 0);
+        assert_eq!(v[4095], 63);
+    }
+
+    #[test]
+    fn filter_map_and_zip() {
+        let a = [1u32, 2, 3, 4];
+        let b = [10u32, 20, 30, 40];
+        // A zip is two slices read at one index…
+        let sums = with_width(2, || par_map_range(a.len(), 1, |i| a[i] + b[i]));
+        assert_eq!(sums, vec![11, 22, 33, 44]);
+        // …and a filter_map is a map to `Option` flattened afterwards.
+        let odd: Vec<u32> = with_width(2, || {
+            par_map_range(a.len(), 1, |i| (a[i] % 2 == 1).then_some(a[i]))
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+        assert_eq!(odd, vec![1, 3]);
+    }
+
+    /// Consecutive index-form operations reuse the same persistent pool
+    /// threads: per-call spawning would mint fresh thread ids every
+    /// operation, far exceeding the pool's census.
+    #[test]
+    fn consecutive_ops_reuse_pool_threads() {
+        let seen = Mutex::new(HashSet::new());
+        for _ in 0..16 {
+            with_width(4, || {
+                par_map_range(256, 1, |_| {
+                    // Only pool workers count (by their `qexec-N` thread
+                    // name): the caller runs chunks too, and its id is
+                    // not the pool's.
+                    let me = std::thread::current();
+                    if me.name().is_some_and(|n| n.starts_with("qexec-")) {
+                        seen.lock().unwrap().insert(me.id());
+                    }
+                })
+            });
+        }
+        let distinct = seen.lock().unwrap().len();
+        // Other tests in this process may have grown the pool beyond 4.
+        let pool_threads = stats().workers as usize;
+        assert!(
+            distinct <= pool_threads,
+            "expected ids within the {pool_threads}-thread persistent pool, \
+             saw {distinct} distinct thread ids"
+        );
     }
 }

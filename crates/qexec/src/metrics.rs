@@ -1,30 +1,29 @@
 //! The executor's `popqc-obs` instruments. Counters mirror the
-//! [`ExecStats`](crate::ExecStats) cells (both are maintained at the
-//! same points in `pool.rs`), so a Prometheus scrape and `GET /v1/stats`
-//! can never disagree about what the pool did.
+//! [`ExecStats`](crate::ExecStats) cells (both are advanced at the same
+//! point, when an op settles in `pool::run_op`), so a Prometheus scrape
+//! and `GET /v1/stats` can never disagree about what the pool did.
 
-/// Forked tasks executed (inline first halves excluded) — mirrors
-/// `ExecStats::tasks_executed`.
+/// Chunks executed — mirrors `ExecStats::tasks_executed`.
 pub(crate) fn tasks_total() -> &'static qobs::Counter {
     qobs::static_counter!(
         "popqc_exec_tasks_total",
-        "Forked (stealable) tasks executed by the work-stealing pool.",
+        "Chunks of parallel maps executed, by the submitter or a pool worker.",
     )
 }
 
-/// Tasks taken from another worker's deque — mirrors `ExecStats::steals`.
+/// Chunks a pool worker ran for a submitter — mirrors `ExecStats::steals`.
 pub(crate) fn steals_total() -> &'static qobs::Counter {
     qobs::static_counter!(
         "popqc_exec_steals_total",
-        "Tasks a pool worker stole from another worker's deque.",
+        "Chunks a pool worker claimed and ran instead of the op's submitter.",
     )
 }
 
-/// Fork points — mirrors `ExecStats::splits`.
+/// Cut points — mirrors `ExecStats::splits`.
 pub(crate) fn splits_total() -> &'static qobs::Counter {
     qobs::static_counter!(
         "popqc_exec_splits_total",
-        "Fork points: join calls that made their second half stealable.",
+        "Cut points: chunks beyond the first that parallel maps were cut into.",
     )
 }
 

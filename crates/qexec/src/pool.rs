@@ -1,59 +1,60 @@
-//! The global work-stealing pool: per-worker deques, a shared injector,
-//! persistent worker threads, and the fork-join scheduler built on them.
+//! The persistent worker pool and the one scheduler it runs: a flat,
+//! claim-by-index parallel map.
 //!
-//! ## Scheduling discipline
+//! ## One op, one heap record
 //!
-//! Each worker owns a deque in Chase–Lev discipline: the owner pushes and
-//! pops at the *bottom* (LIFO, keeping the hot, recently-split tasks
-//! cache-local), thieves steal from the *top* (FIFO, taking the oldest —
-//! and therefore largest — unsplit half, which they then re-split
-//! themselves). The deques here are mutex-backed rather than lock-free:
-//! POPQC's unit of work is a segment-oracle call (microseconds to
-//! milliseconds), so a sub-microsecond uncontended lock is noise, and the
-//! mutex keeps the stealing protocol obviously correct. Threads that are
-//! not pool workers (CLI main, `qsvc` job workers, HTTP handlers) submit
-//! through the shared injector and then *help*: while waiting for their
-//! own tasks they pop and execute other runnable work, so a blocked
-//! submitter never idles the machine.
+//! A parallel call cuts its index range `0..n` into fixed-size chunks and
+//! publishes a single [`Op`] record to the pool. Everything a helper
+//! touches outside a chunk lives in that record, which is an `Arc` on the
+//! heap: the chunk cursor, the settled-chunk count, the panic payloads and
+//! the condvar the submitter waits on. The only thing left in the
+//! submitter's stack frame is the chunk closure itself (and whatever it
+//! borrows), reached through a lifetime-erased pointer in the record.
 //!
-//! ## Why waiting always helps
+//! The submitter claims chunks from its own op until the cursor runs out,
+//! withdraws the op, and then waits under the record's mutex until every
+//! claimed chunk has settled. Pool workers that took a seat on the op
+//! claim chunks from the same cursor. That gives **the one invariant**
+//! every `unsafe` block in this crate rests on:
 //!
-//! A thread waiting on a stolen task's latch never parks unconditionally:
-//! it alternates between probing the latch, executing any runnable task it
-//! can find, and a *bounded* park. The bound matters for deadlock freedom —
-//! if every waiter parked indefinitely while a runnable task sat in the
-//! injector, no thread would remain to execute it. The 200 µs re-check
-//! bound makes that scenario transient instead of fatal. (Workers with
-//! nothing in flight are different: they park *untimed* in `idle_wait`,
-//! whose push/park handshake guarantees a wakeup, so an idle pool costs
-//! zero CPU.)
+//! > the submitter does not return until it has read `settled == chunks`
+//! > under the op's mutex, and a helper touches submitter-frame memory
+//! > only inside a chunk it claimed.
+//!
+//! A helper counts its chunks as settled *after* the last of them returns
+//! and touches only its own `Arc` clone from then on, so no mutex, condvar
+//! or flag it uses afterwards lives in a frame that may have been popped.
+//!
+//! ## Why nobody waits on an idle worker
+//!
+//! The submitter never depends on a helper showing up: it claims every
+//! chunk nobody else has claimed, and only then waits — for chunks that
+//! are already running on some other thread. Nested calls (a chunk that
+//! itself submits an op) therefore cannot deadlock however busy the pool
+//! is; at worst an op runs entirely on its submitter.
 
-use crate::job::{JobRef, Latch, StackJob};
 use crate::metrics;
+use std::any::Any;
 use std::cell::Cell;
-use std::collections::VecDeque;
+use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Hard ceiling on pool width. The pool grows lazily toward the widest
 /// parallelism ever requested (so explicit widths beyond the core count
-/// oversubscribe, as the scoped-thread shim did, instead of silently
-/// capping); this bounds that growth against runaway width requests.
+/// oversubscribe instead of silently capping); this bounds that growth
+/// against runaway width requests.
 pub(crate) const MAX_WORKERS: usize = 256;
 
-/// Split factor for the adaptive grain: a width-`w` operation over `n`
-/// items splits down to about `8·w` leaf tasks, so even when one leaf
-/// costs orders of magnitude more than another, the remaining leaves
-/// redistribute across the other workers.
-const SPLIT_FACTOR: usize = 8;
+/// A width-`w` operation is cut into about `8·w` chunks, so even when one
+/// chunk costs orders of magnitude more than another, the remaining
+/// chunks redistribute across the other participants.
+const CHUNKS_PER_WORKER: usize = 8;
 
 thread_local! {
-    /// Index of the pool worker running on this thread (`None` on
-    /// external threads).
-    static WORKER_INDEX: Cell<Option<usize>> = const { Cell::new(None) };
-    /// Width installed by `with_width` (or inherited from the job being
-    /// executed); `None` means "the process default".
+    /// Width installed by `with_width` (or inherited from the op being
+    /// helped); `None` means "the process default".
     static INSTALLED_WIDTH: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
@@ -68,19 +69,8 @@ fn env_threads() -> Option<usize> {
     })
 }
 
-/// `POPQC_GRAIN`, parsed once per process (`> 0` to count).
-fn env_grain() -> usize {
-    static ENV: OnceLock<usize> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("POPQC_GRAIN")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(0)
-    })
-}
-
-/// Cached like the env knobs: `current_width()` runs on every fork
-/// point, and `available_parallelism` is a syscall on most platforms.
+/// Cached like the env knob: `current_width()` runs on every parallel
+/// call, and `available_parallelism` is a syscall on most platforms.
 fn available_parallelism() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     *CORES.get_or_init(|| {
@@ -90,11 +80,11 @@ fn available_parallelism() -> usize {
     })
 }
 
-/// The one documented thread-count precedence, shared by this crate, the
-/// rayon shim facade, and `qsvc`'s worker budgets:
+/// The one documented thread-count precedence, shared by this crate and
+/// `qsvc`'s worker budgets:
 ///
 /// 1. `POPQC_NUM_THREADS` (set and positive) pins the width outright;
-/// 2. else an explicitly requested width (installed pool width,
+/// 2. else an explicitly requested width ([`with_width`],
 ///    `--threads-per-job`, …) wins;
 /// 3. else `std::thread::available_parallelism()`.
 pub fn resolve_threads(requested: Option<usize>) -> usize {
@@ -115,18 +105,12 @@ pub fn current_width() -> usize {
 }
 
 /// Runs `f` with `width` installed as the parallelism level for every
-/// parallel operation it performs (directly or through the rayon shim).
-/// `width == 0` clears the override back to the process default. Note
+/// parallel operation it performs, nested ones included: a helper
+/// installs its op's width while it runs that op's chunks. `width == 0`
+/// clears the override back to the process default. Note
 /// `POPQC_NUM_THREADS` still outranks the installed width — see
 /// [`resolve_threads`].
 pub fn with_width<R>(width: usize, f: impl FnOnce() -> R) -> R {
-    with_installed_width(width, f)
-}
-
-/// Internal form shared with job execution (which installs the *job's*
-/// width so nested parallelism inherits its ancestor's budget across
-/// steals).
-pub(crate) fn with_installed_width<R>(width: usize, f: impl FnOnce() -> R) -> R {
     let value = if width == 0 { None } else { Some(width) };
     let prev = INSTALLED_WIDTH.with(|c| c.replace(value));
     struct Restore(Option<usize>);
@@ -139,65 +123,130 @@ pub(crate) fn with_installed_width<R>(width: usize, f: impl FnOnce() -> R) -> R 
     f()
 }
 
-/// Explicit grain override (`popqc --grain`); `0` defers to `POPQC_GRAIN`,
-/// then to the adaptive per-operation default.
-static GRAIN_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the global leaf-task grain size: recursive splitting stops once a
-/// subrange holds at most this many items. `0` restores the default
-/// (`POPQC_GRAIN` if set, else adaptive: about 8 leaf tasks per worker
-/// of the operation's width).
-pub fn set_grain(grain: usize) {
-    GRAIN_OVERRIDE.store(grain, Relaxed);
+/// Items per chunk of an `n`-item op at `width`: about
+/// [`CHUNKS_PER_WORKER`] chunks per worker, never fewer than `min_chunk`
+/// items (the call site's sequential threshold) and never zero.
+pub(crate) fn chunk_len(n: usize, width: usize, min_chunk: usize) -> usize {
+    n.div_ceil(width.max(1) * CHUNKS_PER_WORKER)
+        .max(min_chunk)
+        .max(1)
 }
 
-/// The configured grain size (`0` = adaptive).
-pub fn configured_grain() -> usize {
-    let explicit = GRAIN_OVERRIDE.load(Relaxed);
-    if explicit > 0 {
-        explicit
-    } else {
-        env_grain()
+/// Locks `m`, recovering from poisoning. Every critical section in this
+/// module is a few counter or list updates that leave the data valid at
+/// every step and never runs caller code, so a poisoned lock still guards
+/// consistent state — and nothing between publishing an op and settling
+/// it may unwind (see the module docs).
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+type ChunkFn<'a> = dyn Fn(Range<usize>) + Sync + 'a;
+
+/// One parallel call in flight; see the module docs.
+struct Op {
+    /// The submitter's chunk closure, lifetime erased. Dereferenced only
+    /// inside [`Op::work`], for a chunk claimed from `next`.
+    run: *const ChunkFn<'static>,
+    n: usize,
+    chunk: usize,
+    chunks: usize,
+    /// Installed on helpers while they run this op's chunks, so nested
+    /// calls inherit the submitter's budget.
+    width: usize,
+    /// Index of the next unclaimed chunk (may run past `chunks`).
+    /// `Relaxed` throughout: the cursor only hands out indices. The
+    /// record itself reaches helpers through the pool's mutex, and what
+    /// chunks wrote reaches the submitter through `state`'s.
+    next: AtomicUsize,
+    state: Mutex<OpState>,
+    settled: Condvar,
+}
+
+#[derive(Default)]
+struct OpState {
+    /// Chunks that have returned or panicked.
+    settled: usize,
+    /// Of those, the ones a pool worker ran instead of the submitter.
+    helped: usize,
+    /// Payloads of the chunks that panicked, in the order their threads
+    /// reported them. All are kept until the op has settled: a payload's
+    /// destructor is caller code, and the submitter drops them once it
+    /// is safe to unwind.
+    panics: Vec<Box<dyn Any + Send>>,
+}
+
+// SAFETY: `run` points at a `Sync` closure, and the one invariant keeps
+// that closure alive for every dereference: the submitter does not return
+// until it has read `settled == chunks` under `state`, and `work` calls
+// the closure only for a chunk it claimed, which it counts as settled
+// afterwards. Every other field is `Send + Sync` on its own.
+unsafe impl Send for Op {}
+// SAFETY: as for `Send`.
+unsafe impl Sync for Op {}
+
+impl Op {
+    fn has_unclaimed(&self) -> bool {
+        self.next.load(Relaxed) < self.chunks
+    }
+
+    /// Claims and runs chunks until the cursor runs out, then counts them
+    /// as settled. Never unwinds: a panicking chunk settles like any
+    /// other and leaves its payload in the op.
+    fn work(&self, helper: bool) {
+        let mut ran = 0;
+        let mut panics = Vec::new();
+        loop {
+            let i = self.next.fetch_add(1, Relaxed);
+            if i >= self.chunks {
+                break;
+            }
+            let range = i * self.chunk..((i + 1) * self.chunk).min(self.n);
+            // SAFETY: chunk `i` was claimed above and is counted as
+            // settled only below, so the submitter — which does not
+            // return until it has read `settled == chunks` under the
+            // op's mutex — is still inside `run_op` and its closure is
+            // alive.
+            let run = unsafe { &*self.run };
+            if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| run(range))) {
+                panics.push(payload);
+            }
+            ran += 1;
+        }
+        if ran == 0 {
+            return;
+        }
+        let mut state = lock(&self.state);
+        state.settled += ran;
+        if helper {
+            state.helped += ran;
+        }
+        state.panics.append(&mut panics);
+        if state.settled == self.chunks {
+            self.settled.notify_one();
+        }
     }
 }
 
-/// The grain an `n`-item operation at `width` will split down to.
-pub(crate) fn effective_grain(n: usize, width: usize) -> usize {
-    let configured = configured_grain();
-    if configured > 0 {
-        configured
-    } else {
-        n.div_ceil(width.max(1) * SPLIT_FACTOR).max(1)
-    }
+/// An op in the pool's list, with the helper seats it still offers.
+struct Published {
+    op: Arc<Op>,
+    seats: usize,
 }
 
-struct Worker {
-    deque: Mutex<VecDeque<JobRef>>,
+#[derive(Default)]
+struct Shared {
+    /// Ops whose submitter is still claiming chunks, oldest first.
+    ops: Vec<Published>,
+    /// Workers parked on `work`.
+    parked: usize,
 }
 
 pub(crate) struct Pool {
-    /// Fixed-capacity worker slots; only `started` of them have a live
-    /// thread, but pre-allocating all slots keeps the deque addresses
-    /// stable while the pool grows.
-    workers: Vec<Worker>,
-    injector: Mutex<VecDeque<JobRef>>,
-    /// Detached (fire-and-forget) tasks from [`spawn_detached`]. A queue
-    /// of its own, deliberately NOT the injector: helping waiters in
-    /// `wait_for` drain the injector while blocked on a latch, and a
-    /// detached task may legitimately block for a long time (socket
-    /// reads in a connection handler) — stealing one there would stall a
-    /// fork-join join point behind unrelated I/O. Only the `worker_main`
-    /// loop, with nothing else in flight, takes from this queue.
-    detached: Mutex<VecDeque<Box<dyn FnOnce() + Send>>>,
-    /// Worker threads spawned so far (pool grows lazily toward the widest
-    /// requested parallelism).
+    shared: Mutex<Shared>,
+    work: Condvar,
+    /// Worker threads spawned so far (grown under `shared`).
     started: AtomicUsize,
-    grow_lock: Mutex<()>,
-    /// Workers parked (or about to park) in `idle_wait` — the pusher
-    /// side of the park/wake handshake reads it, see `idle_wait`.
-    idle: AtomicUsize,
-    sleep_lock: Mutex<()>,
-    sleep_cv: Condvar,
     // --- statistics (monotonic, relaxed: they are telemetry, not sync) ---
     pub(crate) parallel_ops: AtomicU64,
     pub(crate) tasks_executed: AtomicU64,
@@ -209,26 +258,15 @@ static POOL: OnceLock<Pool> = OnceLock::new();
 
 /// The process-wide pool, created on first use (no threads are spawned
 /// until the first parallel operation asks for them).
-pub(crate) fn global() -> &'static Pool {
-    POOL.get_or_init(|| {
-        let mut workers = Vec::with_capacity(MAX_WORKERS);
-        workers.resize_with(MAX_WORKERS, || Worker {
-            deque: Mutex::new(VecDeque::new()),
-        });
-        Pool {
-            workers,
-            injector: Mutex::new(VecDeque::new()),
-            detached: Mutex::new(VecDeque::new()),
-            started: AtomicUsize::new(0),
-            grow_lock: Mutex::new(()),
-            idle: AtomicUsize::new(0),
-            sleep_lock: Mutex::new(()),
-            sleep_cv: Condvar::new(),
-            parallel_ops: AtomicU64::new(0),
-            tasks_executed: AtomicU64::new(0),
-            splits: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-        }
+fn global() -> &'static Pool {
+    POOL.get_or_init(|| Pool {
+        shared: Mutex::new(Shared::default()),
+        work: Condvar::new(),
+        started: AtomicUsize::new(0),
+        parallel_ops: AtomicU64::new(0),
+        tasks_executed: AtomicU64::new(0),
+        splits: AtomicU64::new(0),
+        steals: AtomicU64::new(0),
     })
 }
 
@@ -244,36 +282,12 @@ pub(crate) fn global_if_started() -> Option<&'static Pool> {
 /// Individual operations only grow the pool to their own width, so a
 /// service expecting `J` concurrent jobs of width `w` each should
 /// reserve `J·w` up front — otherwise total pool capacity would stay at
-/// `w` and concurrent jobs would share it (the pool is work-conserving,
-/// not partitioned: any worker may execute any job's tasks).
+/// `w` and concurrent jobs would share it (the pool is not partitioned:
+/// any idle worker may take a seat on any job's op).
 pub fn reserve_workers(workers: usize) {
     if workers > 1 {
         global().ensure_workers(workers);
     }
-}
-
-/// Runs `f` on a pool worker thread, detached from any fork-join scope —
-/// the executor's "spawn a long-lived task" facility (connection
-/// handlers, background sweeps). Returns immediately; the task's panics
-/// are contained and there is no result channel (build one with the
-/// closure if needed).
-///
-/// Detached tasks only ever run on a worker with no join in flight, so
-/// they may block (socket reads, timeouts) without wedging fork-join
-/// waiters; the cost is that a blocked detached task occupies its worker
-/// until it returns. Callers expecting `N` concurrently blocking tasks
-/// should [`reserve_workers`]`(N + engine width)` up front, exactly like
-/// a service sizing concurrent jobs.
-pub fn spawn_detached(f: impl FnOnce() + Send + 'static) {
-    let pool = global();
-    // At least one worker must exist or the task would never run; beyond
-    // that, sizing is the caller's contract (see the doc comment).
-    pool.ensure_workers(1);
-    pool.detached
-        .lock()
-        .expect("detached queue poisoned")
-        .push_back(Box::new(f));
-    pool.wake_one();
 }
 
 impl Pool {
@@ -281,17 +295,17 @@ impl Pool {
     /// [`MAX_WORKERS`]). Threads persist for the process lifetime — this
     /// is what makes consecutive parallel operations land on stable
     /// thread ids instead of spawning per call.
-    pub(crate) fn ensure_workers(&'static self, width: usize) {
+    fn ensure_workers(&'static self, width: usize) {
         let want = width.min(MAX_WORKERS);
         if self.started.load(Relaxed) >= want {
             return;
         }
-        let _guard = self.grow_lock.lock().expect("pool grow lock poisoned");
+        let _shared = lock(&self.shared);
         let have = self.started.load(Relaxed);
         for index in have..want {
             std::thread::Builder::new()
                 .name(format!("qexec-{index}"))
-                .spawn(move || self.worker_main(index))
+                .spawn(move || self.worker_main())
                 .expect("spawn qexec worker");
         }
         if want > have {
@@ -304,352 +318,125 @@ impl Pool {
         self.started.load(Relaxed)
     }
 
-    fn worker_main(&'static self, index: usize) {
-        WORKER_INDEX.with(|c| c.set(Some(index)));
+    /// A worker's whole life: take a seat on the oldest op that still has
+    /// one and unclaimed chunks, help until its cursor runs out, repeat;
+    /// park (untimed, so an idle pool burns no CPU) when there is none.
+    /// The list check and the park happen under one lock, which `publish`
+    /// also takes, so a wakeup cannot be lost.
+    fn worker_main(&self) {
+        let mut shared = lock(&self.shared);
         loop {
-            while let Some(job) = self.find_work(Some(index)) {
-                self.execute(job);
-            }
-            // Fork-join work drained: a detached task may block at will
-            // now, because this worker has no join point above it.
-            if let Some(task) = self.pop_detached() {
-                self.run_detached(task);
-                continue;
-            }
-            self.idle_wait(index);
-        }
-    }
-
-    fn pop_detached(&self) -> Option<Box<dyn FnOnce() + Send>> {
-        self.detached
-            .lock()
-            .expect("detached queue poisoned")
-            .pop_front()
-    }
-
-    /// Runs one detached task. Panics are swallowed (there is no caller
-    /// frame to re-raise into), leaving the worker loop operational.
-    fn run_detached(&self, task: Box<dyn FnOnce() + Send>) {
-        self.tasks_executed.fetch_add(1, Relaxed);
-        metrics::tasks_total().inc();
-        let _ = panic::catch_unwind(AssertUnwindSafe(task));
-    }
-
-    /// Executes one scheduler-owned job. Panics inside the job are
-    /// captured into its result slot (see `StackJob`), so this never
-    /// unwinds and the pool cannot be poisoned by a task panic.
-    fn execute(&self, job: JobRef) {
-        self.tasks_executed.fetch_add(1, Relaxed);
-        metrics::tasks_total().inc();
-        // SAFETY: every JobRef in the scheduler came from a StackJob whose
-        // frame is blocked until the job's latch sets, and each is
-        // executed exactly once (popped or stolen from exactly one place).
-        unsafe { job.execute() }
-    }
-
-    /// Pops/steals one runnable job: own deque bottom first (LIFO), then
-    /// the injector, then the top of the other workers' deques.
-    fn find_work(&self, me: Option<usize>) -> Option<JobRef> {
-        if let Some(i) = me {
-            if let Some(job) = self.workers[i]
-                .deque
-                .lock()
-                .expect("deque poisoned")
-                .pop_back()
-            {
-                return Some(job);
-            }
-        }
-        if let Some(job) = self.injector.lock().expect("injector poisoned").pop_front() {
-            return Some(job);
-        }
-        let n = self.started.load(Relaxed);
-        if n == 0 {
-            return None;
-        }
-        // Rotate the first victim so thieves do not convoy on worker 0.
-        static NEXT_VICTIM: AtomicUsize = AtomicUsize::new(0);
-        let start = NEXT_VICTIM.fetch_add(1, Relaxed);
-        for k in 0..n {
-            let victim = (start + k) % n;
-            if Some(victim) == me {
-                continue;
-            }
-            if let Some(job) = self.workers[victim]
-                .deque
-                .lock()
-                .expect("deque poisoned")
-                .pop_front()
-            {
-                self.steals.fetch_add(1, Relaxed);
-                metrics::steals_total().inc();
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    /// Makes `job` available to the pool: bottom of the local deque for
-    /// workers, the shared injector for external threads.
-    fn push(&self, me: Option<usize>, job: JobRef) {
-        match me {
-            Some(i) => self.workers[i]
-                .deque
-                .lock()
-                .expect("deque poisoned")
-                .push_back(job),
-            None => self
-                .injector
-                .lock()
-                .expect("injector poisoned")
-                .push_back(job),
-        }
-        self.wake_one();
-    }
-
-    /// Reclaims the just-pushed job from the bottom of our deque iff it
-    /// was not stolen meanwhile. By the fork-join discipline everything a
-    /// completed first half pushed above it has already been consumed, so
-    /// the bottom is either this job or (if stolen) an outer pending one
-    /// that must stay put.
-    fn try_pop_exact(&self, i: usize, ptr: *const ()) -> Option<JobRef> {
-        let mut deque = self.workers[i].deque.lock().expect("deque poisoned");
-        if deque.back().map(JobRef::data_ptr) == Some(ptr) {
-            deque.pop_back()
-        } else {
-            None
-        }
-    }
-
-    /// External-thread counterpart of `try_pop_exact`: removes the job
-    /// from the injector by identity if no worker picked it up yet.
-    fn take_from_injector(&self, ptr: *const ()) -> Option<JobRef> {
-        let mut injector = self.injector.lock().expect("injector poisoned");
-        let pos = injector.iter().position(|j| j.data_ptr() == ptr)?;
-        injector.remove(pos)
-    }
-
-    /// Blocks until `latch` sets, executing any other runnable work in the
-    /// meantime (see the module docs for why waiting must keep helping).
-    fn wait_for(&self, latch: &Latch, me: Option<usize>) {
-        let mut idle_rounds = 0u32;
-        while !latch.probe() {
-            if let Some(job) = self.find_work(me) {
-                self.execute(job);
-                idle_rounds = 0;
-            } else {
-                idle_rounds += 1;
-                if idle_rounds < 4 {
-                    std::thread::yield_now();
-                } else {
-                    latch.wait_brief();
+            let open = shared
+                .ops
+                .iter_mut()
+                .find(|p| p.seats > 0 && p.op.has_unclaimed());
+            match open {
+                Some(published) => {
+                    published.seats -= 1;
+                    let op = Arc::clone(&published.op);
+                    drop(shared);
+                    with_width(op.width, || op.work(true));
+                    drop(op);
+                    shared = lock(&self.shared);
+                }
+                None => {
+                    shared.parked += 1;
+                    shared = self
+                        .work
+                        .wait(shared)
+                        .unwrap_or_else(PoisonError::into_inner);
+                    shared.parked -= 1;
                 }
             }
         }
     }
 
-    /// Parks an idle worker — untimed, so an idle pool burns zero CPU —
-    /// until new work is pushed.
-    ///
-    /// The lost-wakeup race is closed by a Dekker-style handshake with
-    /// [`wake_one`](Self::wake_one): the worker advertises itself idle
-    /// (SeqCst) *before* its final work re-check, while a pusher
-    /// publishes its job *before* reading the idle count (SeqCst). In
-    /// every interleaving either the re-check sees the job (pusher's
-    /// deque unlock happens-before our lock of the same deque) or the
-    /// pusher sees the idle count and notifies under `sleep_lock` —
-    /// which it cannot acquire between our re-check and our wait, since
-    /// we hold it across both. An untimed park therefore never strands
-    /// runnable work.
-    fn idle_wait(&self, me: usize) {
-        use std::sync::atomic::Ordering::SeqCst;
-        let guard = self.sleep_lock.lock().expect("sleep lock poisoned");
-        self.idle.fetch_add(1, SeqCst);
-        if self.has_visible_work(me) {
-            self.idle.fetch_sub(1, SeqCst);
-            return;
+    /// Offers `op` to up to `seats` workers.
+    fn publish(&self, op: &Arc<Op>, seats: usize) {
+        let mut shared = lock(&self.shared);
+        shared.ops.push(Published {
+            op: Arc::clone(op),
+            seats,
+        });
+        for _ in 0..seats.min(shared.parked) {
+            self.work.notify_one();
         }
-        let _guard = self.sleep_cv.wait(guard).expect("sleep lock poisoned");
-        self.idle.fetch_sub(1, SeqCst);
     }
 
-    /// Whether any deque, the injector, or the detached queue holds work
-    /// this worker could take. Its own deque is skipped: only the owner
-    /// pushes there, and the owner is the one asking.
-    fn has_visible_work(&self, me: usize) -> bool {
-        if !self.injector.lock().expect("injector poisoned").is_empty() {
-            return true;
-        }
-        if !self
-            .detached
-            .lock()
-            .expect("detached queue poisoned")
-            .is_empty()
-        {
-            return true;
-        }
-        let n = self.started.load(Relaxed);
-        (0..n).any(|i| {
-            i != me
-                && !self.workers[i]
-                    .deque
-                    .lock()
-                    .expect("deque poisoned")
-                    .is_empty()
-        })
-    }
-
-    fn wake_one(&self) {
-        use std::sync::atomic::Ordering::SeqCst;
-        // The job was pushed (and its deque mutex released) before this
-        // SeqCst read — see the handshake note on `idle_wait`.
-        if self.idle.load(SeqCst) > 0 {
-            let _guard = self.sleep_lock.lock().expect("sleep lock poisoned");
-            self.sleep_cv.notify_one();
-        }
+    /// Takes `op` off the list once its cursor has run out.
+    fn withdraw(&self, op: &Arc<Op>) {
+        lock(&self.shared).ops.retain(|p| !Arc::ptr_eq(&p.op, op));
     }
 }
 
-/// Runs `a` and `b`, potentially in parallel, and returns both results.
-///
-/// `b` is made stealable while the calling thread runs `a`; if nobody
-/// stole it the caller reclaims and runs it inline (the common, zero-sync
-/// fast path), otherwise the caller *helps* — executing other runnable
-/// tasks — until the thief finishes. A panic in either closure (including
-/// a stolen `b` running on another worker) is re-raised on the calling
-/// thread with its original payload, after both closures have settled, and
-/// leaves the pool fully operational.
-///
-/// At an effective width of 1 ([`current_width`]) this degenerates to
-/// strictly sequential `a(); b()` on the calling thread.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    let width = current_width();
-    if width <= 1 {
-        let ra = a();
-        let rb = b();
-        return (ra, rb);
-    }
+/// Runs `run` over every `chunk`-sized piece of `0..n` at `width`, the
+/// calling thread included, and returns once all of them have settled.
+/// The caller has already ruled out the sequential cases (`width > 1` and
+/// more than one chunk). If chunks panicked, the first payload reported
+/// is re-raised here, after the op has settled.
+pub(crate) fn run_op(n: usize, chunk: usize, width: usize, run: &ChunkFn<'_>) {
+    let chunks = n.div_ceil(chunk);
+    debug_assert!(width > 1 && chunks > 1);
     let pool = global();
     pool.ensure_workers(width);
-    pool.splits.fetch_add(1, Relaxed);
-    metrics::splits_total().inc();
-
-    let b_job = StackJob::new(b, width);
-    // SAFETY: this frame stays alive (and this function does not return)
-    // until b_job's latch is set — the job is executed inline below or
-    // waited for; the ref enters the scheduler exactly once.
-    let b_ref = unsafe { b_job.as_job_ref() };
-    let b_ptr = b_ref.data_ptr();
-    let me = WORKER_INDEX.with(|c| c.get());
-    pool.push(me, b_ref);
-
-    let ra = panic::catch_unwind(AssertUnwindSafe(a));
-
-    let reclaimed = match me {
-        Some(i) => pool.try_pop_exact(i, b_ptr),
-        None => pool.take_from_injector(b_ptr),
-    };
-    match reclaimed {
-        Some(job) => pool.execute(job),
-        None => pool.wait_for(&b_job.latch, me),
-    }
-    // SAFETY: the latch is set (inline execution sets it synchronously;
-    // wait_for returns only after probing it true), exactly one take.
-    let rb = unsafe { b_job.take_result() };
-
-    match (ra, rb) {
-        (Ok(ra), Ok(rb)) => (ra, rb),
-        (Err(payload), _) => panic::resume_unwind(payload),
-        (Ok(_), Err(payload)) => panic::resume_unwind(payload),
-    }
-}
-
-/// Applies `f` to every item in parallel, preserving order.
-///
-/// The index range splits in half recursively down to the effective grain
-/// (see [`set_grain`]); each half becomes a stealable task, and a stolen
-/// half re-splits on the thief, so an expensive prefix cannot strand the
-/// rest of the items on one worker the way contiguous per-thread chunking
-/// does. Results land at their item's index, so output order (and
-/// therefore every consumer's result) is identical to sequential
-/// execution regardless of the steal schedule.
-pub fn par_map_vec<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let n = items.len();
-    let width = current_width();
-    if n <= 1 || width <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let grain = effective_grain(n, width);
-    if grain >= n {
-        return items.into_iter().map(f).collect();
-    }
-    let pool = global();
-    pool.ensure_workers(width);
-    pool.parallel_ops.fetch_add(1, Relaxed);
-    metrics::parallel_ops_total().inc();
     let _op_timer = metrics::parallel_op_duration().start_timer();
-    // The caller's ambient trace (if any): the op span carries how much
-    // stealing this particular map triggered, attributed pool-wide —
-    // the deltas are global counters, exact only when ops don't overlap.
     let ctx = qobs::trace::current();
-    let mut span = if ctx.handle.enabled() {
+    let mut span = ctx.handle.enabled().then(|| {
         let mut s = ctx.handle.span("parallel_op", ctx.parent);
         s.attr("items", n);
         s.attr("width", width);
-        s.attr("grain", grain);
-        Some((
-            s,
-            pool.steals.load(Relaxed),
-            pool.tasks_executed.load(Relaxed),
-        ))
-    } else {
-        None
-    };
+        s.attr("chunk", chunk);
+        s
+    });
 
-    let mut src: Vec<Option<T>> = items.into_iter().map(Some).collect();
-    let mut dst: Vec<Option<R>> = Vec::with_capacity(n);
-    dst.resize_with(n, || None);
-    map_rec(&mut src, &mut dst, &f, grain);
-    if let Some((span, steals0, tasks0)) = &mut span {
-        span.attr("steals", pool.steals.load(Relaxed).saturating_sub(*steals0));
-        span.attr(
-            "tasks",
-            pool.tasks_executed.load(Relaxed).saturating_sub(*tasks0),
-        );
+    // SAFETY: erases the closure's lifetime only. The pointer is
+    // dereferenced solely in `Op::work`, for a claimed chunk, and this
+    // function does not return until it has read `settled == chunks`
+    // under the op's mutex — nothing between `publish` and that read can
+    // unwind — so every dereference happens while `run` is still
+    // borrowed here.
+    let run = unsafe { std::mem::transmute::<&ChunkFn<'_>, *const ChunkFn<'static>>(run) };
+    let op = Arc::new(Op {
+        run,
+        n,
+        chunk,
+        chunks,
+        width,
+        next: AtomicUsize::new(0),
+        state: Mutex::new(OpState::default()),
+        settled: Condvar::new(),
+    });
+    pool.publish(&op, (width - 1).min(chunks - 1));
+    op.work(false);
+    pool.withdraw(&op);
+    let mut state = lock(&op.state);
+    while state.settled < chunks {
+        state = op
+            .settled
+            .wait(state)
+            .unwrap_or_else(PoisonError::into_inner);
     }
-    dst.into_iter()
-        .map(|slot| slot.expect("parallel map result missing"))
-        .collect()
-}
+    let helped = state.helped as u64;
+    let mut panics = std::mem::take(&mut state.panics);
+    drop(state);
 
-fn map_rec<T, R, F>(src: &mut [Option<T>], dst: &mut [Option<R>], f: &F, grain: usize)
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    debug_assert_eq!(src.len(), dst.len());
-    if src.len() <= grain {
-        for (s, d) in src.iter_mut().zip(dst.iter_mut()) {
-            *d = Some(f(s.take().expect("parallel map item consumed twice")));
-        }
-        return;
+    pool.parallel_ops.fetch_add(1, Relaxed);
+    pool.tasks_executed.fetch_add(chunks as u64, Relaxed);
+    pool.splits.fetch_add(chunks as u64 - 1, Relaxed);
+    pool.steals.fetch_add(helped, Relaxed);
+    metrics::parallel_ops_total().inc();
+    metrics::tasks_total().add(chunks as u64);
+    metrics::splits_total().add(chunks as u64 - 1);
+    metrics::steals_total().add(helped);
+    if let Some(span) = &mut span {
+        span.attr("steals", helped);
+        span.attr("tasks", chunks);
     }
-    let mid = src.len() / 2;
-    let (s1, s2) = src.split_at_mut(mid);
-    let (d1, d2) = dst.split_at_mut(mid);
-    join(|| map_rec(s1, d1, f, grain), || map_rec(s2, d2, f, grain));
+    if !panics.is_empty() {
+        let first = panics.swap_remove(0);
+        drop(panics);
+        panic::resume_unwind(first);
+    }
 }
 
 #[cfg(test)]
@@ -673,9 +460,13 @@ mod tests {
 
     #[test]
     fn adaptive_grain_scales_with_width() {
-        // ~SPLIT_FACTOR leaves per worker, never below one item.
-        assert_eq!(effective_grain(1024, 4), 1024_usize.div_ceil(32));
-        assert_eq!(effective_grain(3, 8), 1);
+        // ~CHUNKS_PER_WORKER chunks per worker, never below one item.
+        assert_eq!(chunk_len(1024, 4, 1), 1024_usize.div_ceil(32));
+        assert_eq!(chunk_len(3, 8, 1), 1);
+        assert_eq!(chunk_len(0, 2, 0), 1);
+        // The call site's threshold is a floor on the chunk.
+        assert_eq!(chunk_len(1 << 20, 2, 1 << 12), 1 << 16);
+        assert_eq!(chunk_len(5000, 2, 1 << 12), 1 << 12);
     }
 
     #[test]

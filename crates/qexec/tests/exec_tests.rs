@@ -1,28 +1,14 @@
-//! Executor correctness under stealing: nested fork-join, order
-//! preservation, panic propagation across steals, sequential degeneration
-//! at width 1, and persistent-pool thread reuse.
+//! Executor correctness across threads: order preservation, nested maps,
+//! panic propagation from helper-run chunks, sequential degeneration at
+//! width 1, and persistent-pool thread reuse.
 
+use proptest::prelude::*;
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
-use std::sync::Mutex;
+use std::sync::{Barrier, Mutex};
 use std::thread::ThreadId;
 use std::time::Duration;
-
-/// Restores the process-global grain override on drop, so a failing
-/// assertion cannot leak a test's grain into the rest of the binary.
-struct GrainGuard;
-impl GrainGuard {
-    fn set(grain: usize) -> GrainGuard {
-        qexec::set_grain(grain);
-        GrainGuard
-    }
-}
-impl Drop for GrainGuard {
-    fn drop(&mut self) {
-        qexec::set_grain(0);
-    }
-}
 
 /// `POPQC_NUM_THREADS` deliberately outranks `with_width` (the documented
 /// precedence), so tests that pin exact widths cannot hold under it —
@@ -35,16 +21,21 @@ fn env_pins_width() -> bool {
     false
 }
 
-/// Recursive fork-join sum over a slice — every level of the recursion is
-/// a `join`, so deep nesting (stolen halves re-splitting on thieves)
-/// is exercised end to end.
+fn on_pool_worker() -> bool {
+    std::thread::current()
+        .name()
+        .is_some_and(|n| n.starts_with("qexec-"))
+}
+
+/// Recursive fork-join sum over a slice, each fork a two-item map — every
+/// level of the recursion submits a nested op, from whichever thread
+/// (submitter or helper) ran the level above.
 fn join_sum(xs: &[u64]) -> u64 {
     if xs.len() <= 3 {
         return xs.iter().sum();
     }
     let (lo, hi) = xs.split_at(xs.len() / 2);
-    let (a, b) = qexec::join(|| join_sum(lo), || join_sum(hi));
-    a + b
+    qexec::par_map_vec(vec![lo, hi], join_sum).iter().sum()
 }
 
 #[test]
@@ -60,42 +51,83 @@ fn nested_join_computes_correctly() {
 }
 
 #[test]
-fn join_returns_both_results_in_order() {
-    let (a, b) = qexec::with_width(4, || qexec::join(|| "first", || 2));
-    assert_eq!((a, b), ("first", 2));
+fn nested_maps_inherit_the_installed_width() {
+    if env_pins_width() {
+        return;
+    }
+    // Whichever thread runs an outer item — the submitter or a helper
+    // that installed the op's width — the inner map sees width 3.
+    let widths = qexec::with_width(3, || {
+        qexec::par_map_range(64, 1, |_| {
+            std::thread::sleep(Duration::from_micros(50));
+            qexec::current_width()
+        })
+    });
+    assert!(widths.iter().all(|&w| w == 3), "{widths:?}");
 }
 
 #[test]
 fn par_map_preserves_order_at_grain_one() {
-    // Grain 1 maximizes the task count and therefore steal opportunities;
-    // the result must still be index-exact.
-    let _grain = GrainGuard::set(1);
-    let out = qexec::with_width(4, || qexec::par_map_vec((0..2_000u64).collect(), |x| x * x));
-    assert_eq!(out.len(), 2_000);
-    assert!(out.iter().enumerate().all(|(i, &v)| v == (i * i) as u64));
+    // 8·width items or fewer make every chunk a single item, which
+    // maximizes the hand-offs between threads; the result must still be
+    // index-exact. The larger input covers multi-item chunks with a
+    // ragged last one.
+    for n in [32u64, 2_001] {
+        let out = qexec::with_width(4, || qexec::par_map_vec((0..n).collect(), |x| x * x));
+        assert_eq!(out.len() as u64, n);
+        assert!(out.iter().enumerate().all(|(i, &v)| v == (i * i) as u64));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    /// Order preservation whatever the schedule: both map forms must
+    /// equal the sequential map, at every minimum chunk.
+    #[test]
+    fn par_map_matches_sequential(
+        xs in prop::collection::vec(0u64..1_000_000, 0..600),
+        min_chunk in 0usize..40,
+    ) {
+        let hash = |x: u64| x.wrapping_mul(2654435761) >> 7;
+        let seq: Vec<u64> = xs.iter().map(|&x| hash(x)).collect();
+        let (by_index, by_item) = qexec::with_width(4, || (
+            qexec::par_map_range(xs.len(), min_chunk, |i| hash(xs[i])),
+            qexec::par_map_vec(xs.clone(), hash),
+        ));
+        prop_assert_eq!(&by_index, &seq);
+        prop_assert_eq!(&by_item, &seq);
+    }
 }
 
 #[test]
 fn panic_in_stolen_task_propagates_and_pool_survives() {
-    // The panicking closure is the *forked* (stealable) half; the caller
-    // stalls briefly so a pool worker has every chance to steal it. The
-    // panic must surface on the caller with its original payload, and the
-    // pool must keep executing work afterwards — no poisoned worker, no
-    // wedged deque.
+    if env_pins_width() {
+        return;
+    }
+    // Two one-item chunks; the barrier forces them onto two threads, and
+    // the panicking one onto the pool worker. The panic must surface on
+    // the submitter with its original payload, every item must have run
+    // exactly once, and the pool must keep executing work afterwards.
     for round in 0..20 {
+        let runs = [AtomicUsize::new(0), AtomicUsize::new(0)];
+        let both = Barrier::new(2);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            qexec::with_width(4, || {
-                qexec::join(
-                    || std::thread::sleep(Duration::from_micros(200)),
-                    || panic!("injected task fault {round}"),
-                )
+            qexec::with_width(2, || {
+                qexec::par_map_range(2, 1, |i| {
+                    runs[i].fetch_add(1, SeqCst);
+                    both.wait();
+                    if on_pool_worker() {
+                        panic!("injected task fault {round}");
+                    }
+                })
             })
         }));
-        let payload = result.expect_err("the forked panic must propagate");
+        let payload = result.expect_err("the helper's panic must propagate");
         let msg = payload
             .downcast_ref::<String>()
             .expect("original payload type");
         assert_eq!(msg, &format!("injected task fault {round}"));
+        assert_eq!(runs.each_ref().map(|r| r.load(SeqCst)), [1, 1]);
     }
     // Pool still fully operational.
     let out = qexec::with_width(4, || qexec::par_map_vec((0..512u64).collect(), |x| x + 1));
@@ -104,23 +136,19 @@ fn panic_in_stolen_task_propagates_and_pool_survives() {
 
 #[test]
 fn panic_in_first_half_still_settles_second() {
-    // When the caller's own half panics, the forked half may be running
-    // on a thief; the join must wait for it to settle before re-raising,
-    // so the thief never touches a dead stack frame. (At width 1 the
-    // second half legitimately never starts, so this needs width > 1.)
-    if env_pins_width() {
-        return;
-    }
+    // When a chunk panics, the others may be running on helpers; the map
+    // must wait for them to settle before re-raising, so no helper ever
+    // touches a dead stack frame — and it must not skip them either.
     let second_ran = AtomicUsize::new(0);
     let result = catch_unwind(AssertUnwindSafe(|| {
         qexec::with_width(4, || {
-            qexec::join(
-                || panic!("first half fault"),
-                || {
-                    std::thread::sleep(Duration::from_micros(200));
-                    second_ran.fetch_add(1, SeqCst);
-                },
-            )
+            qexec::par_map_range(2, 1, |i| {
+                if i == 0 {
+                    panic!("first half fault");
+                }
+                std::thread::sleep(Duration::from_micros(200));
+                second_ran.fetch_add(1, SeqCst);
+            })
         })
     }));
     assert!(result.is_err());
@@ -129,7 +157,7 @@ fn panic_in_first_half_still_settles_second() {
 
 #[test]
 fn width_one_degenerates_to_sequential() {
-    // At width 1 everything runs inline on the calling thread, in program
+    // At width 1 everything runs inline on the calling thread, in index
     // order, with no pool interaction at all.
     if env_pins_width() {
         return;
@@ -137,33 +165,28 @@ fn width_one_degenerates_to_sequential() {
     let caller = std::thread::current().id();
     let order = Mutex::new(Vec::new());
     qexec::with_width(1, || {
-        qexec::join(
-            || {
-                order
-                    .lock()
-                    .unwrap()
-                    .push(("a", std::thread::current().id()))
-            },
-            || {
-                order
-                    .lock()
-                    .unwrap()
-                    .push(("b", std::thread::current().id()))
-            },
-        );
-        let out = qexec::par_map_vec((0..64u32).collect(), |x| {
-            order
-                .lock()
-                .unwrap()
-                .push(("item", std::thread::current().id()));
+        let note = |x: u32| {
+            order.lock().unwrap().push((x, std::thread::current().id()));
             x
-        });
+        };
+        let out = qexec::par_map_vec((0..64u32).collect(), note);
         assert_eq!(out, (0..64).collect::<Vec<u32>>());
+        qexec::par_map_range(64, 1, |i| note(64 + i as u32));
     });
     let order = order.lock().unwrap();
-    assert_eq!(order.len(), 2 + 64);
-    assert_eq!((order[0].0, order[1].0), ("a", "b"), "sequential order");
+    assert!(order.iter().map(|&(x, _)| x).eq(0..128), "sequential order");
     assert!(order.iter().all(|&(_, id)| id == caller), "caller only");
+}
+
+#[test]
+fn min_chunk_keeps_small_inputs_on_the_caller() {
+    // Below the call site's threshold there is a single chunk, so the map
+    // runs inline whatever the width.
+    let caller = std::thread::current().id();
+    let ids = qexec::with_width(4, || {
+        qexec::par_map_range(1_000, 1 << 12, |_| std::thread::current().id())
+    });
+    assert!(ids.iter().all(|&id| id == caller));
 }
 
 #[test]
@@ -178,14 +201,9 @@ fn consecutive_ops_run_on_stable_pool_threads() {
                 // A dash of per-item latency so sleeping workers reliably
                 // wake up and take part in each operation.
                 std::thread::sleep(Duration::from_micros(10));
-                // Only count pool workers (by their `qexec-N` thread
-                // name): the caller — and any concurrently-running
-                // test's thread helping while it waits — may legally
-                // execute leaves too, and those ids are not the pool's.
-                let on_pool_worker = std::thread::current()
-                    .name()
-                    .is_some_and(|n| n.starts_with("qexec-"));
-                if on_pool_worker {
+                // Only count pool workers: the caller runs chunks too,
+                // and its id is not the pool's.
+                if on_pool_worker() {
                     seen.lock().unwrap().insert(std::thread::current().id());
                 }
                 i
@@ -214,14 +232,17 @@ fn stats_counters_advance_under_parallel_work() {
     qexec::with_width(4, || {
         qexec::par_map_vec((0..4_096u64).collect(), |x| x.wrapping_mul(3))
     });
-    let after = qexec::stats();
+    let after = qexec::stats().delta_since(&before);
     assert!(after.workers >= 1, "pool must have spawned workers");
-    assert!(after.parallel_ops > before.parallel_ops);
-    assert!(after.splits > before.splits);
-    assert!(after.tasks_executed > before.tasks_executed);
-    // Steals are schedule-dependent (may be zero on an idle machine), but
-    // the counter must never run backwards.
-    assert!(after.steals >= before.steals);
+    assert_eq!(after.grain, 0);
+    // Other tests in this binary add to the same counters, so these are
+    // lower bounds: one op of 8·4 chunks.
+    assert!(after.parallel_ops >= 1);
+    assert!(after.tasks_executed >= 32);
+    assert!(after.splits >= 31);
+    // Helper-run chunks are schedule-dependent (may be zero on a busy
+    // machine), but can never exceed the chunks run.
+    assert!(after.steals <= after.tasks_executed);
 }
 
 #[test]
@@ -230,47 +251,24 @@ fn empty_and_singleton_inputs() {
     assert!(empty.is_empty());
     let one = qexec::with_width(4, || qexec::par_map_vec(vec![41u64], |x| x + 1));
     assert_eq!(one, vec![42]);
+    let none: Vec<u64> = qexec::with_width(4, || qexec::par_map_range(0, 0, |i| i as u64));
+    assert!(none.is_empty());
 }
 
 #[test]
-fn spawn_detached_runs_off_the_calling_thread() {
-    use std::sync::mpsc;
-    let (tx, rx) = mpsc::channel();
-    let caller = std::thread::current().id();
-    qexec::spawn_detached(move || {
-        tx.send(std::thread::current().id()).unwrap();
-    });
-    let ran_on = rx
-        .recv_timeout(std::time::Duration::from_secs(10))
-        .expect("detached task must run");
-    assert_ne!(ran_on, caller, "detached tasks run on pool workers");
-}
-
-#[test]
-fn spawn_detached_contains_panics_and_pool_survives() {
-    use std::sync::mpsc;
-    qexec::spawn_detached(|| panic!("contained"));
-    // The pool must keep executing detached tasks after a panic in one.
-    let (tx, rx) = mpsc::channel();
-    qexec::spawn_detached(move || tx.send(7u32).unwrap());
-    assert_eq!(
-        rx.recv_timeout(std::time::Duration::from_secs(10)),
-        Ok(7),
-        "pool must survive a detached panic"
-    );
-}
-
-#[test]
-fn spawn_detached_does_not_stall_fork_join_waiters() {
-    use std::sync::mpsc;
-    // A detached task that blocks until released: fork-join work
-    // submitted while it is queued (or running) must still complete,
-    // because join waiters never pick detached tasks up.
-    let (release_tx, release_rx) = mpsc::channel::<()>();
-    qexec::spawn_detached(move || {
-        let _ = release_rx.recv_timeout(std::time::Duration::from_secs(10));
-    });
-    let sums = qexec::with_width(4, || qexec::par_map_vec((0..1_024u64).collect(), |x| x + 1));
-    assert_eq!(sums.iter().sum::<u64>(), (1..=1_024).sum::<u64>());
-    release_tx.send(()).unwrap();
+fn owned_items_are_each_dropped_once() {
+    // `par_map_vec` moves every item into the call that consumes it:
+    // nothing is dropped twice and nothing is left behind.
+    struct Counted<'a>(&'a AtomicUsize);
+    impl Drop for Counted<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, SeqCst);
+        }
+    }
+    let drops = AtomicUsize::new(0);
+    let items: Vec<Counted<'_>> = (0..1_000).map(|_| Counted(&drops)).collect();
+    let out = qexec::with_width(4, || qexec::par_map_vec(items, |item| item));
+    assert_eq!(drops.load(SeqCst), 0, "results still own the items");
+    drop(out);
+    assert_eq!(drops.load(SeqCst), 1_000);
 }

@@ -7,7 +7,7 @@
 //!
 //! * [`Complex`] — a minimal complex-number type (no external deps).
 //! * [`StateVector`] — a dense 2ⁿ state vector with gate application for the
-//!   POPQC gate set; amplitude sweeps parallelize with Rayon above a size
+//!   POPQC gate set; amplitude sweeps parallelize on `qexec` above a size
 //!   threshold.
 //! * [`unitary`] — full-unitary construction for tiny circuits.
 //! * [`equiv`] — equivalence checks up to global phase, both exact (small n)

@@ -3,11 +3,11 @@
 use crate::complex::Complex;
 use crate::rng::SplitMix64;
 use qcir::{Circuit, Gate, Qubit};
-use rayon::prelude::*;
 
-/// Below this amplitude count the gate kernels run sequentially; above it
-/// they split into Rayon chunks. 2^13 keeps per-task work well above the
-/// fork-join overhead, per the Rayon guidance on granularity.
+/// The gate kernels hand `qexec` the amplitudes in slices of at least this
+/// many (a whole number of kernel blocks each), so a state no larger than
+/// this runs sequentially. 2^13 keeps per-slice work well above the cost
+/// of a cross-thread hand-off.
 const PAR_THRESHOLD: usize = 1 << 13;
 
 /// A dense quantum state over `n` qubits: 2ⁿ complex amplitudes, with qubit
@@ -101,26 +101,37 @@ impl StateVector {
         }
     }
 
+    /// Runs `kernel(base, block)` over every aligned `block`-amplitude
+    /// block (`base` is the index of its first amplitude), in parallel
+    /// over slices of whole blocks. Blocks and slices are powers of two,
+    /// so slices never cut a block.
+    fn for_blocks<K>(&mut self, block: usize, kernel: K)
+    where
+        K: Fn(usize, &mut [Complex]) + Sync,
+    {
+        let slice = block.max(PAR_THRESHOLD);
+        let slices = self.amps.chunks_mut(slice).enumerate().collect();
+        qexec::par_map_vec(slices, |(si, amps): (usize, &mut [Complex])| {
+            for (bi, b) in amps.chunks_mut(block).enumerate() {
+                kernel(si * slice + bi * block, b);
+            }
+        });
+    }
+
     /// Runs a single-qubit kernel over all (bit=0, bit=1) amplitude pairs.
-    /// Chunks of size `2^(q+1)` keep each pair inside one chunk, so the
+    /// Blocks of size `2^(q+1)` keep each pair inside one block, so the
     /// parallel split needs no synchronization.
     fn for_pairs<F>(&mut self, q: Qubit, f: F)
     where
         F: Fn(&mut Complex, &mut Complex) + Sync,
     {
         let stride = 1usize << q;
-        let chunk = stride << 1;
-        let kernel = |block: &mut [Complex]| {
+        self.for_blocks(stride << 1, |_, block| {
             let (lo, hi) = block.split_at_mut(stride);
             for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
                 f(a, b);
             }
-        };
-        if self.amps.len() >= PAR_THRESHOLD {
-            self.amps.par_chunks_mut(chunk).for_each(kernel);
-        } else {
-            self.amps.chunks_mut(chunk).for_each(kernel);
-        }
+        });
     }
 
     fn apply_h(&mut self, q: Qubit) {
@@ -150,22 +161,15 @@ impl StateVector {
         assert_ne!(c, t, "CNOT control equals target");
         let cbit = 1usize << c;
         let tbit = 1usize << t;
-        // Chunks of 2^(max(c,t)+1) contain both members of every swapped pair.
-        let chunk = 1usize << (c.max(t) + 1);
-        let kernel = |(ci, block): (usize, &mut [Complex])| {
-            let base = ci * chunk;
-            for j in 0..chunk {
+        // Blocks of 2^(max(c,t)+1) contain both members of every swapped pair.
+        self.for_blocks(1usize << (c.max(t) + 1), |base, block| {
+            for j in 0..block.len() {
                 let i = base + j;
                 if i & cbit != 0 && i & tbit == 0 {
                     block.swap(j, j | tbit);
                 }
             }
-        };
-        if self.amps.len() >= PAR_THRESHOLD {
-            self.amps.par_chunks_mut(chunk).enumerate().for_each(kernel);
-        } else {
-            self.amps.chunks_mut(chunk).enumerate().for_each(kernel);
-        }
+        });
     }
 }
 

@@ -377,16 +377,12 @@ impl ResultStore for RemoteStore {
 #[derive(Clone, Debug)]
 pub struct CacheServerConfig {
     /// Read timeout per frame; also the idle-connection reaper — a
-    /// client silent for this long frees its worker.
+    /// client silent for this long frees its connection thread.
     pub read_timeout: Duration,
-    /// Pool workers to reserve for concurrently blocked connection
-    /// handlers (the executor is shared, so this is a floor, not a
-    /// partition).
-    pub conn_workers: usize,
-    /// Open-connection cap. At the cap the acceptor stops calling
-    /// `accept`, so further clients queue in the kernel backlog
-    /// (backpressure) instead of being served or refused. `0` means
-    /// unlimited.
+    /// Open-connection cap, and so the cap on connection threads. At the
+    /// cap the acceptor stops calling `accept`, so further clients queue
+    /// in the kernel backlog (backpressure) instead of being served or
+    /// refused. `0` means unlimited.
     pub max_conns: usize,
 }
 
@@ -394,7 +390,6 @@ impl Default for CacheServerConfig {
     fn default() -> CacheServerConfig {
         CacheServerConfig {
             read_timeout: Duration::from_secs(30),
-            conn_workers: 4,
             max_conns: 256,
         }
     }
@@ -440,9 +435,9 @@ impl Drop for ConnGuard<'_> {
 
 /// The `popqc cached` server: serves the [`crate::wire`] protocol over
 /// any [`ResultStore`] (a `DiskStore`, or memory-over-disk tiered, in
-/// practice). One dedicated acceptor thread; each connection runs as a
-/// `qexec` detached task, so handler concurrency comes from the same
-/// work-stealing pool as everything else in the process.
+/// practice). One dedicated acceptor thread; each accepted connection is
+/// served on a thread of its own until its peer hangs up, so every
+/// pooled client — up to `max_conns` of them — is answered at once.
 pub struct CacheServer {
     local_addr: SocketAddr,
     served: Arc<Served>,
@@ -466,7 +461,6 @@ impl CacheServer {
             conn_released: Condvar::new(),
             stop: AtomicBool::new(false),
         });
-        qexec::reserve_workers(cfg.conn_workers);
         let acceptor = {
             let served = Arc::clone(&served);
             std::thread::Builder::new()
@@ -491,9 +485,9 @@ impl CacheServer {
     }
 
     /// Stops accepting, severs every live connection, and joins the
-    /// acceptor thread. The listening port is released before this
-    /// returns, so a test (or a supervisor) can rebind it to simulate
-    /// recovery.
+    /// acceptor thread, which joins the connection threads. The listening
+    /// port is released before this returns, so a test (or a supervisor)
+    /// can rebind it to simulate recovery.
     pub fn shutdown(&mut self) {
         if self.served.stop.swap(true, Relaxed) {
             return;
@@ -520,7 +514,9 @@ impl Drop for CacheServer {
 
 fn accept_loop(listener: TcpListener, served: Arc<Served>, cfg: CacheServerConfig) {
     let mut next_id = 0u64;
+    let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
     loop {
+        handlers.retain(|h| !h.is_finished());
         // Gate BEFORE accept: at the cap the acceptor parks, so excess
         // clients wait in the kernel backlog (backpressure) rather than
         // being served past the cap or actively refused. The timeout
@@ -562,15 +558,28 @@ fn accept_loop(listener: TcpListener, served: Arc<Served>, cfg: CacheServerConfi
                     .lock()
                     .expect("conns poisoned")
                     .insert(id, handle);
-                let served = Arc::clone(&served);
-                let read_timeout = cfg.read_timeout;
-                qexec::spawn_detached(move || {
-                    let _guard = ConnGuard {
-                        served: &served,
-                        id,
-                    };
-                    handle_connection(stream, &served, read_timeout);
-                });
+                let spawned = {
+                    let served = Arc::clone(&served);
+                    let read_timeout = cfg.read_timeout;
+                    std::thread::Builder::new()
+                        .name(format!("popqc-cached-conn-{id}"))
+                        .spawn(move || {
+                            let _guard = ConnGuard {
+                                served: &served,
+                                id,
+                            };
+                            handle_connection(stream, &served, read_timeout);
+                        })
+                };
+                match spawned {
+                    Ok(handler) => handlers.push(handler),
+                    Err(e) => {
+                        // The closure (and the stream in it) is dropped
+                        // unrun, which hangs up on the client.
+                        qobs::log_warn!(target: "qsvc::cached", "dropping connection: thread spawn failed", error = e);
+                        served.conns.lock().expect("conns poisoned").remove(&id);
+                    }
+                }
             }
             Err(_) if served.stop.load(Relaxed) => break,
             Err(e) => {
@@ -579,7 +588,14 @@ fn accept_loop(listener: TcpListener, served: Arc<Served>, cfg: CacheServerConfi
             }
         }
     }
-    // The listener drops here, releasing the port for a restart.
+    // Release the port for a restart before waiting on the handlers,
+    // whose connections `shutdown` severs.
+    drop(listener);
+    for handler in handlers {
+        // A handler that panicked has already said so through the panic
+        // hook; its connection closed when its stack unwound.
+        let _ = handler.join();
+    }
 }
 
 /// One connection's serve loop: frames in, responses out, until the

@@ -20,16 +20,15 @@
 //!   worker thread.
 //! * **Inner parallelism** — each worker enters the engine under a
 //!   [`qexec::with_width`] scope of `threads_per_job`. The engine's
-//!   parallel operations all run on the shared `popqc-exec`
-//!   work-stealing pool (persistent threads, no per-operation
-//!   spawning), which the service pre-grows to `workers ×
-//!   threads_per_job` at construction so every job's budget is
-//!   provisioned even when all workers run at once. The width scopes a
-//!   job's *splitting granularity* (how many leaf tasks its rounds
-//!   produce), not a hard thread partition: the pool is
-//!   work-conserving, so capacity idle in one job's rounds is lent to
-//!   another's instead of sitting parked. The pool's counters are
-//!   surfaced via [`ServiceStats::executor`].
+//!   parallel operations all run on the shared `popqc-exec` pool
+//!   (persistent threads, no per-operation spawning), which the service
+//!   pre-grows to `workers × threads_per_job` at construction so every
+//!   job's budget is provisioned even when all workers run at once. The
+//!   width caps how many threads one parallel map uses (the job's
+//!   worker plus `threads_per_job − 1` pool helpers) and sets how many
+//!   chunks it is cut into; it does not partition the pool, so any idle
+//!   pool thread may help any job. The pool's counters are surfaced via
+//!   [`ServiceStats::executor`].
 //! * **Per-request oracles** — the service owns an [`OracleRegistry`] of
 //!   named `Arc<dyn SegmentOracle<Gate>>` entries; every submission picks
 //!   an oracle (and engine config) per job, so one running service answers
@@ -406,10 +405,8 @@ impl Default for ServiceConfig {
 
 impl ServiceConfig {
     fn resolved(&self) -> (usize, usize) {
-        // The one documented precedence, shared with qexec and the rayon
-        // shim facade: POPQC_NUM_THREADS > explicit width > available
-        // parallelism. Before this lived in qexec, every call site decided
-        // "available threads" ad hoc.
+        // The one documented precedence, shared with qexec:
+        // POPQC_NUM_THREADS > explicit width > available parallelism.
         let cores = qexec::resolve_threads(None);
         let workers = if self.workers == 0 {
             cores
@@ -616,8 +613,8 @@ pub struct ServiceStats {
     /// Segment-cache counters (see [`crate::segcache`]); all-zero with
     /// `enabled: false` when [`ServiceConfig::seg_cache_capacity`] is 0.
     pub seg_cache: SegCacheStats,
-    /// Work-stealing executor counters (process-wide `popqc-exec` pool
-    /// the engine's parallel rounds run on). Process-global and
+    /// Executor counters (process-wide `popqc-exec` pool the engine's
+    /// parallel rounds run on). Process-global and
     /// monotonic — NOT per-service or per-job; diff two snapshots with
     /// [`qexec::ExecStats::delta_since`] to attribute work to an
     /// interval.
@@ -1010,9 +1007,9 @@ impl Inner {
         };
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             // The per-job thread budget is a width scope on the shared
-            // qexec work-stealing pool: the engine's parallel rounds run
-            // at `threads_per_job` width on persistent pool threads
-            // instead of spawning scoped threads per round.
+            // qexec pool: the engine's parallel rounds run at
+            // `threads_per_job` width on persistent pool threads instead
+            // of spawning scoped threads per round.
             qobs::trace::with_active(&engine_ctx, || {
                 qexec::with_width(self.threads_per_job, || {
                     optimize_circuit_cached(

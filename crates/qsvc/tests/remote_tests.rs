@@ -477,6 +477,30 @@ fn second_replica_answers_from_the_shared_cache_with_zero_oracle_calls() {
 /// backlog instead of being served or reset, and are admitted the moment
 /// a slot frees — accept backpressure, not refusal.
 #[test]
+fn every_pooled_client_is_served_at_once() {
+    // Each client keeps its pooled connection open after its request, the
+    // way a replica fleet does, so client k's request is only answered if
+    // the server is serving k connections at the same time.
+    let server = memory_server();
+    let addr = server.local_addr().to_string();
+    let circuit = sample_circuit();
+    let key = key_for(&circuit, "rule_based", 50);
+    let clients: Vec<RemoteStore> = (0..7).map(|_| fast_client(&addr)).collect();
+    clients[0].put(&key, "v1", run_for(&circuit));
+    for (k, client) in clients.iter().enumerate() {
+        let t0 = Instant::now();
+        let hit = client.get(&key, "v1");
+        let waited = t0.elapsed();
+        assert!(hit.is_some(), "client {k} must hit, waited {waited:?}");
+        assert!(
+            waited < Duration::from_millis(500),
+            "client {k} waited {waited:?}, past its io_timeout"
+        );
+        assert_eq!(client.stats().tiers[0].errors, 0, "client {k}");
+    }
+}
+
+#[test]
 fn connection_cap_defers_accepts_until_a_slot_frees() {
     let server = CacheServer::serve(
         "127.0.0.1:0",

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! popqc optimize <FILE|DIR>... [--out DIR] [--omega N] [--oracle ID]
-//!                [--workers N] [--threads-per-job N] [--grain N]
+//!                [--workers N] [--threads-per-job N]
 //!                [--cache-capacity N] [--seg-cache-capacity N]
 //!                [--cache-tier memory|disk|tiered|remote|null]
 //!                [--cache-dir DIR] [--cache-addr HOST:PORT]
@@ -13,7 +13,7 @@
 //!             [--omega N] [--oracle ID] [--cache-capacity N]
 //!             [--seg-cache-capacity N] [--frontend threads|evented]
 //!             [--conn-threads N] [--max-conns N] [--rate-limit R]
-//!             [--shed-queue-depth N] [--grain N]
+//!             [--shed-queue-depth N]
 //!             [--cache-tier memory|disk|tiered|remote|null]
 //!             [--cache-dir DIR] [--cache-addr HOST:PORT]
 //!             [--trace-capacity N] [--trace-slow-ms MS]
@@ -66,12 +66,11 @@
 //! replica whose cache server goes down degrades to local misses (never
 //! errors) and resumes hits when it returns.
 //!
-//! Parallelism runs on the shared `popqc-exec` work-stealing pool.
-//! `POPQC_NUM_THREADS` pins every parallel width (it outranks `--workers`
-//! and `--threads-per-job` defaults — see `qexec::resolve_threads`), and
-//! `--grain` (or `POPQC_GRAIN`) fixes the executor's leaf-task size in
-//! items, `0`/unset meaning adaptive splitting. The executor's counters
-//! are reported in `GET /v1/stats` and the `--report` document.
+//! Parallelism runs on the shared `popqc-exec` pool. `POPQC_NUM_THREADS`
+//! pins every parallel width (it outranks `--workers` and
+//! `--threads-per-job` defaults — see `qexec::resolve_threads`). The
+//! executor's counters are reported in `GET /v1/stats` and the `--report`
+//! document.
 //!
 //! `--trace-capacity`/`--trace-slow-ms` tune the request tracer (see
 //! `qobs::trace`): the server keeps up to N tail-sampled traces in a
@@ -94,7 +93,7 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  \
          popqc optimize <FILE|DIR>... [--out DIR] [--omega N] [--oracle ID]\n           \
-         [--workers N] [--threads-per-job N] [--grain N] [--cache-capacity N]\n           \
+         [--workers N] [--threads-per-job N] [--cache-capacity N]\n           \
          [--seg-cache-capacity N]\n           \
          [--cache-tier memory|disk|tiered|remote|null] [--cache-dir DIR]\n           \
          [--cache-addr HOST:PORT]\n           \
@@ -104,7 +103,7 @@ fn usage() -> ! {
          [--omega N] [--oracle ID] [--cache-capacity N] [--seg-cache-capacity N]\n           \
          [--frontend threads|evented] [--conn-threads N] [--max-conns N]\n           \
          [--rate-limit REQS_PER_SEC] [--shed-queue-depth N]\n           \
-         [--grain N] [--cache-tier memory|disk|tiered|remote|null]\n           \
+         [--cache-tier memory|disk|tiered|remote|null]\n           \
          [--cache-dir DIR] [--cache-addr HOST:PORT]\n           \
          [--trace-capacity N] [--trace-slow-ms MS]\n           \
          [--log-level error|warn|info|debug]\n  \
@@ -317,7 +316,6 @@ fn cmd_gen(args: &[String]) -> ExitCode {
 fn cmd_serve(args: &[String]) -> ExitCode {
     let mut addr = "127.0.0.1:7878".to_string();
     let mut omega: usize = 200;
-    let mut grain: usize = 0;
     let mut oracle = "rule_based".to_string();
     // The library default keeps the segment cache off; the CLI turns it
     // on (`--seg-cache-capacity 0` opts back out).
@@ -411,10 +409,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
                 omega = parse_num("--omega", args.get(i + 1));
                 i += 2;
             }
-            "--grain" => {
-                grain = parse_num("--grain", args.get(i + 1));
-                i += 2;
-            }
             "--oracle" => {
                 oracle = args.get(i + 1).unwrap_or_else(|| usage()).clone();
                 i += 2;
@@ -445,9 +439,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     // The filter must be live before the service spins up so startup
     // events (and worker logs) already respect it.
     apply_log_filter(log_level.as_deref());
-    // Executor tuning before any parallel work runs: 0 keeps the
-    // adaptive default (or POPQC_GRAIN).
-    qexec::set_grain(grain);
     // Tracer config before the first request can start a trace.
     qobs::trace::configure(
         trace_capacity,
@@ -573,20 +564,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             "tracing",
             capacity = cap,
             slow_ms = trace_slow_ms
-        ),
-    }
-    match qexec::configured_grain() {
-        0 => qobs::log_info!(
-            target: "popqc::serve",
-            "executor",
-            pool = "work-stealing",
-            grain = "adaptive"
-        ),
-        g => qobs::log_info!(
-            target: "popqc::serve",
-            "executor",
-            pool = "work-stealing",
-            grain = g
         ),
     }
     qobs::log_info!(
@@ -1010,7 +987,6 @@ struct OptimizeOpts {
     oracle: String,
     workers: usize,
     threads_per_job: usize,
-    grain: usize,
     cache_capacity: usize,
     seg_cache_capacity: usize,
     cache_tier: Option<String>,
@@ -1032,7 +1008,6 @@ fn parse_optimize_opts(args: &[String]) -> OptimizeOpts {
         oracle: "rule_based".to_string(),
         workers: 0,
         threads_per_job: 0,
-        grain: 0,
         cache_capacity: 1024,
         // On by default at the CLI surface (the library default is off);
         // `--seg-cache-capacity 0` opts out.
@@ -1072,10 +1047,6 @@ fn parse_optimize_opts(args: &[String]) -> OptimizeOpts {
             }
             "--threads-per-job" => {
                 o.threads_per_job = parse_num("--threads-per-job", args.get(i + 1));
-                i += 2;
-            }
-            "--grain" => {
-                o.grain = parse_num("--grain", args.get(i + 1));
                 i += 2;
             }
             "--cache-capacity" => {
@@ -1161,7 +1132,6 @@ fn collect_qasm_files(inputs: &[PathBuf]) -> Vec<PathBuf> {
 fn cmd_optimize(args: &[String]) -> ExitCode {
     let opts = parse_optimize_opts(args);
     apply_log_filter(opts.log_level.as_deref());
-    qexec::set_grain(opts.grain);
     let files = collect_qasm_files(&opts.inputs);
 
     // Outputs are written under --out by basename; two inputs sharing one

@@ -21,7 +21,7 @@
 //! | [`baseline`] | `oac` | sequential cut-meld-compress baseline |
 //! | [`benchmarks`] | `benchgen` | the paper's eight benchmark families + the `skewed` executor workload |
 //! | [`api`] | `popqc-api` | versioned public API: v1 DTOs, `ApiError` taxonomy, wire format |
-//! | [`exec`] | `popqc-exec` | work-stealing executor: the global pool every parallel hot path runs on |
+//! | [`exec`] | `popqc-exec` | the flat parallel map and the global pool every parallel hot path runs on |
 //! | [`service`] | `popqc-svc` | batch optimization service: oracle registry + job scheduling + result cache + coalescing |
 //! | [`http`] | `popqc-http` | HTTP/1.1 frontend: the v1 JSON endpoints over the service |
 //!

@@ -117,11 +117,11 @@ proptest! {
     fn popqc_deterministic_across_pools(c in arb_circuit(4, 100)) {
         let oracle = RuleBasedOptimizer::oracle();
         let cfg = PopqcConfig::with_omega(12);
-        let one = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap()
-            .install(|| optimize_circuit(&c, &oracle, &cfg).0);
-        let two = rayon::ThreadPoolBuilder::new().num_threads(2).build().unwrap()
-            .install(|| optimize_circuit(&c, &oracle, &cfg).0);
-        prop_assert_eq!(one, two);
+        let at = |width| qexec::with_width(width, || optimize_circuit(&c, &oracle, &cfg).0);
+        let one = at(1);
+        for width in [2, 3, 8] {
+            prop_assert_eq!(&one, &at(width), "width {}", width);
+        }
     }
 
     #[test]

@@ -72,8 +72,6 @@ fn cli_round_trips_a_directory_with_warm_cache_second_pass() {
         "2",
         "--threads-per-job",
         "1",
-        "--grain",
-        "4",
         "--repeat",
         "2",
         "--verify",
@@ -127,10 +125,10 @@ fn cli_round_trips_a_directory_with_warm_cache_second_pass() {
     let service = report.get("service").unwrap();
     assert_eq!(service.get("cache_hits").unwrap().as_u64(), Some(4));
     assert_eq!(service.get("submitted").unwrap().as_u64(), Some(8));
-    // The executor block surfaces the work-stealing pool end to end,
-    // with the CLI's --grain override visible in it.
+    // The executor block surfaces the pool's counters end to end; there
+    // is no grain setting, and the v1 field says so.
     let executor = service.get("executor").expect("executor block in report");
-    assert_eq!(executor.get("grain").unwrap().as_u64(), Some(4));
+    assert_eq!(executor.get("grain").unwrap().as_u64(), Some(0));
 }
 
 #[test]
