@@ -37,7 +37,8 @@ impl<'a, T> DisjointWriter<'a, T> {
         }
     }
 
-    /// Writes `value` at `index`.
+    /// Assigns `value` to the element at `index`, dropping the element it
+    /// replaces (on the calling thread).
     ///
     /// # Safety
     ///
@@ -46,8 +47,10 @@ impl<'a, T> DisjointWriter<'a, T> {
     /// underlying slice concurrently. Bounds are checked in all builds.
     pub unsafe fn write(&self, index: usize, value: T) {
         assert!(index < self.len, "DisjointWriter index out of bounds");
-        // SAFETY: in-bounds by the assert; exclusive by the caller contract.
-        unsafe { self.ptr.add(index).write(value) };
+        // SAFETY: in-bounds by the assert, and the slice came from a
+        // `&mut [T]`, so the element is initialised and may be dropped;
+        // exclusive by the caller contract.
+        unsafe { *self.ptr.add(index) = value };
     }
 }
 

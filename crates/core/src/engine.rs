@@ -273,7 +273,7 @@ where
         fingers = merge_dedup(&remaining, &new_fingers);
     }
 
-    let out = circuit.to_units();
+    let out = circuit.into_units();
     stats.final_units = out.len();
     stats.oracle_calls = calls.load(Relaxed);
     stats.accepted = accepted.load(Relaxed);
@@ -311,10 +311,15 @@ where
     if end <= start {
         return (Vec::new(), Vec::new());
     }
-    // Segment extraction: O(Ω lg n) work, O(lg n + Ω) span.
-    let phys: Vec<usize> = (start..end)
-        .map(|r| circuit.select(r).expect("rank in range"))
-        .collect();
+    // Segment extraction: one descent, then a walk along the leaves —
+    // O(lg n + Ω + gaps·lg n) work, where the per-rank `select` loop paid
+    // O(Ω lg n); sequential either way, so the span is unchanged. One rank
+    // past the segment is asked for, so the walk also yields the unit
+    // after it, the trailing boundary finger (absent iff `end == total`).
+    let mut phys = Vec::with_capacity(end - start + 1);
+    circuit.select_run(start, end - start + 1, &mut phys);
+    let after = if end < total { phys.pop() } else { None };
+    debug_assert_eq!(phys.len(), end - start);
     let segment: Vec<U> = phys
         .iter()
         .map(|&p| circuit.slot(p).expect("live slot").clone())
@@ -355,9 +360,7 @@ where
     // Boundary fingers at the segment's first unit and the first unit after
     // it (both as physical indices, stable under the coming substitution).
     let mut new_fingers = vec![phys[0]];
-    if end < total {
-        new_fingers.push(circuit.select(end).expect("rank in range"));
-    }
+    new_fingers.extend(after);
     (new_fingers, updates)
 }
 

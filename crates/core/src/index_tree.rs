@@ -5,12 +5,20 @@
 //! sum of its children, i.e. the number of live units in its subtree. The
 //! tree supports the Algorithm 1 interface within its stated cost bounds:
 //!
-//! | operation       | work          | span     |
-//! |-----------------|---------------|----------|
-//! | `new`           | O(n)          | O(lg n)  |
-//! | `before`        | O(lg n)       | O(lg n)  |
-//! | `select`        | O(lg n)       | O(lg n)  |
-//! | `update_leaves` | O(l·lg n)     | O(lg n)  |
+//! | operation       | work                    | span     |
+//! |-----------------|-------------------------|----------|
+//! | `new`, `full`   | O(n)                    | O(lg n)  |
+//! | `before`        | O(lg n)                 | O(lg n)  |
+//! | `select`        | O(lg n)                 | O(lg n)  |
+//! | `select_run`    | O(lg n + k + gaps·lg n) | its work |
+//! | `update_leaves` | O(l·lg n)               | O(lg n)  |
+//!
+//! `select_run` reads `k` consecutive ranks with one descent and a walk
+//! along the leaf level; `gaps` counts the tombstone stretches the run
+//! crosses. It is sequential, like the per-rank `select` loop it replaces
+//! inside one segment extraction (`k` = 2Ω + 1 there): a gap costs a
+//! climb and a descent of the height it spans, so the worst input (a gap
+//! before every unit) stays within twice that loop's k·lg n.
 //!
 //! The tree is stored implicitly (1-indexed heap layout) in a flat vector of
 //! `AtomicU32`s. Atomics with relaxed ordering suffice because every mutation
@@ -41,10 +49,8 @@ impl IndexTree {
     /// O(n) work, O(lg n) span.
     pub fn new(weights: &[u32]) -> IndexTree {
         let len = weights.len();
-        let cap = len.next_power_of_two().max(1);
-        let mut w = Vec::with_capacity(2 * cap);
-        w.resize_with(2 * cap, || AtomicU32::new(0));
-        let tree = IndexTree { w, cap, len };
+        let tree = IndexTree::zeroed(len);
+        let cap = tree.cap;
         // Fill leaves.
         qexec::par_map_range(len, PAR_THRESHOLD, |i| {
             tree.w[cap + i].store(weights[i], Relaxed)
@@ -61,6 +67,34 @@ impl IndexTree {
             level_start /= 2;
         }
         tree
+    }
+
+    /// The tree [`new`](Self::new) builds over `len` weight-1 leaves,
+    /// without the weight vector: node `i` of a level whose nodes span
+    /// `s` leaves holds `min(s, len − i·s)`, and nodes past the last live
+    /// leaf keep the zero they were allocated with.
+    /// O(n) work, O(lg n) span.
+    pub fn full(len: usize) -> IndexTree {
+        let tree = IndexTree::zeroed(len);
+        let cap = tree.cap;
+        let mut level_start = cap;
+        while level_start >= 1 {
+            let span = cap / level_start;
+            qexec::par_map_range(len.div_ceil(span), PAR_THRESHOLD, |i| {
+                let sum = span.min(len - i * span) as u32;
+                tree.w[level_start + i].store(sum, Relaxed);
+            });
+            level_start /= 2;
+        }
+        tree
+    }
+
+    /// The tree over `len` slots with every node zero.
+    fn zeroed(len: usize) -> IndexTree {
+        let cap = len.next_power_of_two().max(1);
+        let mut w = Vec::with_capacity(2 * cap);
+        w.resize_with(2 * cap, || AtomicU32::new(0));
+        IndexTree { w, cap, len }
     }
 
     /// Number of slots (live + tombstoned).
@@ -132,21 +166,62 @@ impl IndexTree {
         Some(node - self.cap)
     }
 
+    /// Appends to `out` the slot indices of the live units of ranks
+    /// `rank .. rank + len`, stopping at the last live unit: exactly what
+    /// `(rank..rank + len).filter_map(|r| self.select(r))` yields. One
+    /// `select` finds the first slot; every further one is the next leaf
+    /// when that is live, and otherwise a climb to the first ancestor
+    /// whose right sibling is non-empty followed by a descent to that
+    /// sibling's leftmost live leaf. O(lg n + len + gaps·lg n).
+    pub fn select_run(&self, rank: usize, len: usize, out: &mut Vec<usize>) {
+        let len = len.min(self.total().saturating_sub(rank));
+        if len == 0 {
+            return;
+        }
+        let mut node = self.cap + self.select(rank).expect("rank < total");
+        out.reserve(len);
+        out.push(node - self.cap);
+        // `len` stops the walk at the last live leaf, so each step below
+        // has a live leaf to its right to find.
+        for _ in 1..len {
+            node += 1;
+            if self.w[node].load(Relaxed) == 0 {
+                while node & 1 == 1 || self.w[node + 1].load(Relaxed) == 0 {
+                    node /= 2;
+                }
+                node += 1;
+                while node < self.cap {
+                    node *= 2;
+                    if self.w[node].load(Relaxed) == 0 {
+                        node += 1;
+                    }
+                }
+            }
+            out.push(node - self.cap);
+        }
+    }
+
     /// Applies a batch of leaf updates `(slot, weight)` and repairs all
-    /// affected internal nodes. Slots must be distinct and sorted ascending.
+    /// affected internal nodes. Slots must be distinct, sorted ascending
+    /// and below `len()`; checked in every build, because a weight landing
+    /// on a padding leaf would corrupt `total()` and every later `select`.
     /// O(l·lg n) work, O(lg n) span: leaves in one parallel phase, then one
     /// parallel phase per level over the dedup'd parent set.
     pub fn update_leaves(&self, updates: &[(usize, u32)]) {
         if updates.is_empty() {
             return;
         }
-        debug_assert!(
+        assert!(
             updates.windows(2).all(|w| w[0].0 < w[1].0),
             "update slots must be sorted and distinct"
         );
+        // Sorted, so the last slot bounds them all.
+        assert!(
+            updates[updates.len() - 1].0 < self.len,
+            "update slot out of range"
+        );
         qexec::par_map_range(updates.len(), PAR_THRESHOLD, |i| {
             let (slot, v) = updates[i];
-            debug_assert!(slot < self.len);
             self.w[self.cap + slot].store(v, Relaxed);
         });
 
@@ -268,7 +343,32 @@ mod tests {
             for rank in [0usize, 1, 5, t.total().saturating_sub(1), t.total()] {
                 assert_eq!(t.select(rank), naive.select(rank), "select({rank})");
             }
+            // Every live slot in one run, one rank asked for past the end.
+            let mut run = Vec::new();
+            t.select_run(0, t.total() + 1, &mut run);
+            let live: Vec<usize> = (0..n).filter(|&i| weights[i] == 1).collect();
+            assert_eq!(run, live);
         }
+    }
+
+    #[test]
+    fn full_equals_new_node_for_node() {
+        for width in [1, 3] {
+            for n in [0usize, 1, 2, 3, 257, 4097] {
+                let (full, new) =
+                    qexec::with_width(width, || (IndexTree::full(n), IndexTree::new(&vec![1; n])));
+                assert_eq!((full.len, full.cap), (new.len, new.cap), "n = {n}");
+                let nodes = |t: &IndexTree| t.w.iter().map(|w| w.load(Relaxed)).collect::<Vec<_>>();
+                assert_eq!(nodes(&full), nodes(&new), "n = {n}, width {width}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn update_rejects_a_padding_leaf_in_release_too() {
+        // 5 slots, 8 leaves: slot 6 exists in the tree but not the circuit.
+        IndexTree::new(&[1; 5]).update_leaves(&[(6, 1)]);
     }
 
     #[test]

@@ -12,13 +12,25 @@
 //!   Section 3 / Figure 1 that locates live gates among tombstones in
 //!   O(lg n).
 //! * [`sparse::SparseCircuit`] — the Algorithm 1 interface: `create`,
-//!   `before`, `get`, `substitute`, `gates` (here `to_units`), with the
-//!   stated cost bounds.
+//!   `before`, `get`, `substitute`, `gates` (here `to_units`, and the
+//!   consuming `into_units` the engine ends with), with the stated cost
+//!   bounds.
 //! * [`fingers`] — `selectFingers` (Algorithm 4) and the sorted finger
 //!   merge.
 //! * [`engine`] — the round-based driver (Algorithms 2–3), generic over the
 //!   unit type: [`qcir::Gate`] for the primary gate-sequence mode,
 //!   [`qcir::Layer`] for the Section 7.8 depth-aware mode.
+//!
+//! ## Which term of Theorem 4 the engine does not pay
+//!
+//! The `n·Ω lg n` term is bookkeeping: Algorithm 3 reads each selected
+//! finger's 2Ω-segment with 2Ω `get`s of O(lg n) each. The engine reads
+//! it with [`SparseCircuit::select_run`] instead — one descent, then a
+//! walk along the leaves that climbs only to cross a tombstone gap — so a
+//! segment costs O(lg n + Ω + gaps·lg n) and the term becomes
+//! `n(lg n + Ω + gaps·lg n)`, which is the paper's bound again only on a
+//! circuit with a gap before every gate. The `n·W` oracle term and the
+//! span are untouched.
 //!
 //! ## Quick start
 //!

@@ -22,8 +22,7 @@ impl<U: Clone + Send + Sync> SparseCircuit<U> {
     /// `create` (Algorithm 1): builds the slot array and its index tree.
     /// O(n) work, O(lg n) span.
     pub fn create(units: Vec<U>) -> SparseCircuit<U> {
-        let weights = vec![1u32; units.len()];
-        let tree = IndexTree::new(&weights);
+        let tree = IndexTree::full(units.len());
         SparseCircuit {
             slots: units.into_iter().map(Some).collect(),
             tree,
@@ -62,6 +61,15 @@ impl<U: Clone + Send + Sync> SparseCircuit<U> {
         self.tree.select(rank)
     }
 
+    /// Appends the slot indices of live units `rank .. rank + len` to
+    /// `out`, stopping at the last live unit: `len` consecutive `select`s
+    /// for one descent plus a leaf-level walk
+    /// ([`IndexTree::select_run`]). O(lg n + len + gaps·lg n).
+    #[inline]
+    pub fn select_run(&self, rank: usize, len: usize, out: &mut Vec<usize>) {
+        self.tree.select_run(rank, len, out)
+    }
+
     /// `get` (Algorithm 1): the `rank`-th live unit, skipping tombstones.
     /// O(lg n).
     pub fn get(&self, rank: usize) -> Option<&U> {
@@ -78,12 +86,14 @@ impl<U: Clone + Send + Sync> SparseCircuit<U> {
     /// `substitute` (Algorithm 1): applies a batch of slot updates and
     /// repairs the index tree. Slots must be distinct and sorted ascending —
     /// guaranteed by the engine because selected fingers are non-interfering
-    /// (Lemma 5). O(l·lg n) work, O(lg n) span.
+    /// (Lemma 5) — and the batch is checked in every build, because the
+    /// parallel write below is only sound for distinct slots.
+    /// O(l·lg n) work, O(lg n) span.
     pub fn substitute(&mut self, updates: Vec<Update<U>>) {
         if updates.is_empty() {
             return;
         }
-        debug_assert!(
+        assert!(
             updates.windows(2).all(|w| w[0].0 < w[1].0),
             "substitute slots must be sorted and distinct"
         );
@@ -95,8 +105,9 @@ impl<U: Clone + Send + Sync> SparseCircuit<U> {
             let writer = DisjointWriter::new(&mut self.slots);
             qexec::par_map_range(updates.len(), PAR_THRESHOLD, |i| {
                 let (slot, unit) = &updates[i];
-                // SAFETY: slots are distinct (asserted above) and the
-                // writer exclusively borrows `self.slots`.
+                // SAFETY: slots are distinct (the `assert!` above, kept in
+                // release builds) and the writer exclusively borrows
+                // `self.slots`.
                 unsafe { writer.write(*slot, unit.clone()) };
             });
         }
@@ -106,7 +117,7 @@ impl<U: Clone + Send + Sync> SparseCircuit<U> {
     /// `gates` (Algorithm 1): the live units in order, tombstones dropped.
     /// O(n) work, O(lg n) span (parallel filter-collect).
     pub fn to_units(&self) -> Vec<U> {
-        if self.slots.len() > PAR_THRESHOLD && qexec::current_width() > 1 {
+        if self.collects_in_parallel() {
             qexec::par_map_range(self.slots.len(), PAR_THRESHOLD, |i| self.slots[i].clone())
                 .into_iter()
                 .flatten()
@@ -115,11 +126,30 @@ impl<U: Clone + Send + Sync> SparseCircuit<U> {
             self.slots.iter().filter_map(|s| s.clone()).collect()
         }
     }
+
+    /// [`to_units`](Self::to_units) for a circuit that is done with: the
+    /// sequential arm compacts the slot array in place instead of cloning
+    /// every live unit into a second O(n) buffer.
+    pub fn into_units(self) -> Vec<U> {
+        if self.collects_in_parallel() {
+            return self.to_units();
+        }
+        // Not `.flatten()`: only `filter_map` over `vec::IntoIter` collects
+        // into the source allocation.
+        #[allow(clippy::filter_map_identity)]
+        self.slots.into_iter().filter_map(|s| s).collect()
+    }
+
+    fn collects_in_parallel(&self) -> bool {
+        self.slots.len() > PAR_THRESHOLD && qexec::current_width() > 1
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+    use std::sync::Arc;
 
     #[test]
     fn create_get_before() {
@@ -142,6 +172,10 @@ mod tests {
         // before skips the tombstone at slot 1.
         assert_eq!(c.before(3), 2);
         assert_eq!(c.select(2), Some(3));
+        let mut phys = Vec::new();
+        c.select_run(0, 3, &mut phys);
+        assert_eq!(phys, vec![0, 2, 3]);
+        assert_eq!(c.into_units(), vec![10, 30, 99, 50]);
     }
 
     #[test]
@@ -170,6 +204,37 @@ mod tests {
             .iter()
             .enumerate()
             .all(|(k, &v)| v == 2 * k as u64 + 1));
+    }
+
+    /// A unit that counts its drops.
+    #[derive(Clone)]
+    struct Counted(Arc<AtomicUsize>);
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Relaxed);
+        }
+    }
+
+    #[test]
+    fn substitute_drops_the_units_it_replaces() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let unit = || Counted(drops.clone());
+        let mut c = SparseCircuit::create((0..10).map(|_| unit()).collect());
+        c.substitute(vec![(1, None), (3, Some(unit())), (5, None)]);
+        // The three replaced units, and the batch's own unit (its clone
+        // is what went into slot 3).
+        assert_eq!(drops.load(Relaxed), 4);
+        drop(c);
+        // Eight live units were left: 12 made, 12 dropped.
+        assert_eq!(drops.load(Relaxed), 12);
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted and distinct")]
+    fn substitute_rejects_a_repeated_slot_in_release_too() {
+        let mut c = SparseCircuit::create(vec![1, 2, 3]);
+        c.substitute(vec![(1, Some(7)), (1, Some(8))]);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use popqc_core::{
     optimize_circuit, optimize_layered, popqc_units, verify_local_optimality, PopqcConfig,
+    SparseCircuit,
 };
 use qcir::{Angle, Circuit, Gate};
 use qoracle::{
@@ -90,6 +91,19 @@ fn deterministic_across_thread_counts() {
     let d = run(4);
     assert_eq!(a, b, "1-thread vs 2-thread outputs differ");
     assert_eq!(b, d, "2-thread vs 4-thread outputs differ");
+
+    // The engine's last step, on its two arms: the in-place compaction
+    // (width 1) and the parallel collect (width > 1 and more than 4096
+    // slots), over a half-tombstoned circuit.
+    let half_tombstoned = || {
+        let mut sc = SparseCircuit::create((0..10_000u32).collect());
+        sc.substitute((0..10_000).step_by(2).map(|s| (s, None)).collect());
+        sc
+    };
+    let sequential = qexec::with_width(1, || half_tombstoned().into_units());
+    let parallel = qexec::with_width(3, || half_tombstoned().into_units());
+    assert_eq!(sequential, (1..10_000).step_by(2).collect::<Vec<u32>>());
+    assert_eq!(sequential, parallel, "into_units differs across widths");
 }
 
 #[test]

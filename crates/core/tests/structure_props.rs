@@ -29,6 +29,46 @@ impl Model {
     }
 }
 
+/// `select_run` against its definition, `len` single `select`s, at the
+/// given probes and at the edges: an empty run, the whole circuit (every
+/// tombstone gap there is), runs that end past the last live unit and
+/// runs that start at or past it.
+fn check_select_run(
+    total: usize,
+    select: impl Fn(usize) -> Option<usize>,
+    select_run: impl Fn(usize, usize, &mut Vec<usize>),
+    probes: &[(usize, usize)],
+) {
+    let edges = [
+        (0, 0),
+        (total / 2, 0),
+        (0, total),
+        (0, total + 3),
+        (total / 2, total),
+        (total.saturating_sub(1), 2),
+        (total, 1),
+        (total + 5, 4),
+    ];
+    for &(rank, len) in probes.iter().chain(&edges) {
+        // `select_run` appends: what `out` already holds must survive.
+        let mut got = vec![usize::MAX];
+        select_run(rank, len, &mut got);
+        let want: Vec<usize> = (rank..rank + len).filter_map(&select).collect();
+        assert_eq!(
+            got[0],
+            usize::MAX,
+            "select_run({rank}, {len}) overwrote out"
+        );
+        assert_eq!(got[1..], want[..], "select_run({rank}, {len})");
+    }
+}
+
+/// The batch that tombstones the middle half of `n` slots: for n ≥ 8 a
+/// gap longer than a whole subtree, which a run has to climb over.
+fn middle_gap(n: usize) -> Vec<(usize, Option<u32>)> {
+    (n / 4..3 * n / 4).map(|s| (s, None)).collect()
+}
+
 /// A batch of distinct sorted slot updates.
 fn arb_updates(n: usize) -> impl Strategy<Value = Vec<(usize, Option<u32>)>> {
     prop::collection::btree_map(0..n, prop::option::of(0u32..1000), 0..n.min(32))
@@ -42,12 +82,13 @@ proptest! {
     fn sparse_circuit_matches_model(
         n in 1usize..300,
         batches in prop::collection::vec(arb_updates(300), 0..8),
+        probes in prop::collection::vec((0usize..300, 0usize..300), 4..5),
     ) {
         let initial: Vec<u32> = (0..n as u32).collect();
         let mut sc = SparseCircuit::create(initial.clone());
         let mut model = Model(initial.into_iter().map(Some).collect());
 
-        for batch in batches {
+        for batch in batches.into_iter().chain([middle_gap(n)]) {
             let batch: Vec<(usize, Option<u32>)> =
                 batch.into_iter().filter(|(s, _)| *s < n).collect();
             sc.substitute(batch.clone());
@@ -62,7 +103,14 @@ proptest! {
             for rank in [0usize, 1, sc.len() / 2, sc.len().saturating_sub(1), sc.len()] {
                 prop_assert_eq!(sc.select(rank), model.select(rank), "select({})", rank);
             }
+            check_select_run(
+                sc.len(),
+                |r| model.select(r),
+                |rank, len, out| sc.select_run(rank, len, out),
+                &probes,
+            );
         }
+        prop_assert_eq!(sc.into_units(), model.units());
     }
 
     #[test]
@@ -81,12 +129,14 @@ proptest! {
 
     #[test]
     fn index_tree_updates_match_model(
-        n in 1usize..257,
+        // Up to 257, whose last tree level is ragged.
+        n in 1usize..258,
         batches in prop::collection::vec(arb_updates(257), 1..6),
+        probes in prop::collection::vec((0usize..260, 0usize..260), 4..5),
     ) {
         let mut weights = vec![1u32; n];
         let t = IndexTree::new(&weights);
-        for batch in batches {
+        for batch in batches.into_iter().chain([middle_gap(n)]) {
             let ups: Vec<(usize, u32)> = batch
                 .into_iter()
                 .filter(|(s, _)| *s < n)
@@ -106,6 +156,12 @@ proptest! {
                     prop_assert_eq!(t.select(k), Some(live[k]));
                 }
             }
+            check_select_run(
+                total,
+                |r| live.get(r).copied(),
+                |rank, len, out| t.select_run(rank, len, out),
+                &probes,
+            );
         }
     }
 }

@@ -9,6 +9,10 @@
 //!    does.
 //! 2. **Domain disjointness**: an abstract key never collides with an
 //!    exact-angle key, so both entry kinds can share one cache table.
+//!
+//! A one-qubit gate is absorbed as one word and a CNOT as two, so one
+//! exhaustive case below checks that the word stream still decodes one
+//! way only.
 
 use proptest::prelude::*;
 use qcir::fingerprint::{fingerprint_gates, fingerprint_gates_abstract};
@@ -144,6 +148,46 @@ proptest! {
         prop_assert_ne!(
             fingerprint_gates_abstract(WIDTH, &gates),
             fingerprint_gates_abstract(WIDTH + 1, &gates)
+        );
+    }
+}
+
+/// The one-qubit gates a wire can carry.
+fn one_qubit_gates(q: u32) -> [Gate; 3] {
+    [Gate::H(q), Gate::X(q), Gate::Rz(q, Angle::PI_4)]
+}
+
+#[test]
+fn one_word_encoding_is_uniquely_decodable() {
+    let wires = [0u32, 1, u32::MAX];
+    // A CNOT's two words never read as two one-qubit gates on its wires,
+    // whatever their tags: alone (the length prefixes differ too), and
+    // followed by a third gate so that both sides have length prefix 2.
+    for &c in &wires {
+        for &t in &wires {
+            if c == t {
+                continue;
+            }
+            let alone = fingerprint_gates_abstract(WIDTH, &[Gate::Cnot(c, t)]);
+            let followed = fingerprint_gates_abstract(WIDTH, &[Gate::Cnot(c, t), Gate::H(0)]);
+            for a in one_qubit_gates(c) {
+                for b in one_qubit_gates(t) {
+                    let pair = fingerprint_gates_abstract(WIDTH, &[a, b]);
+                    assert_ne!(alone, pair, "Cnot({c}, {t}) collided with [{a:?}, {b:?}]");
+                    assert_ne!(
+                        followed, pair,
+                        "[Cnot({c}, {t}), H(0)] collided with [{a:?}, {b:?}]"
+                    );
+                }
+            }
+        }
+    }
+    // Tag and wire share a word without bleeding into each other.
+    let mut seen = std::collections::HashSet::new();
+    for g in wires.into_iter().flat_map(one_qubit_gates) {
+        assert!(
+            seen.insert(fingerprint_gates_abstract(WIDTH, &[g])),
+            "{g:?} collided with another one-qubit gate"
         );
     }
 }
