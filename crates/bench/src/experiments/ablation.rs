@@ -10,8 +10,9 @@
 //!   reproduction's improved whole-circuit optimizer);
 //! * **POPQC (1 thread)** — locality alone, no parallelism.
 //!
-//! The faithful/modern gap quantifies deviation #3 in EXPERIMENTS.md; the
-//! modern/POPQC gap is the residual benefit of Ω-bounded convergence.
+//! The faithful/modern gap quantifies what the linear merge buys a
+//! whole-circuit optimizer; the modern/POPQC gap is the residual benefit
+//! of Ω-bounded convergence.
 
 use super::run_popqc;
 use crate::harness::{dump_json, extreme_instances, fmt_pct, fmt_secs, print_table, Opts};

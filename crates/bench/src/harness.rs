@@ -72,7 +72,7 @@ impl Instance {
 
 /// The paper's full 8×4 instance grid at the given scale (the `Skewed`
 /// executor workload is deliberately excluded — it has no paper
-/// counterpart; the exec bench references it directly).
+/// counterpart).
 pub fn instances(opts: &Opts) -> Vec<Instance> {
     Family::PAPER
         .iter()

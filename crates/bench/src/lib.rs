@@ -8,8 +8,7 @@
 //! Absolute numbers differ from the paper (different machine, generated
 //! rather than downloaded benchmark circuits, re-implemented oracles); the
 //! *shapes* — who wins, how speedups scale with size and cores, where
-//! quality lands — are the reproduction target. EXPERIMENTS.md records
-//! paper-vs-measured values for every artifact.
+//! quality lands — are the reproduction target.
 
 pub mod experiments;
 pub mod harness;

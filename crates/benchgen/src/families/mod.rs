@@ -49,8 +49,7 @@ pub enum Family {
     Vqe,
     /// Zipf-skewed segment-cost workload (reproduction extension, not in
     /// the paper): rare, enormous hot blocks among cheap filler — the
-    /// worst case for contiguous-chunk parallel scheduling and the
-    /// workload of the `exec_scaling` executor bench.
+    /// worst case for contiguous-chunk parallel scheduling.
     Skewed,
     /// Fixed-structure variational ansatz (reproduction extension, not in
     /// the paper): the skeleton depends only on the qubit count and the

@@ -22,9 +22,7 @@
 //! — the blockwise cost skew HOPPS observes in real circuits. Splitting
 //! a round's fingers into one contiguous chunk per thread strands the
 //! whole round behind whichever chunk drew the hot blocks; claiming
-//! many small chunks from a shared cursor rebalances them. The
-//! `exec_scaling` bench sweeps worker counts over this family to show
-//! the two schedulers side by side.
+//! many small chunks from a shared cursor rebalances them.
 
 use super::{grid_angle, GRID_DEN};
 use qcir::{Angle, Circuit};

@@ -112,16 +112,6 @@ impl RoundObserver for () {
     fn on_round(&self, _round: usize, _record: &RoundRecord) {}
 }
 
-/// Adapts a closure into a [`RoundObserver`].
-pub struct FnObserver<F>(pub F);
-
-impl<F: Fn(usize, &RoundRecord) + Sync> RoundObserver for FnObserver<F> {
-    #[inline]
-    fn on_round(&self, round: usize, record: &RoundRecord) {
-        (self.0)(round, record)
-    }
-}
-
 /// Segment-level cache consulted inside the engine's hot path, *before*
 /// each oracle call. A hit replaces the oracle invocation entirely — the
 /// cached rewrite is fed through the same acceptance test the oracle's
@@ -176,27 +166,11 @@ where
     U: Clone + Send + Sync,
     O: SegmentOracle<U> + ?Sized,
 {
-    popqc_units_observed(units, num_qubits, oracle, cfg, &())
+    popqc_units_cached(units, num_qubits, oracle, cfg, &(), &NoSegmentCache)
 }
 
-/// [`popqc_units`] with a [`RoundObserver`] progress hook.
-pub fn popqc_units_observed<U, O, Obs>(
-    units: Vec<U>,
-    num_qubits: u32,
-    oracle: &O,
-    cfg: &PopqcConfig,
-    observer: &Obs,
-) -> (Vec<U>, PopqcStats)
-where
-    U: Clone + Send + Sync,
-    O: SegmentOracle<U> + ?Sized,
-    Obs: RoundObserver + ?Sized,
-{
-    popqc_units_cached(units, num_qubits, oracle, cfg, observer, &NoSegmentCache)
-}
-
-/// [`popqc_units_observed`] with a [`SegmentCacheHook`] consulted before
-/// every oracle call.
+/// [`popqc_units`] with a [`RoundObserver`] progress hook and a
+/// [`SegmentCacheHook`] consulted before every oracle call.
 pub fn popqc_units_cached<U, O, Obs, C>(
     units: Vec<U>,
     num_qubits: u32,
@@ -370,21 +344,11 @@ pub fn optimize_circuit<O: SegmentOracle<Gate> + ?Sized>(
     oracle: &O,
     cfg: &PopqcConfig,
 ) -> (Circuit, PopqcStats) {
-    optimize_circuit_observed(c, oracle, cfg, &())
+    optimize_circuit_cached(c, oracle, cfg, &(), &NoSegmentCache)
 }
 
-/// [`optimize_circuit`] with a [`RoundObserver`] progress hook.
-pub fn optimize_circuit_observed<O: SegmentOracle<Gate> + ?Sized, Obs: RoundObserver + ?Sized>(
-    c: &Circuit,
-    oracle: &O,
-    cfg: &PopqcConfig,
-    observer: &Obs,
-) -> (Circuit, PopqcStats) {
-    optimize_circuit_cached(c, oracle, cfg, observer, &NoSegmentCache)
-}
-
-/// [`optimize_circuit_observed`] with a [`SegmentCacheHook`] consulted
-/// before every oracle call.
+/// [`optimize_circuit`] with a [`RoundObserver`] progress hook and a
+/// [`SegmentCacheHook`] consulted before every oracle call.
 pub fn optimize_circuit_cached<O, Obs, C>(
     c: &Circuit,
     oracle: &O,

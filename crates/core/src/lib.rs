@@ -54,9 +54,9 @@ pub mod index_tree;
 pub mod sparse;
 
 pub use engine::{
-    optimize_circuit, optimize_circuit_cached, optimize_circuit_observed, optimize_layered,
-    popqc_units, popqc_units_cached, popqc_units_observed, verify_local_optimality, FnObserver,
-    NoSegmentCache, PopqcConfig, PopqcStats, RoundObserver, RoundRecord, SegmentCacheHook,
+    optimize_circuit, optimize_circuit_cached, optimize_layered, popqc_units, popqc_units_cached,
+    verify_local_optimality, NoSegmentCache, PopqcConfig, PopqcStats, RoundObserver, RoundRecord,
+    SegmentCacheHook,
 };
 pub use index_tree::IndexTree;
 pub use sparse::SparseCircuit;

@@ -31,8 +31,8 @@
 //!   re-raised on the submitter with its original payload once the other
 //!   chunks have settled, and leaves the pool fully operational;
 //! * **observability** — [`stats`] snapshots the executor's counters
-//!   ([`ExecStats`]), surfaced end to end through `ServiceStats`,
-//!   `GET /v1/stats`, and the bench reports.
+//!   ([`ExecStats`]), surfaced end to end through `ServiceStats` and
+//!   `GET /v1/stats`.
 //!
 //! Results are deterministic: each result is written at its item's index,
 //! so output is bit-identical to sequential execution for every width and

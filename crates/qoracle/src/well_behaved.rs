@@ -7,7 +7,7 @@
 //! in rare corners: NOT propagation relocates X gates across distances that
 //! depend on the window extent, so a fixpoint of a 2Ω-window can still
 //! contain an improvable Ω-subwindow (measured at < 1% of windows on random
-//! circuits; see EXPERIMENTS.md).
+//! circuits).
 //!
 //! [`WellBehavedOracle`] closes the gap by construction: it repeatedly
 //! (a) offers the inner oracle the whole segment, and (b) sweeps every

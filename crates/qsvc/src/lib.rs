@@ -29,7 +29,7 @@
 //!   shares one store without cross-contamination. Identical jobs
 //!   submitted *concurrently* coalesce onto one in-flight computation
 //!   (see [`ServiceStats::coalesced`]).
-//! * [`segcache`] — the same seam one level down: a bounded
+//! * [`segcache`] — the same memoization one level down: a bounded
 //!   [`SegmentCacheLayer`] of per-*segment* rewrites consulted inside the
 //!   engine's hot path, keyed angle-abstractly for oracles that declare
 //!   `angle_independent()` so parameterized (VQE/QAOA-style) resubmissions
@@ -90,8 +90,7 @@ pub mod wire;
 pub use cache::{CacheStats, ShardedLruCache};
 pub use remote::{CacheServer, CacheServerConfig, RemoteConfig, RemoteStore};
 pub use segcache::{
-    JobSegmentCache, MemorySegmentCache, NullSegmentCache, SegCacheStats, SegEntry, SegKey,
-    SegTemplate, SegmentCache, SegmentCacheLayer, TemplateGate,
+    JobSegmentCache, SegCacheStats, SegEntry, SegKey, SegTemplate, SegmentCacheLayer, TemplateGate,
 };
 pub use service::{
     BatchHandle, BatchResult, DynOracle, JobHandle, JobKey, JobRequest, JobResult,

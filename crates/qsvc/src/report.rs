@@ -3,9 +3,9 @@
 //! This module owns NO schema of its own any more: every field that
 //! crosses the process boundary is declared once in `popqc-api`, and the
 //! functions here only translate [`JobResult`] / [`BatchResult`] /
-//! [`ServiceStats`] into those DTOs. The HTTP frontend, the `popqc` CLI,
-//! and the bench report all call these same adapters, so the three
-//! surfaces emit byte-identical documents for the same job.
+//! [`ServiceStats`] into those DTOs. The HTTP frontend and the `popqc`
+//! CLI both call these same adapters, so the two surfaces emit
+//! byte-identical documents for the same job.
 
 use crate::service::{BatchResult, JobResult, ServiceStats};
 use crate::store::StoreStats;
@@ -157,8 +157,8 @@ fn segment_cache_report(s: &crate::segcache::SegCacheStats) -> qapi::SegmentCach
 }
 
 /// The service's cumulative counters as the shared [`qapi::StatsReport`]
-/// DTO. `GET /v1/stats`, the CLI report, and the bench report all derive
-/// from this one function, so their fields can never drift.
+/// DTO. `GET /v1/stats` and the CLI report both derive from this one
+/// function, so their fields can never drift.
 pub fn stats_report(
     stats: &ServiceStats,
     workers: usize,

@@ -4,12 +4,10 @@
 //! a variational client (VQE/QAOA) resubmitting the same ansatz with fresh
 //! angles every iteration misses 100% of the time — while the oracle
 //! re-derives identical rewrites on every structurally-unchanged
-//! 2Ω-segment. This module repeats the [`ResultStore`](crate::ResultStore)
-//! seam pattern one
-//! level down: a bounded, sharded-LRU cache of *segment* rewrites behind
-//! the [`SegmentCache`] storage trait, adapted per job into the engine's
-//! [`popqc_core::SegmentCacheHook`] so hits replace oracle calls in the
-//! hot path itself.
+//! 2Ω-segment. This module memoizes one level down: a bounded,
+//! sharded-LRU cache of *segment* rewrites (the [`SegmentCacheLayer`]),
+//! adapted per job into the engine's [`popqc_core::SegmentCacheHook`] so
+//! hits replace oracle calls in the hot path itself.
 //!
 //! # Keying
 //!
@@ -49,7 +47,7 @@
 //! a warm sweep would re-pay the oracle for every "nothing to do here"
 //! answer.
 
-use crate::cache::{CacheStats, ShardedLruCache};
+use crate::cache::ShardedLruCache;
 use crate::metrics;
 use qcir::{fingerprint_gates_abstract, Angle, Fingerprint, Gate};
 use qoracle::SegmentOracle;
@@ -216,111 +214,6 @@ pub fn derive_template(
     Some(template)
 }
 
-/// Segment-cache storage: the [`ResultStore`](crate::ResultStore) seam
-/// pattern one level down. The [`SegmentCacheLayer`] above handles
-/// keying, templates, and logical accounting; implementations only move
-/// entries.
-pub trait SegmentCache: Send + Sync {
-    /// Looks up `key`, refreshing recency on a hit.
-    fn get(&self, key: &SegKey) -> Option<Arc<SegEntry>>;
-
-    /// Stores `entry` under `key`; returns how many entries were evicted
-    /// to make room.
-    fn put(&self, key: SegKey, entry: SegEntry) -> u64;
-
-    /// Drops every entry; returns how many were removed.
-    fn clear(&self) -> u64;
-
-    /// Live entry count.
-    fn len(&self) -> usize;
-
-    /// Whether the cache currently holds no entries.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total entry budget (`0` = disabled).
-    fn capacity(&self) -> usize;
-
-    /// Raw storage counters (hits/misses here count *probes*, which
-    /// exceed the layer's logical lookups under abstract double-probing).
-    fn stats(&self) -> CacheStats;
-}
-
-/// The in-process backend: a bounded [`ShardedLruCache`] of segment
-/// entries.
-pub struct MemorySegmentCache {
-    inner: ShardedLruCache<SegKey, SegEntry>,
-    capacity: usize,
-}
-
-impl MemorySegmentCache {
-    /// `capacity` total entries split over `shards` locks (same rounding
-    /// rules as [`ShardedLruCache::new`]; `0` disables).
-    pub fn new(capacity: usize, shards: usize) -> MemorySegmentCache {
-        MemorySegmentCache {
-            inner: ShardedLruCache::new(capacity, shards),
-            capacity,
-        }
-    }
-}
-
-impl SegmentCache for MemorySegmentCache {
-    fn get(&self, key: &SegKey) -> Option<Arc<SegEntry>> {
-        self.inner.get(key)
-    }
-
-    fn put(&self, key: SegKey, entry: SegEntry) -> u64 {
-        self.inner.insert(key, Arc::new(entry))
-    }
-
-    fn clear(&self) -> u64 {
-        self.inner.clear()
-    }
-
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    fn stats(&self) -> CacheStats {
-        self.inner.stats()
-    }
-}
-
-/// The disabled backend: never hits, never stores, never panics — what
-/// `seg_cache_capacity = 0` resolves to.
-pub struct NullSegmentCache;
-
-impl SegmentCache for NullSegmentCache {
-    fn get(&self, _key: &SegKey) -> Option<Arc<SegEntry>> {
-        None
-    }
-
-    fn put(&self, _key: SegKey, _entry: SegEntry) -> u64 {
-        0
-    }
-
-    fn clear(&self) -> u64 {
-        0
-    }
-
-    fn len(&self) -> usize {
-        0
-    }
-
-    fn capacity(&self) -> usize {
-        0
-    }
-
-    fn stats(&self) -> CacheStats {
-        CacheStats::default()
-    }
-}
-
 /// Point-in-time segment-cache counters, as surfaced by
 /// `ServiceStats::seg_cache` and `GET /v1/stats`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -352,33 +245,26 @@ impl SegCacheStats {
     }
 }
 
-/// The service-owned layer over a [`SegmentCache`] backend: logical
-/// hit/miss accounting (one count per engine lookup, independent of how
-/// many raw probes the abstract/exact fallback makes) plus eviction
-/// bookkeeping for the Prometheus counters.
+/// The service-owned segment cache: a bounded [`ShardedLruCache`] of
+/// segment entries plus logical hit/miss accounting (one count per engine
+/// lookup, independent of how many raw probes the abstract/exact fallback
+/// makes) and eviction bookkeeping for the Prometheus counters.
 pub struct SegmentCacheLayer {
-    cache: Arc<dyn SegmentCache>,
+    /// `None` when `capacity == 0`: every hook call is a cheap no-op.
+    cache: Option<ShardedLruCache<SegKey, SegEntry>>,
+    capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
 }
 
 impl SegmentCacheLayer {
-    /// A memory-backed layer (`capacity = 0` resolves to the null
-    /// backend, making every hook call a cheap no-op).
+    /// `capacity` total entries split over `shards` locks (same rounding
+    /// rules as [`ShardedLruCache::new`]; `0` disables the cache).
     pub fn new(capacity: usize, shards: usize) -> SegmentCacheLayer {
-        let cache: Arc<dyn SegmentCache> = if capacity == 0 {
-            Arc::new(NullSegmentCache)
-        } else {
-            Arc::new(MemorySegmentCache::new(capacity, shards))
-        };
-        SegmentCacheLayer::with_cache(cache)
-    }
-
-    /// A layer over an explicit backend — the pluggable seam.
-    pub fn with_cache(cache: Arc<dyn SegmentCache>) -> SegmentCacheLayer {
         SegmentCacheLayer {
-            cache,
+            cache: (capacity > 0).then(|| ShardedLruCache::new(capacity, shards)),
+            capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -387,13 +273,13 @@ impl SegmentCacheLayer {
 
     /// Whether lookups can ever hit.
     pub fn enabled(&self) -> bool {
-        self.cache.capacity() > 0
+        self.cache.is_some()
     }
 
     /// Drops every entry; returns how many were removed. The monotonic
     /// counters survive (clearing is an admin action, not an eviction).
     pub fn clear(&self) -> u64 {
-        self.cache.clear()
+        self.cache.as_ref().map_or(0, ShardedLruCache::clear)
     }
 
     /// Point-in-time counters (logical hits/misses, storage
@@ -401,8 +287,8 @@ impl SegmentCacheLayer {
     pub fn stats(&self) -> SegCacheStats {
         SegCacheStats {
             enabled: self.enabled(),
-            capacity: self.cache.capacity(),
-            entries: self.cache.len(),
+            capacity: self.capacity,
+            entries: self.cache.as_ref().map_or(0, ShardedLruCache::len),
             hits: self.hits.load(Relaxed),
             misses: self.misses.load(Relaxed),
             evictions: self.evictions.load(Relaxed),
@@ -442,8 +328,13 @@ impl SegmentCacheLayer {
         }
     }
 
+    fn get(&self, key: &SegKey) -> Option<Arc<SegEntry>> {
+        self.cache.as_ref()?.get(key)
+    }
+
     fn record_put(&self, key: SegKey, entry: SegEntry) {
-        let evicted = self.cache.put(key, entry);
+        let Some(cache) = &self.cache else { return };
+        let evicted = cache.insert(key, Arc::new(entry));
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Relaxed);
             metrics::segcache_evictions().add(evicted);
@@ -485,11 +376,7 @@ impl JobSegmentCache<'_> {
         if self.angle_abstract {
             // Template probe first: one abstract entry covers every angle
             // assignment of this skeleton.
-            if let Some(entry) = self
-                .layer
-                .cache
-                .get(&self.abstract_key(segment, num_qubits))
-            {
+            if let Some(entry) = self.layer.get(&self.abstract_key(segment, num_qubits)) {
                 if let SegEntry::Template(t) = entry.as_ref() {
                     if let Some(gates) = t.materialize(&rotation_angles(segment)) {
                         return Some(gates);
@@ -499,7 +386,7 @@ impl JobSegmentCache<'_> {
             // Fall through to the exact domain: segments whose template
             // derivation failed were demoted there.
         }
-        let entry = self.layer.cache.get(&self.exact_key(segment, num_qubits))?;
+        let entry = self.layer.get(&self.exact_key(segment, num_qubits))?;
         match entry.as_ref() {
             SegEntry::Exact(gates) => Some(gates.clone()),
             SegEntry::Template(_) => None,

@@ -9,7 +9,7 @@
 //!        │     │                              │  (each scopes a
 //!        │     └─ OracleRegistry lookup       │   threads-per-job width on
 //!        │ store probe                        ▼   the shared qexec pool)
-//!        ▼                                 optimize_circuit_observed
+//!        ▼                                 optimize_circuit_cached
 //!  Arc<dyn ResultStore> ◀──── put ────────────┘
 //!   (memory │ disk │ tiered │ null)
 //!        │

@@ -395,13 +395,19 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).map_err(|_| Error {
+                    // Copy the run up to the next quote or backslash in
+                    // one piece. Both are ASCII, so the run starts and
+                    // ends on a scalar boundary of the `&str` it came from.
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len]).map_err(|_| Error {
                         msg: "invalid utf-8".into(),
                     })?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -634,6 +640,52 @@ mod tests {
             "x": if missing { Value::Null } else { json!(1.5) },
         });
         assert!(v.get("x").unwrap().is_null());
+    }
+
+    #[test]
+    fn string_reader_handles_escapes_next_to_multibyte_text() {
+        let s = |text: &str| from_str(text).map(|v| v.as_str().map(str::to_owned));
+        // Multi-byte scalars directly before and after an escape.
+        assert_eq!(s(r#""é\nü""#).unwrap().as_deref(), Some("é\nü"));
+        assert_eq!(s(r#""日\u00e9本""#).unwrap().as_deref(), Some("日é本"));
+        assert_eq!(s(r#""\u0041\u20AC""#).unwrap().as_deref(), Some("A€"));
+        // A lone surrogate has no scalar value: the replacement character.
+        assert_eq!(s(r#""\ud800""#).unwrap().as_deref(), Some("\u{fffd}"));
+        assert_eq!(
+            s(r#""\"\\\/\n\r\t\b\f""#).unwrap().as_deref(),
+            Some("\"\\/\n\r\t\u{8}\u{c}")
+        );
+        assert_eq!(s(r#""""#).unwrap().as_deref(), Some(""));
+
+        let msg = |text: &str| from_str(text).unwrap_err().to_string();
+        assert!(msg(r#""never closed"#).contains("unterminated string"));
+        assert!(msg(r#""日本"#).contains("unterminated string"));
+        assert!(msg(r#""tail\"#).contains("bad escape"));
+        assert!(msg(r#""\q""#).contains("bad escape"));
+        assert!(msg(r#""\u12"#).contains("truncated \\u escape"));
+        assert!(msg(r#""\u12é""#).contains("bad \\u escape"));
+        assert!(msg(r#""\u123é""#).contains("non-utf8 \\u escape"));
+        assert!(msg(r#""\uzzzz""#).contains("bad \\u escape"));
+    }
+
+    /// Job documents carry whole QASM files as one string value. A reader
+    /// whose per-character work grows with the rest of the document needs
+    /// minutes for this one; the bound fails it.
+    #[test]
+    fn long_string_round_trips_in_linear_time() {
+        let line = "rz(0.25) q[3]; // é \"quoted\" \\ tab\t\n";
+        let text = line.repeat((4 << 20) / line.len() + 1);
+        assert!(text.len() >= 4 << 20);
+        let doc = json!({ "qasm": text });
+
+        let t0 = std::time::Instant::now();
+        let back = from_str(&to_string(&doc).unwrap()).unwrap();
+        let elapsed = t0.elapsed();
+        assert_eq!(back, doc);
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "4 MiB string took {elapsed:?} to round-trip"
+        );
     }
 
     #[test]
