@@ -17,7 +17,7 @@
 //! All five identities are verified against the simulator in this module's
 //! tests (up to global phase).
 
-use super::Pass;
+use super::{wire_links, Pass, WireLinks, NO_LINK};
 use qcir::{Angle, Gate};
 
 /// The Hadamard reduction pass.
@@ -46,44 +46,38 @@ impl Pass for HadamardReduction {
     }
 }
 
+/// Each gate's neighbours along its own wires ([`wire_links`]), so a
+/// pattern is matched by following links from its anchor: gates on other
+/// wires may sit anywhere in between and are never looked at.
 struct WireChains {
-    /// `wp[q]` = positions (ascending) of gates acting on wire `q`.
-    wp: Vec<Vec<u32>>,
-    /// `rank_of[i]` = this gate's index within each of its wires' lists,
-    /// `(rank_on_first_wire, rank_on_second_wire)`.
-    rank: Vec<(u32, u32)>,
+    next: WireLinks,
+    prev: WireLinks,
 }
 
 impl WireChains {
     fn build(gates: &[Gate], num_qubits: u32) -> WireChains {
-        let mut wp = vec![Vec::new(); num_qubits as usize];
-        let mut rank = vec![(u32::MAX, u32::MAX); gates.len()];
-        for (i, g) in gates.iter().enumerate() {
-            let (a, b) = g.qubits();
-            rank[i].0 = wp[a as usize].len() as u32;
-            wp[a as usize].push(i as u32);
-            if let Some(b) = b {
-                rank[i].1 = wp[b as usize].len() as u32;
-                wp[b as usize].push(i as u32);
-            }
-        }
-        WireChains { wp, rank }
+        let (next, prev) = wire_links(gates, num_qubits);
+        WireChains { next, prev }
     }
 
     /// The position `steps` places after `i` on wire `q` (or before, for
-    /// negative `steps`).
+    /// negative `steps`); `q` must be one of gate `i`'s wires.
     fn walk(&self, gates: &[Gate], i: usize, q: u32, steps: i32) -> Option<usize> {
-        let (a, _) = gates[i].qubits();
-        let r = if a == q {
-            self.rank[i].0
-        } else {
-            self.rank[i].1
-        };
-        let k = r as i64 + steps as i64;
-        if k < 0 {
-            return None;
+        let links = if steps < 0 { &self.prev } else { &self.next };
+        let mut at = i;
+        for _ in 0..steps.unsigned_abs() {
+            let (first, second) = links[at];
+            let to = if gates[at].qubits().0 == q {
+                first
+            } else {
+                second
+            };
+            if to == NO_LINK {
+                return None;
+            }
+            at = to as usize;
         }
-        self.wp[q as usize].get(k as usize).map(|&p| p as usize)
+        Some(at)
     }
 }
 
@@ -303,6 +297,58 @@ mod tests {
         let mut c = Circuit::new(2);
         c.h(0).rz(0, Angle::PI_4).h(0).cnot(0, 1);
         assert_eq!(run(&c), c.gates);
+    }
+
+    /// `walk` by definition: scan away from `i` for the `steps`-th gate
+    /// acting on `q`.
+    fn naive_walk(gates: &[Gate], i: usize, q: u32, steps: i32) -> Option<usize> {
+        let nth = steps.unsigned_abs() as usize - 1;
+        if steps < 0 {
+            (0..i).rev().filter(|&p| gates[p].acts_on(q)).nth(nth)
+        } else {
+            (i + 1..gates.len())
+                .filter(|&p| gates[p].acts_on(q))
+                .nth(nth)
+        }
+    }
+
+    fn assert_walk_matches_scan(gates: &[Gate], num_qubits: u32) {
+        let chains = WireChains::build(gates, num_qubits);
+        for (i, g) in gates.iter().enumerate() {
+            let (a, b) = g.qubits();
+            for q in [Some(a), b].into_iter().flatten() {
+                for steps in [-2, -1, 1, 2] {
+                    assert_eq!(
+                        chains.walk(gates, i, q, steps),
+                        naive_walk(gates, i, q, steps),
+                        "gate {i} ({g:?}), wire {q}, {steps} steps"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn walk_matches_a_naive_scan() {
+        for (n, len) in [(2, 30), (3, 200), (6, 400), (40, 400)] {
+            for seed in 0..5 {
+                let c = super::super::testutil::random_circuit(n, len, seed * 13 + n as u64);
+                assert_walk_matches_scan(&c.gates, n);
+            }
+        }
+        // CNOTs whose two wires' chains end at different gates: the first
+        // opens wire 1 but not wire 0, the second closes wire 1 but not
+        // wire 2.
+        let mut c = Circuit::new(3);
+        c.h(0).x(2).cnot(0, 1).h(2).x(0).cnot(2, 1).rz(2, S);
+        assert_walk_matches_scan(&c.gates, 3);
+        let chains = WireChains::build(&c.gates, 3);
+        assert_eq!(chains.walk(&c.gates, 2, 0, -1), Some(0));
+        assert_eq!(chains.walk(&c.gates, 2, 1, -1), None);
+        assert_eq!(chains.walk(&c.gates, 2, 0, 1), Some(4));
+        assert_eq!(chains.walk(&c.gates, 2, 1, 1), Some(5));
+        assert_eq!(chains.walk(&c.gates, 5, 1, 1), None);
+        assert_eq!(chains.walk(&c.gates, 5, 2, 1), Some(6));
     }
 
     #[test]

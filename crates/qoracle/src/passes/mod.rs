@@ -41,20 +41,39 @@ pub(crate) fn compact(slots: Vec<Option<Gate>>) -> Vec<Gate> {
         .collect()
 }
 
-/// Positions of every gate acting on each wire, in circuit order. The
-/// pattern-matching passes use this to walk "next gate on this wire" chains
-/// without rescanning the whole sequence.
-#[allow(dead_code)]
-pub(crate) fn wire_positions(gates: &[Gate], num_qubits: u32) -> Vec<Vec<u32>> {
-    let mut wp = vec![Vec::new(); num_qubits as usize];
+/// One entry per gate: the neighbouring slot on the gate's first wire and
+/// on its second, [`NO_LINK`] where the wire's chain ends or there is no
+/// second wire.
+pub(crate) type WireLinks = Vec<(u32, u32)>;
+
+/// "No such slot" in [`WireLinks`].
+pub(crate) const NO_LINK: u32 = u32::MAX;
+
+/// Per-wire neighbour links `(next, prev)`, looking forward and back along
+/// each gate's own wires. The pattern-matching passes follow these instead
+/// of rescanning the sequence for "the next gate on this wire".
+pub(crate) fn wire_links(gates: &[Gate], num_qubits: u32) -> (WireLinks, WireLinks) {
+    let mut next = vec![(NO_LINK, NO_LINK); gates.len()];
+    let mut prev = vec![(NO_LINK, NO_LINK); gates.len()];
+    let mut last = vec![NO_LINK; num_qubits as usize];
     for (i, g) in gates.iter().enumerate() {
+        // Links gate `i` after the last gate seen on wire `q`; returns it.
+        let mut link = |q: u32| {
+            let p = std::mem::replace(&mut last[q as usize], i as u32);
+            if p != NO_LINK {
+                let (first, second) = &mut next[p as usize];
+                let on_first = gates[p as usize].qubits().0 == q;
+                *(if on_first { first } else { second }) = i as u32;
+            }
+            p
+        };
         let (a, b) = g.qubits();
-        wp[a as usize].push(i as u32);
+        prev[i].0 = link(a);
         if let Some(b) = b {
-            wp[b as usize].push(i as u32);
+            prev[i].1 = link(b);
         }
     }
-    wp
+    (next, prev)
 }
 
 #[cfg(test)]

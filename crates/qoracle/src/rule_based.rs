@@ -118,24 +118,33 @@ impl RuleBasedOptimizer {
     /// sub-segment of a pipeline fixpoint is itself a fixpoint for the
     /// local rewrites, which is what Theorem 7's guarantee leans on.
     pub fn run(&self, gates: &[Gate], num_qubits: u32) -> Vec<Gate> {
-        let mut best = gates.to_vec();
+        // The shortest sequence seen so far; `None` is the input itself,
+        // which is copied only if it is what gets returned.
+        let mut best: Option<Vec<Gate>> = None;
         let mut cur = gates.to_vec();
-        for _ in 0..self.max_rounds {
-            let before = cur.clone();
+        for round in 1..=self.max_rounds {
+            let before = (round > 1).then(|| cur.clone());
             for p in &self.passes {
                 cur = p.run(cur, num_qubits);
             }
-            if cur.len() < best.len() {
-                best = cur.clone();
-            }
-            if cur == before {
+            let best_len = best.as_deref().unwrap_or(gates).len();
+            if cur == before.as_deref().unwrap_or(gates) {
                 // Converged. `best` can only tie `cur` here (never beat it,
                 // lengths are monotone within the tracked minimum), so
                 // prefer the fixpoint.
-                return if cur.len() <= best.len() { cur } else { best };
+                if cur.len() <= best_len {
+                    return cur;
+                }
+                break;
+            }
+            if cur.len() < best_len {
+                if round == self.max_rounds {
+                    return cur;
+                }
+                best = Some(cur.clone());
             }
         }
-        best
+        best.unwrap_or_else(|| gates.to_vec())
     }
 
     /// Convenience wrapper over [`Circuit`].
@@ -225,6 +234,44 @@ mod tests {
         let once = o.optimize_circuit(&c);
         let twice = o.optimize_circuit(&once);
         assert_eq!(once, twice, "oracle output should be a fixpoint");
+    }
+
+    #[test]
+    fn run_returns_what_the_copying_loop_returned() {
+        // `run` as it was when it cloned `best` and `before` every round.
+        fn copying_run(o: &RuleBasedOptimizer, gates: &[Gate], num_qubits: u32) -> Vec<Gate> {
+            let mut best = gates.to_vec();
+            let mut cur = gates.to_vec();
+            for _ in 0..o.max_rounds {
+                let before = cur.clone();
+                for p in &o.passes {
+                    cur = p.run(cur, num_qubits);
+                }
+                if cur.len() < best.len() {
+                    best = cur.clone();
+                }
+                if cur == before {
+                    return if cur.len() <= best.len() { cur } else { best };
+                }
+            }
+            best
+        }
+        // Bounds 1–3 mostly stop short of the fixpoint (the `max_rounds`
+        // exit, with and without a shorter last round), 32 converges.
+        for rounds in [1, 2, 3, 32] {
+            let o = RuleBasedOptimizer::with_rounds(rounds);
+            for seed in 0..8 {
+                let c = random_circuit(5, 200, seed * 53 + 1);
+                assert_eq!(
+                    o.run(&c.gates, 5),
+                    copying_run(&o, &c.gates, 5),
+                    "bound {rounds}, seed {seed}"
+                );
+            }
+            // Already a fixpoint: the input comes back.
+            let fixed = RuleBasedOptimizer::oracle().run(&random_circuit(5, 200, 9).gates, 5);
+            assert_eq!(o.run(&fixed, 5), fixed);
+        }
     }
 
     #[test]

@@ -134,3 +134,91 @@ fn initial_ordering_variants_all_verify() {
         );
     }
 }
+
+/// `Circuit::fingerprint()` of the three optimizer entry points' outputs on
+/// `family.generate(family.ladder(0)[0], 7)`, in `Family::ALL` order:
+/// `[oracle().optimize_circuit, modern_baseline().optimize_circuit,
+/// optimize_circuit(…, Ω = 100)]`. Outputs are persisted (the store keys
+/// results by input fingerprint and oracle id), so a pass rewrite must
+/// reproduce them bit for bit; a deliberate change of output regenerates
+/// this table *and* bumps `SegmentOracle::version()`.
+const PINNED: [[&str; 3]; 10] = [
+    // BoolSat
+    [
+        "d6929dc958d5dd7e549e6830fb096435",
+        "d6929dc958d5dd7e549e6830fb096435",
+        "e98af1a51f9ed54262d9e033ce39416e",
+    ],
+    // BWT
+    [
+        "5e5ef525886b42d32026a40a87aeaf04",
+        "d5696f52a2f4438096e639c99a40cb3c",
+        "6ddc934e9d461ab34483e9fc066eec10",
+    ],
+    // Grover
+    [
+        "ef320b53d705e44f6fea6e06784f7906",
+        "ef320b53d705e44f6fea6e06784f7906",
+        "ef320b53d705e44f6fea6e06784f7906",
+    ],
+    // HHL
+    [
+        "c6bb590e11c558330c285e03abbf60f6",
+        "c6bb590e11c558330c285e03abbf60f6",
+        "d163461d09af8d35f550685cd912cf64",
+    ],
+    // Shor
+    [
+        "e557771fc7830854977ce35e37838065",
+        "071c1ec4617b68f91e171c285ed193e0",
+        "b8b5a2603b1ed694361d2b09ba204889",
+    ],
+    // Sqrt
+    [
+        "56b6a8d3af1c1a6cddf8b83b3d698357",
+        "56b6a8d3af1c1a6cddf8b83b3d698357",
+        "a4b63c576d95336f1ba210bbd41db560",
+    ],
+    // StateVec
+    [
+        "bac8534f731d6ecfcbe0b7ef9341b8e9",
+        "bac8534f731d6ecfcbe0b7ef9341b8e9",
+        "e71ffde8d2367afe0c0a31b24fc40139",
+    ],
+    // VQE
+    [
+        "540076ef5eb7195095d1faaa6c5a72cb",
+        "540076ef5eb7195095d1faaa6c5a72cb",
+        "f4df8236d34be9db21c62140f537193a",
+    ],
+    // Skewed
+    [
+        "6863d6270c8a89cca0036657b1e7dfdb",
+        "a86d772c23a436b59978e88bc61c2567",
+        "6863d6270c8a89cca0036657b1e7dfdb",
+    ],
+    // Parameterized
+    [
+        "d3e05a396e81964fea4e2e99d70716c4",
+        "d3e05a396e81964fea4e2e99d70716c4",
+        "051313ae6c833ab43811ab3c7ba419a7",
+    ],
+];
+
+#[test]
+fn optimizer_outputs_are_pinned() {
+    assert_eq!(PINNED.len(), Family::ALL.len());
+    let oracle = RuleBasedOptimizer::oracle();
+    let single = RuleBasedOptimizer::modern_baseline();
+    let cfg = PopqcConfig::with_omega(100);
+    for (family, want) in Family::ALL.into_iter().zip(PINNED) {
+        let circuit = family.generate(family.ladder(0)[0], 7);
+        let got = [
+            oracle.optimize_circuit(&circuit),
+            single.optimize_circuit(&circuit),
+            optimize_circuit(&circuit, &oracle, &cfg).0,
+        ]
+        .map(|c| c.fingerprint().to_hex());
+        assert_eq!(got, want, "{}: optimizer output changed", family.name());
+    }
+}
