@@ -64,7 +64,7 @@ impl Gate {
     pub fn is_inverse_of(&self, other: &Gate) -> bool {
         match (*self, *other) {
             (Gate::H(a), Gate::H(b)) | (Gate::X(a), Gate::X(b)) => a == b,
-            (Gate::Rz(a, t1), Gate::Rz(b, t2)) => a == b && (t1 + t2).is_zero(),
+            (Gate::Rz(a, t1), Gate::Rz(b, t2)) => a == b && t2 == -t1,
             (Gate::Cnot(c1, t1), Gate::Cnot(c2, t2)) => c1 == c2 && t1 == t2,
             _ => false,
         }

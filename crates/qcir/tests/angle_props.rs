@@ -3,7 +3,7 @@
 //! these operations, so they must form a proper abelian group mod 2π).
 
 use proptest::prelude::*;
-use qcir::Angle;
+use qcir::{qasm, Angle, Circuit};
 
 fn arb_angle() -> impl Strategy<Value = Angle> {
     (-(1i64 << 24)..(1i64 << 24), 1i64..(1 << 20)).prop_map(|(num, den)| Angle::pi_frac(num, den))
@@ -62,6 +62,19 @@ proptest! {
     #[test]
     fn double_is_self_addition(a in arb_angle()) {
         prop_assert_eq!(a.double(), a + a);
+    }
+
+    /// The QASM writer's integer spellings read back exactly, far past the
+    /// `2^20` denominators a decimal literal snaps to.
+    #[test]
+    fn qasm_round_trips_large_denominators(
+        angles in prop::collection::vec((0i64..1 << 41, 1i64..1 << 40, 0u32..3), 1..16)
+    ) {
+        let mut c = Circuit::new(3);
+        for (num, den, q) in angles {
+            c.rz(q, Angle::pi_frac(num, den)).cnot(q, (q + 1) % 3).h(q);
+        }
+        prop_assert_eq!(qasm::parse(&qasm::to_qasm(&c)), Ok(c));
     }
 }
 

@@ -43,13 +43,11 @@ impl Pass for CancelSingleQubit {
                 }
                 if let (Gate::Rz(_, a), Gate::Rz(_, b)) = (g, h) {
                     // Merge into the later site so subsequent merges chain.
-                    slots[i] = None;
-                    let sum = a + b;
-                    slots[j] = if sum.is_zero() {
-                        None
-                    } else {
-                        Some(Gate::Rz(q, sum))
-                    };
+                    // A sum with no canonical form leaves both in place.
+                    if let Some(sum) = a.checked_add(b) {
+                        slots[i] = None;
+                        slots[j] = (!sum.is_zero()).then_some(Gate::Rz(q, sum));
+                    }
                     break;
                 }
                 if commutes(&g, &h) {

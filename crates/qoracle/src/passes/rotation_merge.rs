@@ -18,7 +18,9 @@
 //!   angle;
 //! * a rotation on a constant function (empty linear part) is a global phase
 //!   and is deleted;
-//! * merged-to-zero rotations are deleted.
+//! * merged-to-zero rotations are deleted;
+//! * a rotation whose exact sum with its site has no canonical
+//!   [`qcir::Angle`] (reduced denominator above `2^62`) stays unmerged.
 //!
 //! This pass never increases the gate count.
 //!
@@ -209,20 +211,25 @@ impl Pass for RotationMerge {
                         };
                         // Same complement: add; opposite: subtract. A sum of
                         // zero stays as an explicit identity (later
-                        // rotations may still land on it) until the end.
+                        // rotations may still land on it) until the end. A
+                        // sum with no canonical form leaves this rotation
+                        // where it is.
                         let delta = if site.comp == comp[w] { theta } else { -theta };
-                        gates[site.out] = Gate::Rz(q0, prev + delta);
-                        continue;
+                        if let Some(sum) = prev.checked_add(delta) {
+                            gates[site.out] = Gate::Rz(q0, sum);
+                            continue;
+                        }
+                    } else {
+                        table[at] = sites.len();
+                        sites.push(Site {
+                            hash,
+                            off: keys.len(),
+                            len: f.len(),
+                            out: kept,
+                            comp: comp[w],
+                        });
+                        keys.extend_from_slice(f);
                     }
-                    table[at] = sites.len();
-                    sites.push(Site {
-                        hash,
-                        off: keys.len(),
-                        len: f.len(),
-                        out: kept,
-                        comp: comp[w],
-                    });
-                    keys.extend_from_slice(f);
                 }
             }
             gates[kept] = g;

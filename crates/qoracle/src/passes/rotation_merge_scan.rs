@@ -121,13 +121,11 @@ impl Pass for RotationMergeScan {
                             } else {
                                 theta
                             };
-                            let sum = phi + delta;
-                            slots[i] = None;
-                            slots[j] = if sum.is_zero() {
-                                None
-                            } else {
-                                Some(Gate::Rz(w, sum))
-                            };
+                            // A sum with no canonical form leaves both.
+                            if let Some(sum) = phi.checked_add(delta) {
+                                slots[i] = None;
+                                slots[j] = (!sum.is_zero()).then_some(Gate::Rz(w, sum));
+                            }
                             break;
                         }
                     }

@@ -27,14 +27,13 @@ pub fn neighbors(gates: &[Gate], out: &mut Vec<Vec<Gate>>) {
             if a.is_inverse_of(&b) {
                 out.push(remove(gates, &[i, i + 1]));
             }
-            // Merge adjacent rotations.
+            // Merge adjacent rotations whose sum has a canonical form.
             if let (Gate::Rz(q1, t1), Gate::Rz(q2, t2)) = (a, b) {
                 if q1 == q2 {
-                    let sum = t1 + t2;
-                    if sum.is_zero() {
-                        out.push(remove(gates, &[i, i + 1]));
-                    } else {
-                        out.push(splice(gates, i, 2, &[Gate::Rz(q1, sum)]));
+                    match t1.checked_add(t2) {
+                        Some(sum) if sum.is_zero() => out.push(remove(gates, &[i, i + 1])),
+                        Some(sum) => out.push(splice(gates, i, 2, &[Gate::Rz(q1, sum)])),
+                        None => {}
                     }
                 }
             }

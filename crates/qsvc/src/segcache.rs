@@ -33,8 +33,8 @@
 //!
 //! A template is derived by re-running the oracle on a *marker* copy of
 //! the segment in which rotation `i` carries the angle
-//! `π/(MARKER_BASE + i)` — denominators far above anything a real
-//! workload produces, so each surviving output rotation identifies its
+//! `π/(MARKER_BASE + i)` — denominators far above what the generators and
+//! decimal angles produce, so each surviving output rotation identifies its
 //! input slot (and whether the oracle negated it) by inspection. The
 //! derivation is then **verified**: the template is materialized with the
 //! original segment's angles and must reproduce the oracle's concrete
@@ -54,9 +54,12 @@ use qoracle::SegmentOracle;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
-/// Marker denominators start here — far above the largest denominator any
-/// workspace producer emits (QASM parsing caps at 2²⁰, benchgen at 2¹²),
-/// so a marker angle can never collide with a real one.
+/// Marker denominators start here — far above what benchgen emits (2¹²)
+/// and what a decimal QASM angle snaps to (2²⁰). An input angle that
+/// happens to equal a marker (QASM reads integer spellings such as
+/// `pi/1073741824` exactly) cannot confuse a derivation: the marker copy
+/// replaces every input angle, and the verification replay checks the
+/// template against the concrete run.
 pub const MARKER_BASE: i64 = 1 << 30;
 
 /// A segment-cache key: the segment's fingerprint (exact or

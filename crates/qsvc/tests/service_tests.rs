@@ -565,3 +565,19 @@ fn unknown_and_duplicate_oracles_are_structured_errors() {
     assert!(matches!(err, ServiceError::DuplicateOracle(_)));
     assert_eq!(err.to_api_error().http_status(), 400);
 }
+
+/// Two input rotations whose exact sum has no canonical angle (coprime
+/// denominators above `2^31.5`): the job succeeds and keeps both, where
+/// the merge used to panic and fail it.
+#[test]
+fn rotations_with_no_canonical_sum_do_not_fail_the_job() {
+    let c = qcir::qasm::parse(
+        "qreg q[2];\nrz(pi/3037000507) q[0];\ncx q[0],q[1];\nrz(pi/3037000493) q[0];\nh q[1];\nh q[1];",
+    )
+    .unwrap();
+    let svc = small_service(1);
+    let r = svc.submit(c.clone(), &PopqcConfig::with_omega(4)).wait();
+    assert!(r.error.is_none(), "{:?}", r.error);
+    assert_eq!(r.circuit.gates, c.gates[..3]);
+    assert_eq!(svc.stats().failed, 0);
+}

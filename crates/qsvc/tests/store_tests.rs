@@ -205,6 +205,40 @@ fn disk_store_round_trips_across_instances() {
     assert_eq!(store.len(), 1);
 }
 
+/// A merged rotation is an exact sum and can carry a denominator above the
+/// `2^20` a decimal angle snaps to: `π/3 + π/2^20` is `1048579·π/3145728`.
+/// Reading the stored QASM back must give that angle, not a neighbour.
+#[test]
+fn entry_round_trip_keeps_large_denominators() {
+    let mut input = Circuit::new(1);
+    input
+        .rz(0, Angle::pi_frac(1, 3))
+        .rz(0, Angle::pi_frac(1, 1 << 20));
+    let mut merged = Circuit::new(1);
+    merged.rz(0, Angle::pi_frac(1, 3) + Angle::pi_frac(1, 1 << 20));
+    assert_eq!(
+        merged.gates[0],
+        Gate::Rz(0, Angle::pi_frac(1048579, 3145728))
+    );
+
+    let key = key_for(&input, "rule_based", 50);
+    let run = run_for(&merged);
+    let text = qsvc::store::encode_entry(&key, "v1", &run);
+    let back = qsvc::store::decode_entry(&key, "v1", &text).expect("entry decodes");
+    assert_eq!(back.circuit, run.circuit);
+    assert_eq!(format!("{:?}", back.stats), format!("{:?}", run.stats));
+
+    let tmp = TempDir::new("large-denominators");
+    DiskStore::open(tmp.path())
+        .unwrap()
+        .put(&key, "v1", run.clone());
+    let hit = DiskStore::open(tmp.path())
+        .unwrap()
+        .get(&key, "v1")
+        .expect("persisted entry hits");
+    assert_eq!(hit.circuit, merged);
+}
+
 #[test]
 fn disk_store_truncated_entry_is_a_quarantined_miss() {
     let tmp = TempDir::new("truncated");

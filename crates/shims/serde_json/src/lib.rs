@@ -194,19 +194,45 @@ impl From<BTreeMap<String, Value>> for Value {
     }
 }
 
+/// Writes `s` as a JSON string literal. Every byte that needs an escape is
+/// ASCII, so the runs between them are copied whole, multibyte text
+/// included.
 fn escape_into(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    const ESCAPED: [bool; 256] = {
+        let mut table = [false; 256];
+        let mut b = 0;
+        while b < 0x20 {
+            table[b] = true;
+            b += 1;
         }
+        table[b'"' as usize] = true;
+        table[b'\\' as usize] = true;
+        table
+    };
+    out.reserve(s.len() + 2);
+    out.push('"');
+    let mut run = 0;
+    for (at, &b) in s.as_bytes().iter().enumerate() {
+        if !ESCAPED[usize::from(b)] {
+            continue;
+        }
+        out.push_str(&s[run..at]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xf)] as char);
+            }
+        }
+        run = at + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -686,6 +712,36 @@ mod tests {
             elapsed < std::time::Duration::from_secs(1),
             "4 MiB string took {elapsed:?} to round-trip"
         );
+    }
+
+    /// The run-copying writer against the one-character-at-a-time one it
+    /// replaced.
+    #[test]
+    fn escape_matches_per_character_reference() {
+        fn reference(out: &mut String, s: &str) {
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+        }
+        let mixed = "rz(pi/4) q[0];\n\"quoted\" back\\slash\r\ttab \u{1} \u{1f} \u{0}\
+                     é日本€ 😀\"\"\n\n€";
+        for s in [mixed, "", "plain", "\n", "é", "\u{1b}[0m", "tail\\"] {
+            let (mut ours, mut theirs) = (String::new(), String::new());
+            escape_into(&mut ours, s);
+            reference(&mut theirs, s);
+            assert_eq!(ours, theirs, "on {s:?}");
+            assert_eq!(from_str(&ours).unwrap().as_str(), Some(s));
+        }
     }
 
     #[test]
