@@ -927,8 +927,9 @@ impl ExecutorReport {
 /// service has a frontend (CLI batch runs report `None`).
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct FrontendReport {
-    /// Frontend flavor: `"threads"` (thread-per-connection) or
-    /// `"evented"` (readiness-driven loop).
+    /// The serving frontend: always `"evented"` (readiness-driven loop)
+    /// for `popqc serve`. Kept in the v1 document so clients reading it
+    /// stay valid.
     pub frontend: String,
     /// Connections currently open.
     pub connections_open: u64,

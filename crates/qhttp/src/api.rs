@@ -50,10 +50,10 @@
 
 use crate::http::{Request, Response};
 use crate::metrics;
-use crate::server::Handler;
 use popqc_core::PopqcConfig;
 use qapi::ApiError;
 use qcir::qasm;
+use qnet::NetStats;
 use qsvc::report::{batch_report, cache_report, job_status, stats_report};
 use qsvc::service::{JobHandle, JobRequest, OptimizationService};
 use serde_json::json;
@@ -68,7 +68,7 @@ use std::sync::{Arc, Mutex};
 /// with `overloaded` (503) — otherwise a flood of distinct circuits would
 /// grow the registry and the service queue (each entry holding a full
 /// circuit) without bound. Blocking submissions are never stored and are
-/// bounded by the connection-thread count instead.
+/// bounded by the evented frontend's dispatcher pool instead.
 const JOB_HISTORY_CAP: usize = 4096;
 
 struct StoredJob {
@@ -76,15 +76,11 @@ struct StoredJob {
     label: Option<String>,
 }
 
-/// A window into the connection frontend serving this state, filled into
-/// the `frontend` block of `GET /v1/stats`. Implemented by both the
-/// threaded [`crate::server::HttpServer`] (connection counts only) and
-/// the evented [`crate::evented::EventedServer`] (full admission-control
-/// counters), so operators can read one endpoint regardless of
-/// `--frontend`.
-pub trait FrontendProbe: Send + Sync + 'static {
-    /// Point-in-time frontend counters.
-    fn report(&self) -> qapi::FrontendReport;
+/// Routes one parsed request to one response. Implemented by
+/// [`AppState`]; the separation keeps the connection plumbing testable
+/// without the service.
+pub trait Handler: Send + Sync + 'static {
+    fn handle(&self, req: &Request) -> Response;
 }
 
 /// Shared server state: the service plus the polling-job registry.
@@ -98,9 +94,10 @@ pub struct AppState {
     jobs: Mutex<BTreeMap<u64, StoredJob>>,
     job_cap: usize,
     next_job_id: AtomicU64,
-    /// Set by the serving frontend after it binds (the server needs the
-    /// state to start, so this cannot be a constructor argument).
-    frontend: Mutex<Option<Arc<dyn FrontendProbe>>>,
+    /// The serving frontend's connection counters, set after it binds
+    /// (the server needs the state to start, so this cannot be a
+    /// constructor argument).
+    net_stats: Mutex<Option<Arc<NetStats>>>,
 }
 
 impl AppState {
@@ -130,15 +127,14 @@ impl AppState {
             jobs: Mutex::new(BTreeMap::new()),
             job_cap,
             next_job_id: AtomicU64::new(1),
-            frontend: Mutex::new(None),
+            net_stats: Mutex::new(None),
         }
     }
 
-    /// Attaches the serving frontend's counter probe; `/v1/stats` reports
-    /// a `frontend` block from then on. Called once by whichever frontend
-    /// starts serving this state.
-    pub fn set_frontend_probe(&self, probe: Arc<dyn FrontendProbe>) {
-        *self.frontend.lock().expect("frontend probe poisoned") = Some(probe);
+    /// Attaches the serving frontend's connection counters; `/v1/stats`
+    /// reports a `frontend` block from then on.
+    pub(crate) fn set_net_stats(&self, stats: Arc<NetStats>) {
+        *self.net_stats.lock().expect("net stats poisoned") = Some(stats);
     }
 
     /// The wrapped service (e.g. for shutdown-time stats logging).
@@ -397,11 +393,19 @@ impl AppState {
         );
         stats.jobs_tracked = Some(self.jobs.lock().expect("job registry poisoned").len() as u64);
         stats.frontend = self
-            .frontend
+            .net_stats
             .lock()
-            .expect("frontend probe poisoned")
-            .as_ref()
-            .map(|p| p.report());
+            .expect("net stats poisoned")
+            .as_deref()
+            .map(|net| qapi::FrontendReport {
+                frontend: "evented".to_string(),
+                connections_open: net.connections_open(),
+                connections_accepted: net.connections_accepted(),
+                requests_shed: net.requests_shed(),
+                rate_limited: net.rate_limited(),
+                deadline_closes: net.deadline_closes(),
+                write_stalls: net.write_stalls(),
+            });
         Response::json(200, &stats.to_json())
     }
 
@@ -513,7 +517,7 @@ impl AppState {
 }
 
 /// Decrements the in-flight gauge even when the handler panics (the
-/// server converts the panic to a 500; the gauge must not drift up).
+/// frontend converts the panic to a 500; the gauge must not drift up).
 struct InFlight;
 
 impl InFlight {
@@ -536,9 +540,9 @@ impl Handler for AppState {
         let endpoint = metrics::endpoint_label(&req.method, &req.path);
 
         // The evented frontend starts the trace at parse time and
-        // installs it as this thread's ambient context; the threaded
-        // frontend has no earlier hook, so its trace starts (and
-        // finishes) here and cannot attribute write-flush time.
+        // installs it as this thread's ambient context. An in-process
+        // caller has no earlier hook, so its trace starts (and finishes)
+        // here and has no write-flush time to attribute.
         let ambient = qobs::trace::current();
         let owned = !ambient.handle.enabled();
         let trace = if owned {

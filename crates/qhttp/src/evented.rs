@@ -1,5 +1,5 @@
 //! The evented frontend: the v1 API served through `qnet`'s
-//! readiness-driven connection layer instead of thread-per-connection.
+//! readiness-driven connection layer.
 //!
 //! `HttpDriver` is the per-connection protocol state machine the qnet
 //! loop threads run: it feeds arriving bytes through the incremental
@@ -31,16 +31,14 @@
 //!    (stats, metrics, health, job polling) are never shed — they are
 //!    exactly what an operator needs during an overload.
 //! 3. **Dispatch** — everything else runs on the qnet dispatcher pool,
-//!    which bounds concurrently *executing* requests the way
-//!    `conn_threads` bounds them on the threaded frontend.
+//!    which bounds concurrently *executing* requests.
 //!
 //! Connection-level admission (the `--max-conns` accept gate, idle and
 //! slowloris read deadlines, output buffering for stalled readers)
 //! lives in `qnet` itself; this module only decides per-request fates.
 
-use crate::api::{AppState, FrontendProbe};
+use crate::api::{AppState, Handler};
 use crate::http::{HttpError, ParseStep, Request, RequestParser, Response};
-use crate::server::Handler;
 use qapi::ApiError;
 use qnet::{Action, Driver, DriverFactory, NetConfig, NetServer, NetStats, RateLimiter};
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -85,9 +83,9 @@ impl Default for EventedConfig {
     }
 }
 
-/// The v1 API on the readiness-driven frontend. Construction attaches a
-/// [`FrontendProbe`] to the state, so `/v1/stats` reports the `frontend`
-/// block immediately.
+/// The v1 API on the readiness-driven frontend. Construction hands the
+/// server's connection counters to the state, so `/v1/stats` reports the
+/// `frontend` block immediately.
 pub struct EventedServer {
     inner: NetServer,
     stats: Arc<NetStats>,
@@ -115,7 +113,7 @@ impl EventedServer {
             ..NetConfig::default()
         };
         let inner = NetServer::serve_with_stats(addr, factory, net_cfg, Arc::clone(&stats))?;
-        state.set_frontend_probe(Arc::new(EventedProbe(Arc::clone(&stats))));
+        state.set_net_stats(Arc::clone(&stats));
         Ok(EventedServer { inner, stats })
     }
 
@@ -133,22 +131,6 @@ impl EventedServer {
     /// Idempotent (also runs on drop).
     pub fn shutdown(&mut self) {
         self.inner.shutdown();
-    }
-}
-
-struct EventedProbe(Arc<NetStats>);
-
-impl FrontendProbe for EventedProbe {
-    fn report(&self) -> qapi::FrontendReport {
-        qapi::FrontendReport {
-            frontend: "evented".to_string(),
-            connections_open: self.0.connections_open(),
-            connections_accepted: self.0.connections_accepted(),
-            requests_shed: self.0.requests_shed(),
-            rate_limited: self.0.rate_limited(),
-            deadline_closes: self.0.deadline_closes(),
-            write_stalls: self.0.write_stalls(),
-        }
     }
 }
 
@@ -198,6 +180,25 @@ fn serialize(resp: &Response, keep_alive: bool) -> Vec<u8> {
     resp.write_to(&mut bytes, keep_alive)
         .expect("serializing a response into memory cannot fail");
     bytes
+}
+
+/// The dispatcher's panic policy: a handler panic answers 500 and closes
+/// the connection; it must never take a dispatcher thread down. Returns
+/// the response and whether the connection stays open.
+fn handle_or_500(
+    handler: &impl Handler,
+    req: &Request,
+    trace: &qobs::trace::TraceHandle,
+) -> (Response, bool) {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handler.handle(req))) {
+        Ok(r) => (r, req.keep_alive),
+        Err(_) => {
+            trace.set_status(500);
+            trace.mark_handler_done();
+            let e = ApiError::Internal("internal server error".to_string());
+            (Response::json(500, &e.to_json()), false)
+        }
+    }
 }
 
 /// Whether this request would enqueue oracle work — the only traffic
@@ -294,7 +295,6 @@ impl HttpDriver {
             return false;
         }
         let state = Arc::clone(&self.state);
-        let keep_alive = req.keep_alive;
 
         // The root span opens here, at parse/admission time on the loop
         // thread; the dispatch closure joins it from the dispatcher pool
@@ -326,24 +326,9 @@ impl HttpDriver {
                 handle: trace.clone(),
                 parent: qobs::trace::ROOT_SPAN,
             };
-            // Same panic policy as the threaded frontend: a handler
-            // panic answers 500 and closes the connection; it must
-            // never take a dispatcher thread down.
-            let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                qobs::trace::with_active(&ctx, || state.handle(&req))
-            }));
-            match response {
-                Ok(r) => (serialize(&r, keep_alive), keep_alive),
-                Err(_) => {
-                    trace.set_status(500);
-                    trace.mark_handler_done();
-                    let r = Response::json(
-                        500,
-                        &ApiError::Internal("internal server error".to_string()).to_json(),
-                    );
-                    (serialize(&r, false), false)
-                }
-            }
+            let (response, keep_alive) =
+                qobs::trace::with_active(&ctx, || handle_or_500(state.as_ref(), &req, &trace));
+            (serialize(&response, keep_alive), keep_alive)
         })));
         true
     }
@@ -450,5 +435,50 @@ impl Drop for HttpDriver {
             t.root_attr("aborted", true);
             t.finish(t.status());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Panics on `/boom`, otherwise answers 200.
+    struct BoomHandler;
+
+    impl Handler for BoomHandler {
+        fn handle(&self, req: &Request) -> Response {
+            if req.path == "/boom" {
+                panic!("handler exploded");
+            }
+            Response::text(200, "ok")
+        }
+    }
+
+    fn get(path: &str) -> Request {
+        Request {
+            method: "GET".to_string(),
+            path: path.to_string(),
+            query: Vec::new(),
+            headers: Vec::new(),
+            body: Vec::new(),
+            keep_alive: true,
+        }
+    }
+
+    #[test]
+    fn handler_panic_answers_500_and_closes_the_connection() {
+        let trace = qobs::trace::disabled();
+        // Twice: a caught panic leaves the calling thread fit to serve.
+        for _ in 0..2 {
+            let (resp, keep_alive) = handle_or_500(&BoomHandler, &get("/boom"), &trace);
+            assert_eq!(resp.status, 500);
+            assert!(!keep_alive, "a panicked request must close its connection");
+            let wire = String::from_utf8(serialize(&resp, keep_alive)).unwrap();
+            assert!(wire.contains("Connection: close"), "wire: {wire}");
+            assert!(wire.contains("\"internal\""), "wire: {wire}");
+        }
+        let (resp, keep_alive) = handle_or_500(&BoomHandler, &get("/fine"), &trace);
+        assert_eq!(resp.status, 200);
+        assert!(keep_alive);
     }
 }

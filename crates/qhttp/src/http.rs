@@ -9,7 +9,7 @@
 //! the connection silently.
 
 use std::fmt;
-use std::io::{self, BufRead, Write};
+use std::io::{self, Write};
 
 /// Hard cap on request bodies (16 MiB); larger uploads get a 413.
 pub const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
@@ -130,13 +130,12 @@ enum ParseState {
     Trailers,
 }
 
-/// An incremental HTTP/1.1 request parser: the same grammar, limits, and
-/// anti-smuggling checks as the blocking [`read_request`] (which is now a
-/// thin loop over this type), but resumable at any byte boundary —
-/// `advance` consumes whatever prefix of the input it can and reports
-/// [`ParseStep::NeedMore`] instead of blocking. This is what lets the
-/// evented frontend keep per-connection parse state in connection-owned
-/// buffers while a single loop thread multiplexes hundreds of sockets.
+/// An incremental HTTP/1.1 request parser, resumable at any byte
+/// boundary: `advance` consumes whatever prefix of the input it can and
+/// reports [`ParseStep::NeedMore`] instead of blocking. This is what lets
+/// the evented frontend keep per-connection parse state in
+/// connection-owned buffers while a single loop thread multiplexes
+/// hundreds of sockets.
 pub struct RequestParser {
     state: ParseState,
     /// Partial-line accumulator (request line, headers, chunk framing).
@@ -172,12 +171,6 @@ impl RequestParser {
         }
     }
 
-    /// True when no byte of a request has been consumed — EOF here is a
-    /// clean keep-alive teardown, not a truncated request.
-    pub fn is_idle(&self) -> bool {
-        matches!(self.state, ParseState::RequestLine) && self.line.is_empty()
-    }
-
     /// The in-flight request's method — valid from
     /// [`ParseStep::HeadersDone`] until [`ParseStep::Done`].
     pub fn head_method(&self) -> &str {
@@ -203,24 +196,6 @@ impl RequestParser {
             || self
                 .header("Expect")
                 .is_some_and(|e| e.eq_ignore_ascii_case("100-continue"))
-    }
-
-    /// The error a mid-request EOF amounts to, matching the blocking
-    /// reader's messages state for state.
-    pub fn eof_error(&self) -> HttpError {
-        if !self.line.is_empty() {
-            return bad("connection closed mid-line");
-        }
-        match self.state {
-            ParseState::RequestLine | ParseState::BodyStart => bad("connection closed mid-line"),
-            ParseState::Headers => bad("connection closed in headers"),
-            ParseState::FixedBody { .. } | ParseState::ChunkData { .. } => HttpError::Io(
-                io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed mid-body"),
-            ),
-            ParseState::ChunkHeader => bad("connection closed in chunk header"),
-            ParseState::ChunkSep => bad("connection closed after chunk"),
-            ParseState::Trailers => bad("connection closed in trailers"),
-        }
     }
 
     /// Consumes as much of `input` as possible; returns how many bytes
@@ -546,51 +521,6 @@ fn parse_query(q: &str) -> Vec<(String, String)> {
         .collect()
 }
 
-/// Reads one request off the stream. `Ok(None)` means the client closed the
-/// connection cleanly between requests (normal keep-alive teardown).
-///
-/// `w` is the response side of the same connection: a client sending
-/// `Expect: 100-continue` (curl does for bodies over 1 KiB) waits for the
-/// interim `100 Continue` line before transmitting the body, so it must be
-/// written between the headers and the body read. Pass
-/// [`std::io::sink()`] when parsing from a buffer.
-pub fn read_request(
-    r: &mut impl BufRead,
-    w: &mut impl Write,
-) -> Result<Option<Request>, HttpError> {
-    let mut parser = RequestParser::new();
-    loop {
-        let buf = r.fill_buf()?;
-        if buf.is_empty() {
-            if parser.is_idle() {
-                return Ok(None); // clean EOF between requests
-            }
-            return Err(parser.eof_error());
-        }
-        // Consume exactly what the parser took: pipelined bytes beyond
-        // this request stay in the BufRead for the next call.
-        let (consumed, mut step) = parser.advance(buf)?;
-        r.consume(consumed);
-        // Drain the zero-input transitions (HeadersDone → Interim →
-        // Done for a bodyless request) before blocking on more input —
-        // the peer may already have sent everything it will send.
-        loop {
-            match step {
-                ParseStep::NeedMore => break,
-                ParseStep::Done(req) => return Ok(Some(req)),
-                ParseStep::HeadersDone => {}
-                ParseStep::Interim(bytes) => {
-                    w.write_all(bytes)?;
-                    w.flush()?;
-                }
-            }
-            let (more, next) = parser.advance(&[])?;
-            debug_assert_eq!(more, 0);
-            step = next;
-        }
-    }
-}
-
 /// An outgoing response. Construct with [`Response::json`] /
 /// [`Response::text`] and send with [`Response::write_to`].
 #[derive(Debug)]
@@ -651,6 +581,7 @@ impl Response {
             404 => "Not Found",
             405 => "Method Not Allowed",
             413 => "Payload Too Large",
+            422 => "Unprocessable Entity",
             429 => "Too Many Requests",
             500 => "Internal Server Error",
             503 => "Service Unavailable",
@@ -682,10 +613,9 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
-    fn parse(raw: &str) -> Result<Option<Request>, HttpError> {
-        read_request(&mut BufReader::new(raw.as_bytes()), &mut std::io::sink())
+    fn parse(raw: &str) -> Result<Request, HttpError> {
+        parse_byte_at_a_time(raw.as_bytes()).map(|(req, _)| req)
     }
 
     #[test]
@@ -693,7 +623,6 @@ mod tests {
         let req = parse(
             "POST /v1/optimize?omega=80 HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello",
         )
-        .unwrap()
         .unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/v1/optimize");
@@ -706,15 +635,15 @@ mod tests {
     fn parses_chunked_body() {
         let raw = "POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
                    4\r\nWiki\r\n5\r\npedia\r\n0\r\n\r\n";
-        let req = parse(raw).unwrap().unwrap();
+        let req = parse(raw).unwrap();
         assert_eq!(req.body, b"Wikipedia");
     }
 
     #[test]
     fn huge_chunk_size_is_payload_too_large_not_overflow() {
         // A chunk size crafted so `body.len() + size` wraps around usize
-        // must hit the 413 path, not bypass the cap and panic in
-        // `read_exact` (regression: remote DoS via integer overflow).
+        // must hit the 413 path, not bypass the cap and panic on the
+        // body buffer (regression: remote DoS via integer overflow).
         let raw = format!(
             "POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
              10\r\n0123456789abcdef\r\n{:x}\r\n",
@@ -765,15 +694,26 @@ mod tests {
             Err(HttpError::BadRequest(_))
         ));
         // Agreeing duplicates are harmless and accepted.
-        let req = parse("POST /x HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nhi")
-            .unwrap()
-            .unwrap();
+        let req =
+            parse("POST /x HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nhi").unwrap();
         assert_eq!(req.body, b"hi");
     }
 
     #[test]
     fn eof_between_requests_is_clean() {
-        assert!(parse("").unwrap().is_none());
+        // Between requests the parser wants bytes and owes nothing: no
+        // error and no step to act on, so a peer closing here is a clean
+        // keep-alive teardown.
+        let mut parser = RequestParser::new();
+        let (consumed, step) = parser.advance(&[]).unwrap();
+        assert_eq!(consumed, 0);
+        assert!(matches!(step, ParseStep::NeedMore), "got {step:?}");
+        let raw = b"GET / HTTP/1.1\r\n\r\n";
+        let (consumed, _) = drive(&mut parser, raw);
+        assert_eq!(consumed, raw.len());
+        let (consumed, step) = parser.advance(&[]).unwrap();
+        assert_eq!(consumed, 0);
+        assert!(matches!(step, ParseStep::NeedMore), "got {step:?}");
     }
 
     #[test]
@@ -804,39 +744,40 @@ mod tests {
 
     #[test]
     fn connection_close_header_wins() {
-        let req = parse("GET / HTTP/1.1\r\nConnection: close\r\n\r\n")
-            .unwrap()
-            .unwrap();
+        let req = parse("GET / HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
         assert!(!req.keep_alive);
-        let req = parse("GET / HTTP/1.0\r\n\r\n").unwrap().unwrap();
+        let req = parse("GET / HTTP/1.0\r\n\r\n").unwrap();
         assert!(!req.keep_alive);
     }
 
     #[test]
     fn query_decoding() {
-        let req = parse("GET /p?label=a%20b+c&flag HTTP/1.1\r\n\r\n")
-            .unwrap()
-            .unwrap();
+        let req = parse("GET /p?label=a%20b+c&flag HTTP/1.1\r\n\r\n").unwrap();
         assert_eq!(req.query_param("label"), Some("a b c"));
         assert_eq!(req.query_param("flag"), Some(""));
     }
 
     #[test]
     fn expect_100_continue_gets_the_interim_response_before_the_body() {
-        let raw = "POST /x HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 2\r\n\r\nhi";
-        let mut interim = Vec::new();
-        let req = read_request(&mut BufReader::new(raw.as_bytes()), &mut interim)
-            .unwrap()
-            .unwrap();
+        // All of the head arrives first: the interim must be emitted
+        // before the parser asks for a single body byte.
+        let head = b"POST /x HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 2\r\n\r\n";
+        let mut parser = RequestParser::new();
+        let (consumed, step) = parser.advance(head).unwrap();
+        assert_eq!(consumed, head.len());
+        assert!(matches!(step, ParseStep::HeadersDone), "got {step:?}");
+        let (_, step) = parser.advance(&[]).unwrap();
+        assert!(
+            matches!(step, ParseStep::Interim(bytes) if bytes == b"HTTP/1.1 100 Continue\r\n\r\n"),
+            "got {step:?}"
+        );
+        let (_, step) = parser.advance(&[]).unwrap();
+        assert!(matches!(step, ParseStep::NeedMore), "got {step:?}");
+        let (_, req) = drive(&mut parser, b"hi");
         assert_eq!(req.body, b"hi");
-        assert_eq!(interim, b"HTTP/1.1 100 Continue\r\n\r\n");
 
-        // No Expect header: nothing interim is written.
-        let mut interim = Vec::new();
-        let raw = "GET / HTTP/1.1\r\n\r\n";
-        read_request(&mut BufReader::new(raw.as_bytes()), &mut interim)
-            .unwrap()
-            .unwrap();
+        // No Expect header: nothing interim is emitted.
+        let (_, interim) = parse_byte_at_a_time(b"GET / HTTP/1.1\r\n\r\n").unwrap();
         assert!(interim.is_empty());
     }
 
@@ -1003,6 +944,25 @@ mod tests {
         assert!(text.contains("Content-Length: 2\r\n"));
         assert!(text.contains("Connection: keep-alive\r\n"));
         assert!(text.ends_with("\r\n\r\nok"));
+    }
+
+    /// Every status the API emits — the `ApiError` taxonomy plus the
+    /// transport codes — goes out with its reason phrase, never `Unknown`.
+    #[test]
+    fn every_status_the_api_emits_has_a_reason_phrase() {
+        let taxonomy = qapi::ApiError::exemplars()
+            .iter()
+            .map(|e| e.http_status())
+            .collect::<Vec<_>>();
+        for status in taxonomy.into_iter().chain([200, 202, 400, 404, 405, 413]) {
+            let mut out = Vec::new();
+            Response::text(status, "")
+                .write_to(&mut out, false)
+                .unwrap();
+            let text = String::from_utf8(out).unwrap();
+            let status_line = text.lines().next().unwrap();
+            assert!(!status_line.ends_with(" Unknown"), "{status_line}");
+        }
     }
 
     #[test]

@@ -7,23 +7,19 @@
 //! calls for. The `popqc serve` CLI subcommand is a thin wrapper over this
 //! crate.
 //!
-//! Four layers, separated so each is testable on its own:
+//! Three layers, separated so each is testable on its own:
 //!
 //! * [`http`] — vendored minimal HTTP/1.1 framing: an incremental
 //!   request parser ([`http::RequestParser`], request line, headers,
-//!   `Content-Length` and chunked bodies, usable byte-at-a-time by an
-//!   event loop or via the blocking [`http::read_request`] wrapper),
-//!   response serialization, keep-alive semantics.
-//! * [`server`] — the **threaded** frontend: an acceptor over one
-//!   `TcpListener`; each connection thread runs a keep-alive loop and
-//!   dispatches to a [`Handler`]. Simple and debuggable; concurrent
-//!   connections are bounded by the thread count.
-//! * [`evented`] — the **readiness-driven** frontend over
-//!   [`qnet`]: a few loop threads sweep hundreds of nonblocking
+//!   `Content-Length` and chunked bodies, resumable at any byte
+//!   boundary), response serialization, keep-alive semantics.
+//! * [`evented`] — the frontend, over [`qnet`]'s readiness-driven
+//!   connection layer: a few loop threads sweep hundreds of nonblocking
 //!   keep-alive connections, with admission control (connection cap,
 //!   idle/slowloris deadlines, per-peer rate limiting, queue-depth load
-//!   shedding) answered inline before work is enqueued. The `popqc
-//!   serve` default.
+//!   shedding) answered inline before work is enqueued, and admitted
+//!   requests dispatched to a [`Handler`] on a bounded pool. This is
+//!   what `popqc serve` runs.
 //! * [`api`] — the v1 JSON routes (`POST /v1/optimize`, `POST /v1/batch`,
 //!   `GET /v1/jobs/{id}`, `GET /v1/oracles`, `GET /v1/stats`,
 //!   `GET|DELETE /v1/cache`, `GET /v1/version`, `GET /healthz`) over an
@@ -42,7 +38,7 @@
 //!
 //! ```no_run
 //! use qhttp::api::AppState;
-//! use qhttp::server::{HttpServer, ServerConfig};
+//! use qhttp::evented::{EventedConfig, EventedServer};
 //! use qsvc::{OptimizationService, OracleRegistry, ServiceConfig};
 //! use std::sync::Arc;
 //!
@@ -51,7 +47,7 @@
 //!     ServiceConfig::default(),
 //! );
 //! let state = Arc::new(AppState::new(svc, 200));
-//! let server = HttpServer::serve("127.0.0.1:8080", state, ServerConfig::default())
+//! let server = EventedServer::serve("127.0.0.1:8080", state, EventedConfig::default())
 //!     .expect("bind");
 //! println!("listening on http://{}", server.local_addr());
 //! // ... server runs until dropped ...
@@ -61,9 +57,7 @@ pub mod api;
 pub mod evented;
 pub mod http;
 pub mod metrics;
-pub mod server;
 
-pub use api::{AppState, FrontendProbe};
+pub use api::{AppState, Handler};
 pub use evented::{EventedConfig, EventedServer};
 pub use http::{Request, Response};
-pub use server::{Handler, HttpServer, ServerConfig};

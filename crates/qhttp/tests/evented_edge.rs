@@ -1,10 +1,9 @@
-//! Edge-of-capacity tests for the evented frontend — the properties the
-//! threaded acceptor *cannot* provide and the admission-control behaviour
-//! under hostile or overload traffic:
+//! Edge-of-capacity tests for the evented frontend — connection
+//! concurrency and the admission-control behaviour under hostile or
+//! overload traffic:
 //!
 //! * hundreds of concurrent keep-alive connections on a handful of loop
-//!   threads (and a demonstration that the threaded frontend is bounded
-//!   by its thread count),
+//!   threads,
 //! * slowloris / idle-connection reaping by the read deadline,
 //! * queue-depth load shedding: fast 503 + `Retry-After` while real
 //!   work is in flight, with full recovery after the queue drains,
@@ -16,10 +15,9 @@ use benchgen::Family;
 use qcir::Gate;
 use qhttp::api::AppState;
 use qhttp::evented::{EventedConfig, EventedServer};
-use qhttp::server::{HttpServer, ServerConfig};
 use qoracle::{RuleBasedOptimizer, SegmentOracle};
 use qsvc::{OptimizationService, OracleRegistry, ServiceConfig};
-use std::io::{ErrorKind, Read, Write};
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -144,8 +142,7 @@ fn evented_holds_300_keepalive_connections_on_four_loop_threads() {
 
 /// 256 clients each holding a keep-alive connection complete a cached
 /// optimize round-trip *concurrently* on a 4-worker / 4-loop-thread
-/// server — the headline capacity the thread-per-connection design
-/// cannot reach (shown by the companion test below).
+/// server — far more open connections than the server has threads.
 #[test]
 fn evented_serves_256_concurrent_cached_optimize_roundtrips() {
     const CLIENTS: usize = 256;
@@ -192,56 +189,6 @@ fn evented_serves_256_concurrent_cached_optimize_roundtrips() {
     });
     assert_eq!(ok, CLIENTS, "every concurrent client must complete");
     server.shutdown();
-}
-
-/// The contrast demonstration: the threaded frontend's concurrency IS
-/// its thread count. With 4 connection threads, 4 open keep-alive
-/// connections pin the whole pool, and a 5th connection is not served
-/// until one of them hangs up.
-#[test]
-fn threaded_frontend_is_bounded_by_its_connection_thread_count() {
-    let state = Arc::new(AppState::new(service(2), 80));
-    let server = HttpServer::serve(
-        "127.0.0.1:0",
-        state,
-        ServerConfig {
-            conn_threads: 4,
-            read_timeout: Duration::from_secs(30),
-        },
-    )
-    .expect("bind loopback");
-    let addr = server.local_addr();
-
-    // Four keep-alive connections, each proven live: all threads busy.
-    let mut pinned: Vec<TcpStream> = (0..4).map(|_| TcpStream::connect(addr).unwrap()).collect();
-    for c in pinned.iter_mut() {
-        let (status, _) = roundtrip(c, "GET", "/healthz", "");
-        assert_eq!(status, 200);
-    }
-
-    // The 5th connection sits in the kernel backlog: its request gets no
-    // answer while the pool is pinned.
-    let mut fifth = TcpStream::connect(addr).unwrap();
-    send_request(&mut fifth, "GET", "/healthz", "");
-    fifth
-        .set_read_timeout(Some(Duration::from_millis(400)))
-        .unwrap();
-    let mut probe = [0u8; 1];
-    match fifth.read(&mut probe) {
-        Err(e) => assert!(
-            matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
-            "expected a starved read, got: {e}"
-        ),
-        Ok(n) => panic!("a 4-thread server served a 5th concurrent connection ({n} bytes?!)"),
-    }
-
-    // Free one slot and the 5th is served.
-    drop(pinned.pop());
-    fifth
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let (status, _, _) = read_response(&mut fifth);
-    assert_eq!(status, 200);
 }
 
 /// Slowloris and silent-idle connections are both reaped by the read

@@ -1,9 +1,11 @@
-//! The differential loopback suite against the **threaded** frontend.
-//! Every case lives in `shared/http_api_cases.rs`; this crate only picks
-//! the frontend. `http_api_evented.rs` runs the identical matrix against
-//! the evented frontend.
+//! The loopback suite on the shape `popqc serve` runs by default
+//! (`EventedConfig::default()`). Every case lives in
+//! `shared/http_api_cases.rs`; `http_api_evented.rs` runs the identical
+//! matrix on the narrowest shape.
 
 #[path = "shared/http_api_cases.rs"]
 mod cases;
 
-const FRONTEND: cases::Frontend = cases::Frontend::Threads;
+fn config() -> qhttp::evented::EventedConfig {
+    qhttp::evented::EventedConfig::default()
+}

@@ -1,9 +1,16 @@
-//! The differential loopback suite against the **evented** frontend:
-//! the identical case matrix as `http_api.rs` (threaded), included from
-//! `shared/http_api_cases.rs`, proving the readiness-driven path is
-//! byte-for-byte behaviour-compatible at the API level.
+//! The loopback suite on the narrowest evented shape: one event-loop
+//! thread owns every connection and one dispatcher thread runs every
+//! handler, so concurrent clients, keep-alive and coalesced duplicates
+//! all interleave on a single readiness loop. The cases are the ones
+//! `http_api.rs` runs on the default shape, from `shared/http_api_cases.rs`.
 
 #[path = "shared/http_api_cases.rs"]
 mod cases;
 
-const FRONTEND: cases::Frontend = cases::Frontend::Evented;
+fn config() -> qhttp::evented::EventedConfig {
+    qhttp::evented::EventedConfig {
+        loop_threads: 1,
+        dispatch_threads: 1,
+        ..qhttp::evented::EventedConfig::default()
+    }
+}

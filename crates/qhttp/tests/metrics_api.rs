@@ -14,14 +14,14 @@
 
 use benchgen::Family;
 use qhttp::api::AppState;
-use qhttp::server::{HttpServer, ServerConfig};
+use qhttp::evented::{EventedConfig, EventedServer};
 use qsvc::{OptimizationService, OracleRegistry, ServiceConfig};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
-fn start_server() -> HttpServer {
+fn start_server() -> EventedServer {
     let svc = OptimizationService::new(
         OracleRegistry::builtin(),
         ServiceConfig {
@@ -33,7 +33,7 @@ fn start_server() -> HttpServer {
         },
     );
     let state = Arc::new(AppState::new(svc, 80));
-    HttpServer::serve("127.0.0.1:0", state, ServerConfig::default()).expect("bind loopback")
+    EventedServer::serve("127.0.0.1:0", state, EventedConfig::default()).expect("bind loopback")
 }
 
 fn sample_qasm(seed: u64) -> String {
@@ -168,6 +168,13 @@ fn first_scrape_lists_the_full_typed_inventory() {
         ("popqc_http_requests_total", "counter"),
         ("popqc_http_request_duration_seconds", "histogram"),
         ("popqc_http_requests_in_flight", "gauge"),
+        // evented connection layer
+        ("popqc_net_connections_open", "gauge"),
+        ("popqc_net_connections_total", "counter"),
+        ("popqc_net_shed_total", "counter"),
+        ("popqc_net_rate_limited_total", "counter"),
+        ("popqc_net_deadline_closes_total", "counter"),
+        ("popqc_net_write_stalls_total", "counter"),
         // request tracer (tail sampling outcome)
         ("popqc_traces_kept_total", "counter"),
         ("popqc_traces_discarded_total", "counter"),

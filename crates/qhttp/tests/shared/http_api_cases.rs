@@ -1,25 +1,22 @@
-//! The differential loopback suite: every v1 API acceptance property,
-//! written once and compiled against BOTH frontends. The including test
-//! crate picks the frontend with a `FRONTEND` const:
+//! The loopback suite for the v1 API: every acceptance property driven
+//! against a real evented server on an ephemeral port with a raw
+//! `TcpStream` client (no HTTP library on either side) — serving,
+//! cache-hit accounting, concurrent-duplicate deduplication, per-request
+//! oracle selection, job polling, the full `ApiError` status taxonomy,
+//! and clean 4xx behaviour on malformed input.
+//!
+//! The including test crate picks the server shape with a `config` fn:
 //!
 //! ```ignore
 //! #[path = "shared/http_api_cases.rs"]
 //! mod cases;
-//! const FRONTEND: cases::Frontend = cases::Frontend::Evented;
+//! fn config() -> qhttp::evented::EventedConfig { /* … */ }
 //! ```
-//!
-//! Tests drive a real server on an ephemeral port with a raw `TcpStream`
-//! client (no HTTP library on either side), proving serving, cache-hit
-//! accounting, concurrent-duplicate deduplication, per-request oracle
-//! selection, job polling, the full `ApiError` status taxonomy, and
-//! clean 4xx behaviour on malformed input — identically on the threaded
-//! and the evented path.
 
 use benchgen::Family;
 use qcir::Gate;
 use qhttp::api::AppState;
-use qhttp::evented::{EventedConfig, EventedServer};
-use qhttp::server::{HttpServer, ServerConfig};
+use qhttp::evented::EventedServer;
 use qoracle::{RuleBasedOptimizer, SegmentOracle};
 use qsvc::{OptimizationService, OracleRegistry, ServiceConfig};
 use serde_json::Value;
@@ -27,58 +24,15 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// Which frontend this compilation of the suite exercises. Each test
-/// crate constructs exactly one variant, so the other is dead code in
-/// that compilation by design.
-#[derive(Clone, Copy, Debug)]
-#[allow(dead_code)]
-pub enum Frontend {
-    Threads,
-    Evented,
-}
-
-/// Either running server behind the one interface the tests need.
-pub enum TestServer {
-    Threads(HttpServer),
-    Evented(EventedServer),
-}
-
-impl TestServer {
-    pub fn local_addr(&self) -> SocketAddr {
-        match self {
-            TestServer::Threads(s) => s.local_addr(),
-            TestServer::Evented(s) => s.local_addr(),
-        }
-    }
-
-    pub fn shutdown(&mut self) {
-        match self {
-            TestServer::Threads(s) => s.shutdown(),
-            TestServer::Evented(s) => s.shutdown(),
-        }
-    }
-}
-
-/// Serves `state` on the frontend under test, with the probe attached the
-/// way `popqc serve` attaches it (evented does so itself).
-pub fn serve_state(state: Arc<AppState>) -> TestServer {
-    match crate::FRONTEND {
-        Frontend::Threads => {
-            let s = HttpServer::serve("127.0.0.1:0", Arc::clone(&state), ServerConfig::default())
-                .expect("bind loopback");
-            state.set_frontend_probe(s.probe());
-            TestServer::Threads(s)
-        }
-        Frontend::Evented => TestServer::Evented(
-            EventedServer::serve("127.0.0.1:0", state, EventedConfig::default())
-                .expect("bind loopback"),
-        ),
-    }
+/// Serves `state` on an ephemeral loopback port in the including crate's
+/// configuration.
+fn serve_state(state: Arc<AppState>) -> EventedServer {
+    EventedServer::serve("127.0.0.1:0", state, crate::config()).expect("bind loopback")
 }
 
 /// The full built-in registry (`rule_based` default + `rule_single_pass`
 /// + `search`) behind one server — the shape `popqc serve` deploys.
-fn start_server(workers: usize) -> TestServer {
+fn start_server(workers: usize) -> EventedServer {
     let svc = OptimizationService::new(
         OracleRegistry::builtin(),
         ServiceConfig {
@@ -156,6 +110,68 @@ fn get_stats(addr: SocketAddr) -> Value {
     json(&body)
 }
 
+/// Every error body — API-taxonomy or transport-level — has the one v1
+/// wire shape: `api_version` plus an `error` object with kind + message.
+fn assert_error_body(body: &str, kind: &str) {
+    let doc = json(body);
+    assert_eq!(
+        doc.get("api_version").unwrap().as_str(),
+        Some("v1"),
+        "body: {body}"
+    );
+    let err = doc.get("error").expect("error object");
+    assert_eq!(
+        err.get("kind").unwrap().as_str(),
+        Some(kind),
+        "body: {body}"
+    );
+    assert!(err.get("message").unwrap().as_str().is_some());
+}
+
+/// Blocks every oracle call until released, pinning submitted jobs in the
+/// pending state so registry-capacity behaviour is deterministic.
+struct GatedOracle {
+    inner: RuleBasedOptimizer,
+    released: Arc<(Mutex<bool>, Condvar)>,
+}
+
+impl SegmentOracle<Gate> for GatedOracle {
+    fn optimize(&self, units: &[Gate], num_qubits: u32) -> Vec<Gate> {
+        let (lock, cv) = &*self.released;
+        let mut ok = lock.lock().unwrap();
+        while !*ok {
+            ok = cv.wait(ok).unwrap();
+        }
+        drop(ok);
+        self.inner.optimize(units, num_qubits)
+    }
+
+    fn cost(&self, units: &[Gate]) -> u64 {
+        self.inner.cost(units)
+    }
+
+    fn name(&self) -> &'static str {
+        "gated-rule"
+    }
+}
+
+/// Panics on every call — the remote-client view of a buggy oracle.
+struct PanicOracle;
+
+impl SegmentOracle<Gate> for PanicOracle {
+    fn optimize(&self, _units: &[Gate], _num_qubits: u32) -> Vec<Gate> {
+        panic!("injected oracle fault");
+    }
+
+    fn cost(&self, units: &[Gate]) -> u64 {
+        units.len() as u64
+    }
+
+    fn name(&self) -> &'static str {
+        "panic-always"
+    }
+}
+
 #[test]
 fn healthz_and_stats_respond() {
     let server = start_server(2);
@@ -171,7 +187,7 @@ fn healthz_and_stats_respond() {
 }
 
 /// The `frontend` block of `/v1/stats` names the frontend actually
-/// serving and counts its connections — on both paths.
+/// serving and counts its connections.
 #[test]
 fn stats_frontend_block_names_the_serving_frontend() {
     let server = start_server(1);
@@ -179,11 +195,7 @@ fn stats_frontend_block_names_the_serving_frontend() {
 
     let stats = get_stats(addr);
     let fe = stats.get("frontend").expect("frontend block in /v1/stats");
-    let expected = match crate::FRONTEND {
-        Frontend::Threads => "threads",
-        Frontend::Evented => "evented",
-    };
-    assert_eq!(fe.get("frontend").unwrap().as_str(), Some(expected));
+    assert_eq!(fe.get("frontend").unwrap().as_str(), Some("evented"));
     assert!(
         fe.get("connections_accepted").unwrap().as_u64().unwrap() >= 1,
         "the stats request itself arrived over a counted connection"
@@ -370,24 +382,6 @@ fn batch_endpoint_reports_per_job_and_aggregate_counters() {
     }
 }
 
-/// Every error body — API-taxonomy or transport-level — has the one v1
-/// wire shape: `api_version` plus an `error` object with kind + message.
-fn assert_error_body(body: &str, kind: &str) {
-    let doc = json(body);
-    assert_eq!(
-        doc.get("api_version").unwrap().as_str(),
-        Some("v1"),
-        "body: {body}"
-    );
-    let err = doc.get("error").expect("error object");
-    assert_eq!(
-        err.get("kind").unwrap().as_str(),
-        Some(kind),
-        "body: {body}"
-    );
-    assert!(err.get("message").unwrap().as_str().is_some());
-}
-
 #[test]
 fn malformed_requests_get_clean_4xx_responses() {
     let server = start_server(1);
@@ -501,33 +495,6 @@ fn keep_alive_serves_multiple_requests_on_one_connection() {
     );
 }
 
-/// Blocks every oracle call until released, pinning submitted jobs in the
-/// pending state so registry-capacity behaviour is deterministic.
-pub struct GatedOracle {
-    pub inner: RuleBasedOptimizer,
-    pub released: Arc<(Mutex<bool>, Condvar)>,
-}
-
-impl SegmentOracle<Gate> for GatedOracle {
-    fn optimize(&self, units: &[Gate], num_qubits: u32) -> Vec<Gate> {
-        let (lock, cv) = &*self.released;
-        let mut ok = lock.lock().unwrap();
-        while !*ok {
-            ok = cv.wait(ok).unwrap();
-        }
-        drop(ok);
-        self.inner.optimize(units, num_qubits)
-    }
-
-    fn cost(&self, units: &[Gate]) -> u64 {
-        self.inner.cost(units)
-    }
-
-    fn name(&self) -> &'static str {
-        "gated-rule"
-    }
-}
-
 #[test]
 fn full_pending_registry_rejects_new_async_jobs_with_503() {
     let released = Arc::new((Mutex::new(false), Condvar::new()));
@@ -591,23 +558,6 @@ fn full_pending_registry_rejects_new_async_jobs_with_503() {
         status == 202 || status == 200,
         "retry after drain must be accepted, got {status}: {body}"
     );
-}
-
-/// Panics on every call — the remote-client view of a buggy oracle.
-pub struct PanicOracle;
-
-impl SegmentOracle<Gate> for PanicOracle {
-    fn optimize(&self, _units: &[Gate], _num_qubits: u32) -> Vec<Gate> {
-        panic!("injected oracle fault");
-    }
-
-    fn cost(&self, units: &[Gate]) -> u64 {
-        units.len() as u64
-    }
-
-    fn name(&self) -> &'static str {
-        "panic-always"
-    }
 }
 
 #[test]
@@ -749,7 +699,7 @@ fn every_response_body_carries_api_version() {
 /// that a remote client can trigger comes back over the wire with its
 /// documented kind and canonical status. (`internal` is unreachable
 /// through a correct server by construction; its mapping is pinned by the
-/// qapi unit table and the server-panic test in `qhttp::server`;
+/// qapi unit table and the handler-panic test in `qhttp::evented`;
 /// `rate_limited` needs the evented limiter enabled and is covered by the
 /// `evented_edge` suite.)
 #[test]
@@ -1072,11 +1022,7 @@ fn cache_endpoint_reflects_hits_and_delete_forces_recompute() {
 
 #[test]
 fn restarted_server_over_a_disk_store_answers_from_the_disk_tier() {
-    let dir = std::env::temp_dir().join(format!(
-        "popqc-http-restart-{}-{:?}",
-        std::process::id(),
-        crate::FRONTEND
-    ));
+    let dir = std::env::temp_dir().join(format!("popqc-http-restart-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     struct Cleanup(std::path::PathBuf);
     impl Drop for Cleanup {

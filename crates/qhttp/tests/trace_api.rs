@@ -12,14 +12,14 @@
 
 use benchgen::Family;
 use qhttp::api::AppState;
-use qhttp::server::{HttpServer, ServerConfig};
+use qhttp::evented::{EventedConfig, EventedServer};
 use qsvc::{OptimizationService, OracleRegistry, ServiceConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-fn start_server() -> HttpServer {
+fn start_server() -> EventedServer {
     let svc = OptimizationService::new(
         OracleRegistry::builtin(),
         ServiceConfig {
@@ -31,7 +31,7 @@ fn start_server() -> HttpServer {
         },
     );
     let state = Arc::new(AppState::new(svc, 80));
-    HttpServer::serve("127.0.0.1:0", state, ServerConfig::default()).expect("bind loopback")
+    EventedServer::serve("127.0.0.1:0", state, EventedConfig::default()).expect("bind loopback")
 }
 
 fn sample_qasm(seed: u64) -> String {
@@ -93,6 +93,22 @@ fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
         .map(|(_, v)| v.as_str())
 }
 
+/// `GET /v1/traces/{id}`, polled until the trace is kept: the evented
+/// frontend finishes a trace only after its response has flushed, so a
+/// client may read the response before the trace lands. Returns the body.
+fn fetch_trace(addr: SocketAddr, trace_id: &str) -> String {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let (status, _, body) = request(addr, "GET", &format!("/v1/traces/{trace_id}"), "");
+        if status == 200 {
+            return body;
+        }
+        assert_eq!(status, 404, "body: {body}");
+        assert!(Instant::now() < deadline, "trace {trace_id} was never kept");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 fn parse_report(body: &str) -> qapi::TraceReport {
     let doc = serde_json::from_str(body).expect("trace report JSON");
     qapi::TraceReport::from_json(&doc).expect("trace report DTO")
@@ -116,9 +132,7 @@ fn forced_optimize_trace_returns_a_causal_tree_within_wall_time() {
         .to_string();
     assert_eq!(trace_id.len(), 16, "canonical 16-hex id: {trace_id}");
 
-    let (status, _, body) = request(addr, "GET", &format!("/v1/traces/{trace_id}"), "");
-    assert_eq!(status, 200, "body: {body}");
-    let report = parse_report(&body);
+    let report = parse_report(&fetch_trace(addr, &trace_id));
     assert_eq!(report.trace_id, trace_id);
     assert_eq!(report.status, 200);
     assert_eq!(report.sampled_because, "forced");
@@ -218,6 +232,7 @@ fn trace_index_and_chrome_export_cover_the_kept_trace() {
     let trace_id = header(&headers, "x-popqc-trace-id")
         .expect("trace id header")
         .to_string();
+    let report = parse_report(&fetch_trace(addr, &trace_id));
 
     let (status, _, body) = request(addr, "GET", "/v1/traces?limit=1024", "");
     assert_eq!(status, 200, "body: {body}");
@@ -231,10 +246,6 @@ fn trace_index_and_chrome_export_cover_the_kept_trace() {
     assert_eq!(summary.status, 200);
     assert_eq!(summary.sampled_because, "forced");
     assert!(summary.span_count >= 3);
-
-    let (status, _, v1_body) = request(addr, "GET", &format!("/v1/traces/{trace_id}"), "");
-    assert_eq!(status, 200);
-    let report = parse_report(&v1_body);
 
     let (status, _, chrome) = request(
         addr,
@@ -343,6 +354,7 @@ fn unforced_fast_requests_are_mostly_discarded_but_forced_is_kept() {
     let forced_id = header(&headers, "x-popqc-trace-id")
         .expect("trace id")
         .to_string();
+    fetch_trace(addr, &forced_id);
     let (status, _, after) = request(addr, "GET", "/v1/metrics", "");
     assert_eq!(status, 200);
     assert!(

@@ -1,8 +1,8 @@
 //! # popqc-net — readiness-driven connection layer for the serving edge
 //!
-//! `qhttp`'s original acceptor parks one OS thread per connection, so the
-//! number of concurrent keep-alive clients is capped at the pool size long
-//! before the optimizer is the bottleneck. This crate separates the
+//! An acceptor that parks one OS thread per connection caps concurrent
+//! keep-alive clients at its pool size long before the optimizer is the
+//! bottleneck. This crate separates the
 //! *many-idle-connections* problem from the *N-optimize-jobs* problem the
 //! executor already solves: a small fixed set of event-loop threads drives
 //! nonblocking sockets through per-connection state machines

@@ -10,7 +10,7 @@
 //! cargo run --release --example serve_http
 //! ```
 
-use popqc::http::{AppState, HttpServer, ServerConfig};
+use popqc::http::{AppState, EventedConfig, EventedServer};
 use popqc::prelude::*;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -40,10 +40,10 @@ fn main() {
             ..ServiceConfig::default()
         },
     );
-    let server = HttpServer::serve(
+    let server = EventedServer::serve(
         "127.0.0.1:0",
         Arc::new(AppState::new(svc, 100)),
-        ServerConfig::default(),
+        EventedConfig::default(),
     )
     .expect("bind ephemeral port");
     let addr = server.local_addr();

@@ -11,7 +11,7 @@
 //!                [--log-level error|warn|info|debug]
 //! popqc serve [--addr HOST:PORT] [--workers N] [--threads-per-job N]
 //!             [--omega N] [--oracle ID] [--cache-capacity N]
-//!             [--seg-cache-capacity N] [--frontend threads|evented]
+//!             [--seg-cache-capacity N]
 //!             [--conn-threads N] [--max-conns N] [--rate-limit R]
 //!             [--shed-queue-depth N]
 //!             [--cache-tier memory|disk|tiered|remote|null]
@@ -101,7 +101,7 @@ fn usage() -> ! {
          [--log-level error|warn|info|debug]\n  \
          popqc serve [--addr HOST:PORT] [--workers N] [--threads-per-job N]\n           \
          [--omega N] [--oracle ID] [--cache-capacity N] [--seg-cache-capacity N]\n           \
-         [--frontend threads|evented] [--conn-threads N] [--max-conns N]\n           \
+         [--conn-threads N] [--max-conns N]\n           \
          [--rate-limit REQS_PER_SEC] [--shed-queue-depth N]\n           \
          [--cache-tier memory|disk|tiered|remote|null]\n           \
          [--cache-dir DIR] [--cache-addr HOST:PORT]\n           \
@@ -323,12 +323,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         seg_cache_capacity: 4096,
         ..ServiceConfig::default()
     };
-    let mut http_cfg = popqc::http::ServerConfig::default();
-    let mut frontend = "evented".to_string();
-    let mut conn_threads: Option<usize> = None;
-    let mut max_conns: Option<usize> = None;
-    let mut rate_limit: Option<f64> = None;
-    let mut shed_queue_depth: Option<usize> = None;
+    let mut net_cfg = popqc::http::EventedConfig::default();
     let mut cache_tier: Option<String> = None;
     let mut cache_dir: Option<PathBuf> = None;
     let mut cache_addr: Option<String> = None;
@@ -382,27 +377,23 @@ fn cmd_serve(args: &[String]) -> ExitCode {
                 svc_cfg.seg_cache_capacity = parse_num("--seg-cache-capacity", args.get(i + 1));
                 i += 2;
             }
-            "--frontend" => {
-                frontend = args.get(i + 1).unwrap_or_else(|| usage()).clone();
-                i += 2;
-            }
             "--conn-threads" => {
-                conn_threads = Some(parse_num("--conn-threads", args.get(i + 1)));
+                net_cfg.loop_threads = parse_num("--conn-threads", args.get(i + 1));
                 i += 2;
             }
             "--max-conns" => {
-                max_conns = Some(parse_num("--max-conns", args.get(i + 1)));
+                net_cfg.max_conns = parse_num("--max-conns", args.get(i + 1));
                 i += 2;
             }
             "--rate-limit" => {
                 let v = args.get(i + 1).unwrap_or_else(|| usage());
-                rate_limit = Some(v.parse::<f64>().unwrap_or_else(|_| {
+                net_cfg.rate_limit = v.parse::<f64>().unwrap_or_else(|_| {
                     fail(format!("bad --rate-limit `{v}` (need requests/second)"))
-                }));
+                });
                 i += 2;
             }
             "--shed-queue-depth" => {
-                shed_queue_depth = Some(parse_num("--shed-queue-depth", args.get(i + 1)));
+                net_cfg.shed_queue_depth = parse_num("--shed-queue-depth", args.get(i + 1));
                 i += 2;
             }
             "--omega" => {
@@ -416,25 +407,8 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             _ => usage(),
         }
     }
-    if omega == 0 || conn_threads == Some(0) {
+    if omega == 0 || net_cfg.loop_threads == 0 {
         usage();
-    }
-    if frontend == "threads" {
-        // These knobs live in the evented connection layer; silently
-        // ignoring them would fake protection that isn't there.
-        for (flag, set) in [
-            ("--max-conns", max_conns.is_some()),
-            ("--rate-limit", rate_limit.is_some()),
-            ("--shed-queue-depth", shed_queue_depth.is_some()),
-        ] {
-            if set {
-                fail(format!("{flag} requires --frontend evented"));
-            }
-        }
-    } else if frontend != "evented" {
-        fail(format!(
-            "bad --frontend `{frontend}` (use threads or evented)"
-        ));
     }
     // The filter must be live before the service spins up so startup
     // events (and worker logs) already respect it.
@@ -472,66 +446,29 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         .join(", ");
     let default_oracle = svc.registry().default_id().to_string();
     let state = std::sync::Arc::new(popqc::http::AppState::new(svc, omega));
-    // Both variants stay alive until the process dies (dropping either
-    // shuts it down); only the address escapes the match.
-    enum Running {
-        Threads(popqc::http::HttpServer),
-        Evented(popqc::http::EventedServer),
-    }
-    let server = if frontend == "threads" {
-        if let Some(n) = conn_threads {
-            http_cfg.conn_threads = n;
-        }
-        let s = popqc::http::HttpServer::serve(&addr, std::sync::Arc::clone(&state), http_cfg)
-            .unwrap_or_else(|e| fail(format!("cannot bind {addr}: {e}")));
-        state.set_frontend_probe(s.probe());
-        Running::Threads(s)
-    } else {
-        let mut ev_cfg = popqc::http::EventedConfig {
-            read_deadline: http_cfg.read_timeout,
-            ..popqc::http::EventedConfig::default()
-        };
-        if let Some(n) = conn_threads {
-            ev_cfg.loop_threads = n;
-        }
-        if let Some(n) = max_conns {
-            ev_cfg.max_conns = n;
-        }
-        if let Some(r) = rate_limit {
-            ev_cfg.rate_limit = r;
-        }
-        if let Some(n) = shed_queue_depth {
-            ev_cfg.shed_queue_depth = n;
-        }
-        let s = popqc::http::EventedServer::serve(&addr, std::sync::Arc::clone(&state), ev_cfg)
-            .unwrap_or_else(|e| fail(format!("cannot bind {addr}: {e}")));
-        Running::Evented(s)
-    };
-    let local_addr = match &server {
-        Running::Threads(s) => s.local_addr(),
-        Running::Evented(s) => s.local_addr(),
-    };
+    // The server stays alive until the process dies (dropping it shuts it
+    // down).
+    let server = popqc::http::EventedServer::serve(&addr, state, net_cfg.clone())
+        .unwrap_or_else(|e| fail(format!("cannot bind {addr}: {e}")));
     // The address stays an unquoted `addr=http://…` value so scripts (and
     // the CLI tests) can still extract the resolved ephemeral port by
     // grepping stderr for `http://`.
     qobs::log_info!(
         target: "popqc::serve",
         "listening",
-        addr = format_args!("http://{}", local_addr),
-        frontend = frontend,
+        addr = format_args!("http://{}", server.local_addr()),
+        frontend = "evented",
         workers = workers,
         threads_per_job = threads_per_job,
         omega = omega
     );
-    if matches!(server, Running::Evented(_)) {
-        qobs::log_info!(
-            target: "popqc::serve",
-            "admission control",
-            max_conns = max_conns.unwrap_or(popqc::http::EventedConfig::default().max_conns),
-            rate_limit = rate_limit.unwrap_or(0.0),
-            shed_queue_depth = shed_queue_depth.unwrap_or(0)
-        );
-    }
+    qobs::log_info!(
+        target: "popqc::serve",
+        "admission control",
+        max_conns = net_cfg.max_conns,
+        rate_limit = net_cfg.rate_limit,
+        shed_queue_depth = net_cfg.shed_queue_depth
+    );
     qobs::log_info!(
         target: "popqc::serve",
         "oracles",
@@ -573,7 +510,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
                   GET /v1/stats  GET /v1/metrics  GET|DELETE /v1/cache  GET /v1/traces  \
                   GET /v1/traces/{id}  GET /v1/version  GET /healthz"
     );
-    // Serve until the process is killed; the acceptor threads own the work.
+    // Serve until the process is killed; the loop threads own the work.
     loop {
         std::thread::park();
     }

@@ -3,7 +3,7 @@
 //! one job, the two bodies are byte-identical up to the per-run timing
 //! fields.
 
-use popqc::http::{AppState, HttpServer, ServerConfig};
+use popqc::http::{AppState, EventedConfig, EventedServer};
 use popqc::prelude::*;
 use popqc::service::report::job_status;
 use std::io::{Read, Write};
@@ -47,13 +47,13 @@ fn http_and_cli_job_documents_are_byte_identical() {
     let qasm = popqc::ir::qasm::to_qasm(&circuit);
 
     // Surface 1: the HTTP frontend over a registry-based service.
-    let server = HttpServer::serve(
+    let server = EventedServer::serve(
         "127.0.0.1:0",
         Arc::new(AppState::new(
             OptimizationService::new(OracleRegistry::builtin(), service_config.clone()),
             80,
         )),
-        ServerConfig::default(),
+        EventedConfig::default(),
     )
     .expect("bind loopback");
     let body = http_body(

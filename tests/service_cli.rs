@@ -363,6 +363,36 @@ fn cli_rejects_unknown_oracle_with_available_list() {
     );
 }
 
+/// `serve` has one frontend, so the flag that picked between two is gone:
+/// naming a frontend is a usage error (exit 2), not an ignored option.
+#[test]
+fn cli_serve_rejects_the_frontend_flag_as_usage_error() {
+    for frontend in ["threads", "evented"] {
+        // The bad tier makes a `serve` that still accepted the flag exit 1
+        // instead of serving, so this test fails rather than hangs.
+        let args = [
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--frontend",
+            frontend,
+            "--cache-tier",
+            "floppy",
+        ];
+        let out = run(&args);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{args:?}: expected exit 2, got {:?}",
+            out.status
+        );
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("usage:"),
+            "{args:?}: must print the usage text"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Result-store persistence (`--cache-tier` / `--cache-dir` / `popqc cache`)
 // ---------------------------------------------------------------------------
