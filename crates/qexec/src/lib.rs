@@ -96,21 +96,18 @@ impl ExecStats {
     }
 }
 
-/// Snapshots the executor counters. Never forces the pool (or its worker
-/// threads) into existence: before the first parallel operation every
-/// counter is zero.
+/// Snapshots the executor counters: the `popqc_exec_*_total` metrics
+/// themselves, so the scrape and this snapshot read the same cells. Never
+/// forces the pool (or its worker threads) into existence: before the
+/// first parallel operation every counter is zero.
 pub fn stats() -> ExecStats {
-    use std::sync::atomic::Ordering::Relaxed;
-    match pool::global_if_started() {
-        None => ExecStats::default(),
-        Some(pool) => ExecStats {
-            workers: pool.started_workers() as u64,
-            grain: 0,
-            parallel_ops: pool.parallel_ops.load(Relaxed),
-            tasks_executed: pool.tasks_executed.load(Relaxed),
-            splits: pool.splits.load(Relaxed),
-            steals: pool.steals.load(Relaxed),
-        },
+    ExecStats {
+        workers: pool::global_if_started().map_or(0, |pool| pool.started_workers() as u64),
+        grain: 0,
+        parallel_ops: metrics::parallel_ops_total().get(),
+        tasks_executed: metrics::tasks_total().get(),
+        splits: metrics::splits_total().get(),
+        steals: metrics::steals_total().get(),
     }
 }
 

@@ -1,9 +1,10 @@
-//! The executor's `popqc-obs` instruments. Counters mirror the
-//! [`ExecStats`](crate::ExecStats) cells (both are advanced at the same
-//! point, when an op settles in `pool::run_op`), so a Prometheus scrape
-//! and `GET /v1/stats` can never disagree about what the pool did.
+//! The executor's `popqc-obs` instruments. The four counters are the
+//! only record of what the pool did, advanced once when an op settles in
+//! `pool::run_op`: [`stats`](crate::stats) reads them back into
+//! [`ExecStats`](crate::ExecStats), so a Prometheus scrape and
+//! `GET /v1/stats` can never disagree.
 
-/// Chunks executed — mirrors `ExecStats::tasks_executed`.
+/// Chunks executed — read as `ExecStats::tasks_executed`.
 pub(crate) fn tasks_total() -> &'static qobs::Counter {
     qobs::static_counter!(
         "popqc_exec_tasks_total",
@@ -11,7 +12,7 @@ pub(crate) fn tasks_total() -> &'static qobs::Counter {
     )
 }
 
-/// Chunks a pool worker ran for a submitter — mirrors `ExecStats::steals`.
+/// Chunks a pool worker ran for a submitter — read as `ExecStats::steals`.
 pub(crate) fn steals_total() -> &'static qobs::Counter {
     qobs::static_counter!(
         "popqc_exec_steals_total",
@@ -19,7 +20,7 @@ pub(crate) fn steals_total() -> &'static qobs::Counter {
     )
 }
 
-/// Cut points — mirrors `ExecStats::splits`.
+/// Cut points — read as `ExecStats::splits`.
 pub(crate) fn splits_total() -> &'static qobs::Counter {
     qobs::static_counter!(
         "popqc_exec_splits_total",
@@ -27,7 +28,7 @@ pub(crate) fn splits_total() -> &'static qobs::Counter {
     )
 }
 
-/// Parallel operations that actually went parallel — mirrors
+/// Parallel operations that actually went parallel — read as
 /// `ExecStats::parallel_ops`.
 pub(crate) fn parallel_ops_total() -> &'static qobs::Counter {
     qobs::static_counter!(
@@ -36,7 +37,7 @@ pub(crate) fn parallel_ops_total() -> &'static qobs::Counter {
     )
 }
 
-/// Worker threads spawned so far — mirrors `ExecStats::workers`.
+/// Worker threads spawned so far — the same count as `ExecStats::workers`.
 pub(crate) fn pool_workers() -> &'static qobs::Gauge {
     qobs::static_gauge!(
         "popqc_exec_pool_workers",

@@ -38,7 +38,7 @@ use std::any::Any;
 use std::cell::Cell;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Hard ceiling on pool width. The pool grows lazily toward the widest
@@ -247,11 +247,6 @@ pub(crate) struct Pool {
     work: Condvar,
     /// Worker threads spawned so far (grown under `shared`).
     started: AtomicUsize,
-    // --- statistics (monotonic, relaxed: they are telemetry, not sync) ---
-    pub(crate) parallel_ops: AtomicU64,
-    pub(crate) tasks_executed: AtomicU64,
-    pub(crate) splits: AtomicU64,
-    pub(crate) steals: AtomicU64,
 }
 
 static POOL: OnceLock<Pool> = OnceLock::new();
@@ -263,10 +258,6 @@ fn global() -> &'static Pool {
         shared: Mutex::new(Shared::default()),
         work: Condvar::new(),
         started: AtomicUsize::new(0),
-        parallel_ops: AtomicU64::new(0),
-        tasks_executed: AtomicU64::new(0),
-        splits: AtomicU64::new(0),
-        steals: AtomicU64::new(0),
     })
 }
 
@@ -420,10 +411,6 @@ pub(crate) fn run_op(n: usize, chunk: usize, width: usize, run: &ChunkFn<'_>) {
     let mut panics = std::mem::take(&mut state.panics);
     drop(state);
 
-    pool.parallel_ops.fetch_add(1, Relaxed);
-    pool.tasks_executed.fetch_add(chunks as u64, Relaxed);
-    pool.splits.fetch_add(chunks as u64 - 1, Relaxed);
-    pool.steals.fetch_add(helped, Relaxed);
     metrics::parallel_ops_total().inc();
     metrics::tasks_total().add(chunks as u64);
     metrics::splits_total().add(chunks as u64 - 1);

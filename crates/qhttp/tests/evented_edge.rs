@@ -29,7 +29,6 @@ fn service(workers: usize) -> OptimizationService {
             workers,
             threads_per_job: 1,
             cache_capacity: 64,
-            cache_shards: 4,
             seg_cache_capacity: 0,
         },
     )
@@ -285,7 +284,6 @@ fn shed_answers_fast_503_with_retry_after_and_recovers() {
             workers: 1,
             threads_per_job: 1,
             cache_capacity: 64,
-            cache_shards: 4,
             seg_cache_capacity: 0,
         },
     );

@@ -28,7 +28,6 @@ fn start_server() -> EventedServer {
             workers: 2,
             threads_per_job: 1,
             cache_capacity: 64,
-            cache_shards: 4,
             seg_cache_capacity: 0,
         },
     );

@@ -39,7 +39,6 @@ fn start_server(workers: usize) -> EventedServer {
             workers,
             threads_per_job: 1,
             cache_capacity: 64,
-            cache_shards: 4,
             seg_cache_capacity: 0,
         },
     );
@@ -507,7 +506,6 @@ fn full_pending_registry_rejects_new_async_jobs_with_503() {
             workers: 1,
             threads_per_job: 1,
             cache_capacity: 64,
-            cache_shards: 4,
             seg_cache_capacity: 0,
         },
     );
@@ -568,7 +566,6 @@ fn oracle_panic_surfaces_as_500_and_server_keeps_serving() {
             workers: 1,
             threads_per_job: 1,
             cache_capacity: 64,
-            cache_shards: 4,
             seg_cache_capacity: 0,
         },
     );
@@ -721,7 +718,6 @@ fn error_taxonomy_maps_to_documented_statuses_over_loopback() {
             workers: 1,
             threads_per_job: 1,
             cache_capacity: 64,
-            cache_shards: 4,
             seg_cache_capacity: 0,
         },
     );
@@ -781,7 +777,6 @@ fn job_cap_503_carries_retry_after_header() {
             workers: 1,
             threads_per_job: 1,
             cache_capacity: 64,
-            cache_shards: 4,
             seg_cache_capacity: 0,
         },
     );
@@ -1041,7 +1036,6 @@ fn restarted_server_over_a_disk_store_answers_from_the_disk_tier() {
                 workers: 1,
                 threads_per_job: 1,
                 cache_capacity: 64,
-                cache_shards: 4,
                 seg_cache_capacity: 0,
             },
             store,

@@ -74,6 +74,12 @@ impl<K: Hash + Eq + Clone, V> Shard<K, V> {
     }
 }
 
+/// The lock count of every memory cache the service and the `popqc` CLI
+/// build: the result store's memory tier and the segment cache. Small
+/// capacities still clamp to one shard per entry (see
+/// [`ShardedLruCache::new`]).
+pub const CACHE_SHARDS: usize = 16;
+
 /// The sharded LRU. `K` must hash identically across threads, which every
 /// `Hash` type does; shard choice uses a private FNV so it is independent
 /// of `HashMap`'s randomized state.

@@ -87,7 +87,7 @@ pub mod service;
 pub mod store;
 pub mod wire;
 
-pub use cache::{CacheStats, ShardedLruCache};
+pub use cache::{CacheStats, ShardedLruCache, CACHE_SHARDS};
 pub use remote::{CacheServer, CacheServerConfig, RemoteConfig, RemoteStore};
 pub use segcache::{
     JobSegmentCache, SegCacheStats, SegEntry, SegKey, SegTemplate, SegmentCacheLayer, TemplateGate,

@@ -382,7 +382,7 @@ pub struct CacheServerConfig {
     /// Open-connection cap, and so the cap on connection threads. At the
     /// cap the acceptor stops calling `accept`, so further clients queue
     /// in the kernel backlog (backpressure) instead of being served or
-    /// refused. `0` means unlimited.
+    /// refused. Clamped to at least 1, like the HTTP frontend's.
     pub max_conns: usize,
 }
 
@@ -515,24 +515,24 @@ impl Drop for CacheServer {
 fn accept_loop(listener: TcpListener, served: Arc<Served>, cfg: CacheServerConfig) {
     let mut next_id = 0u64;
     let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    let max_conns = cfg.max_conns.max(1);
     loop {
         handlers.retain(|h| !h.is_finished());
         // Gate BEFORE accept: at the cap the acceptor parks, so excess
         // clients wait in the kernel backlog (backpressure) rather than
         // being served past the cap or actively refused. The timeout
         // keeps the park responsive to `shutdown`.
-        if cfg.max_conns > 0 {
-            let mut conns = served.conns.lock().expect("conns poisoned");
-            while conns.len() >= cfg.max_conns && !served.stop.load(Relaxed) {
-                let (guard, _) = served
-                    .conn_released
-                    .wait_timeout(conns, Duration::from_millis(100))
-                    .expect("conns poisoned");
-                conns = guard;
-            }
-            if served.stop.load(Relaxed) {
-                break;
-            }
+        let mut conns = served.conns.lock().expect("conns poisoned");
+        while conns.len() >= max_conns && !served.stop.load(Relaxed) {
+            let (guard, _) = served
+                .conn_released
+                .wait_timeout(conns, Duration::from_millis(100))
+                .expect("conns poisoned");
+            conns = guard;
+        }
+        drop(conns);
+        if served.stop.load(Relaxed) {
+            break;
         }
         match listener.accept() {
             Ok((stream, peer)) => {

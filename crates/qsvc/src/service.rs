@@ -53,7 +53,7 @@
 //!   [`JobResult::error`] set, coalesced waiters are re-enqueued as
 //!   independent retries, and the worker thread survives.
 
-use crate::cache::CacheStats;
+use crate::cache::{CacheStats, CACHE_SHARDS};
 use crate::metrics;
 use crate::segcache::{SegCacheStats, SegmentCacheLayer};
 use crate::store::{CachedRun, MemoryStore, ResultStore, StoreStats};
@@ -382,8 +382,6 @@ pub struct ServiceConfig {
     pub threads_per_job: usize,
     /// Total result-cache entries before LRU eviction.
     pub cache_capacity: usize,
-    /// Cache shards (lock granularity).
-    pub cache_shards: usize,
     /// Total *segment*-cache entries before LRU eviction (see
     /// [`crate::segcache`]). `0` disables the segment cache entirely —
     /// the library default, so embedding services opt in; the `popqc`
@@ -397,7 +395,6 @@ impl Default for ServiceConfig {
             workers: 0,
             threads_per_job: 0,
             cache_capacity: 1024,
-            cache_shards: 16,
             seg_cache_capacity: 0,
         }
     }
@@ -1141,13 +1138,13 @@ pub struct OptimizationService {
 impl OptimizationService {
     /// Spawns the worker pool over `registry` with the default
     /// process-local [`MemoryStore`] sized by the config's
-    /// `cache_capacity`/`cache_shards`. Every submission resolves its
-    /// oracle in the registry per job, so one running service answers
-    /// mixed-oracle traffic; the registry ids are the cache keys' oracle
-    /// ids, so entries never cross-contaminate.
+    /// `cache_capacity` over [`CACHE_SHARDS`] locks. Every submission
+    /// resolves its oracle in the registry per job, so one running service
+    /// answers mixed-oracle traffic; the registry ids are the cache keys'
+    /// oracle ids, so entries never cross-contaminate.
     pub fn new(registry: OracleRegistry, config: ServiceConfig) -> OptimizationService {
         let store: Arc<dyn ResultStore> =
-            Arc::new(MemoryStore::new(config.cache_capacity, config.cache_shards));
+            Arc::new(MemoryStore::new(config.cache_capacity, CACHE_SHARDS));
         OptimizationService::with_store(registry, config, store)
     }
 
@@ -1175,7 +1172,7 @@ impl OptimizationService {
         let inner = Arc::new(Inner {
             threads_per_job,
             store,
-            segcache: SegmentCacheLayer::new(config.seg_cache_capacity, config.cache_shards),
+            segcache: SegmentCacheLayer::new(config.seg_cache_capacity, CACHE_SHARDS),
             queue: Mutex::new(VecDeque::new()),
             work_ready: Condvar::new(),
             inflight: Mutex::new(HashMap::new()),

@@ -502,11 +502,23 @@ fn every_pooled_client_is_served_at_once() {
 
 #[test]
 fn connection_cap_defers_accepts_until_a_slot_frees() {
+    second_client_waits_for_the_first(1);
+}
+
+/// `0` is not "unlimited" (a thread per connection is the exhaustion the
+/// cap exists to prevent): it clamps to one slot, like the HTTP
+/// frontend's cap.
+#[test]
+fn zero_connection_cap_clamps_to_one_slot() {
+    second_client_waits_for_the_first(0);
+}
+
+fn second_client_waits_for_the_first(max_conns: usize) {
     let server = CacheServer::serve(
         "127.0.0.1:0",
         Arc::new(MemoryStore::new(64, 2)),
         CacheServerConfig {
-            max_conns: 1,
+            max_conns,
             ..CacheServerConfig::default()
         },
     )

@@ -18,7 +18,6 @@ fn small_service(workers: usize) -> OptimizationService {
             workers,
             threads_per_job: 1,
             cache_capacity: 64,
-            cache_shards: 4,
             seg_cache_capacity: 0,
         },
     )
@@ -124,7 +123,6 @@ fn eviction_forces_recomputation() {
             workers: 1,
             threads_per_job: 1,
             cache_capacity: 1,
-            cache_shards: 1,
             seg_cache_capacity: 0,
         },
     );
@@ -153,7 +151,6 @@ fn results_are_independent_of_worker_and_thread_budget() {
             workers: 4,
             threads_per_job: 3,
             cache_capacity: 64,
-            cache_shards: 4,
             seg_cache_capacity: 0,
         },
     );
@@ -250,7 +247,6 @@ fn concurrent_duplicates_coalesce_onto_one_computation() {
             workers: 4,
             threads_per_job: 1,
             cache_capacity: 64,
-            cache_shards: 4,
             seg_cache_capacity: 0,
         },
     );
@@ -350,7 +346,6 @@ fn oracle_panic_does_not_strand_coalesced_waiters() {
             workers: 1,
             threads_per_job: 1,
             cache_capacity: 64,
-            cache_shards: 4,
             seg_cache_capacity: 0,
         },
     );
@@ -456,7 +451,6 @@ fn one_service_keeps_mixed_oracle_traffic_in_distinct_cache_entries() {
             workers: 2,
             threads_per_job: 1,
             cache_capacity: 64,
-            cache_shards: 4,
             seg_cache_capacity: 0,
         },
     );

@@ -503,7 +503,6 @@ fn counting_service(calls: &Arc<AtomicU64>, store: Arc<dyn ResultStore>) -> Opti
             workers: 1,
             threads_per_job: 1,
             cache_capacity: 16,
-            cache_shards: 2,
             seg_cache_capacity: 0,
         },
         store,
@@ -590,7 +589,6 @@ fn oracle_version_bump_invalidates_the_disk_tier() {
             workers: 1,
             threads_per_job: 1,
             cache_capacity: 16,
-            cache_shards: 2,
             seg_cache_capacity: 0,
         },
         store,

@@ -1,34 +1,6 @@
 //! The `popqc` CLI: batch-optimize QASM circuits through the optimization
-//! service.
-//!
-//! ```text
-//! popqc optimize <FILE|DIR>... [--out DIR] [--omega N] [--oracle ID]
-//!                [--workers N] [--threads-per-job N]
-//!                [--cache-capacity N] [--seg-cache-capacity N]
-//!                [--cache-tier memory|disk|tiered|remote|null]
-//!                [--cache-dir DIR] [--cache-addr HOST:PORT]
-//!                [--repeat N] [--report FILE] [--json] [--verify] [--quiet]
-//!                [--log-level error|warn|info|debug]
-//! popqc serve [--addr HOST:PORT] [--workers N] [--threads-per-job N]
-//!             [--omega N] [--oracle ID] [--cache-capacity N]
-//!             [--seg-cache-capacity N]
-//!             [--conn-threads N] [--max-conns N] [--rate-limit R]
-//!             [--shed-queue-depth N]
-//!             [--cache-tier memory|disk|tiered|remote|null]
-//!             [--cache-dir DIR] [--cache-addr HOST:PORT]
-//!             [--trace-capacity N] [--trace-slow-ms MS]
-//!             [--log-level error|warn|info|debug]
-//! popqc trace <ID|last> [--addr HOST:PORT] [--chrome]
-//! popqc cached [--addr HOST:PORT] --cache-dir DIR [--cache-tier disk|tiered]
-//!              [--cache-capacity N] [--max-conns N]
-//!              [--log-level error|warn|info|debug]
-//! popqc cache stats --cache-dir DIR
-//! popqc cache clear --cache-dir DIR
-//! popqc cache warm <FILE|DIR>... --cache-dir DIR [--omega N] [--oracle ID]
-//! popqc gen --family NAME --qubits N [--seed S] [--out FILE|DIR]
-//! popqc oracles
-//! popqc families
-//! ```
+//! service. Every subcommand's flags are rows of one table, [`COMMANDS`];
+//! `popqc` alone prints the synopsis generated from it.
 //!
 //! `optimize` ingests `.qasm` files (directories are scanned for them),
 //! submits every circuit as a job to an in-process [`OptimizationService`],
@@ -84,46 +56,273 @@
 //! like `info,qexec=debug`. When the flag is absent the `POPQC_LOG`
 //! environment variable is honored instead; the default is `info`.
 
+use popqc::http::EventedConfig;
 use popqc::prelude::*;
 use popqc::service::report::{batch_report, cache_report, job_status, service_report};
-use std::path::PathBuf;
+use popqc::service::CACHE_SHARDS;
+use std::collections::HashMap;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+/// One accepted flag: its name and its value's placeholder (`""` for a
+/// switch).
+type Flag = (&'static str, &'static str);
+
+// Flags more than one subcommand accepts.
+const ADDR: Flag = ("--addr", "HOST:PORT");
+const OUT: Flag = ("--out", "PATH");
+const CACHE_DIR: Flag = ("--cache-dir", "DIR");
+const CACHE_TIER: Flag = ("--cache-tier", "TIER");
+const CACHE_CAPACITY: Flag = ("--cache-capacity", "N");
+const MAX_CONNS: Flag = ("--max-conns", "N");
+const LOG_LEVEL: Flag = ("--log-level", "error|warn|info|debug");
+
+/// The engine group: Ω, the default oracle and the service's shape.
+#[rustfmt::skip]
+const ENGINE: &[Flag] = &[
+    ("--omega", "N"), ("--oracle", "ID"), ("--workers", "N"), ("--threads-per-job", "N"),
+];
+
+/// The store group: the result store and the segment cache.
+#[rustfmt::skip]
+const STORE: &[Flag] = &[
+    CACHE_CAPACITY, ("--seg-cache-capacity", "N"), CACHE_TIER, CACHE_DIR,
+    ("--cache-addr", "HOST:PORT"),
+];
+
+/// A subcommand: the words that name it, its operand (`""` for none, a
+/// trailing `...` for one or more), the flags it cannot run without, the
+/// flag groups it accepts besides, and what it runs.
+struct Command {
+    name: &'static str,
+    operand: &'static str,
+    required: &'static [Flag],
+    groups: &'static [&'static [Flag]],
+    run: fn(Settings) -> ExitCode,
+}
+
+impl Command {
+    fn flags(&self) -> impl Iterator<Item = Flag> + '_ {
+        let optional = self.groups.iter().copied().flatten();
+        self.required.iter().chain(optional).copied()
+    }
+}
+
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command { name: "optimize", operand: "<FILE|DIR>...", required: &[], run: cmd_optimize,
+              groups: &[ENGINE, STORE, &[OUT, ("--repeat", "N"), ("--report", "FILE"), ("--json", ""),
+                        ("--verify", ""), ("--quiet", ""), LOG_LEVEL]] },
+    Command { name: "serve", operand: "", required: &[], run: cmd_serve,
+              groups: &[&[ADDR], ENGINE, STORE, &[("--conn-threads", "N"), MAX_CONNS,
+                        ("--rate-limit", "REQS_PER_SEC"), ("--shed-queue-depth", "N"),
+                        ("--trace-capacity", "N"), ("--trace-slow-ms", "MS"), LOG_LEVEL]] },
+    Command { name: "trace", operand: "<ID|last>", required: &[],
+              groups: &[&[ADDR, ("--chrome", "")]], run: cmd_trace },
+    Command { name: "cached", operand: "", required: &[CACHE_DIR],
+              groups: &[&[ADDR, CACHE_TIER, CACHE_CAPACITY, MAX_CONNS, LOG_LEVEL]], run: cmd_cached },
+    Command { name: "cache stats", operand: "", required: &[CACHE_DIR],
+              groups: &[], run: cmd_cache_stats },
+    Command { name: "cache clear", operand: "", required: &[CACHE_DIR],
+              groups: &[], run: cmd_cache_clear },
+    Command { name: "cache warm", operand: "<FILE|DIR>...", required: &[CACHE_DIR],
+              groups: &[ENGINE], run: cmd_cache_warm },
+    Command { name: "gen", operand: "", required: &[("--family", "NAME"), ("--qubits", "N")],
+              groups: &[&[("--seed", "S"), OUT]], run: cmd_gen },
+    Command { name: "oracles", operand: "", required: &[], groups: &[], run: cmd_oracles },
+    Command { name: "families", operand: "", required: &[], groups: &[], run: cmd_families },
+];
+
+/// Where `serve` listens and `trace` connects by default.
+const SERVE_ADDR: &str = "127.0.0.1:7878";
+
+/// Why a command line was refused: a shape no table accepts (print the
+/// usage, exit 2) or a value that does not parse (exit 1).
+#[derive(Debug, PartialEq)]
+enum CliError {
+    Usage,
+    Fail(String),
+}
+
+/// The flags one command line gave: the last value of each (`""` for a
+/// switch).
+struct Matches(HashMap<&'static str, String>);
+
+impl Matches {
+    /// The flag's value parsed as `T`, if the flag was given.
+    fn opt<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, CliError> {
+        debug_assert!(COMMANDS.iter().any(|c| c.flags().any(|f| f.0 == flag)));
+        let Some(v) = self.0.get(flag) else {
+            return Ok(None);
+        };
+        let parsed = v.parse().map(Some);
+        parsed.map_err(|_| CliError::Fail(format!("cannot parse {flag} value `{v}`")))
+    }
+
+    /// Overwrites `slot` with the flag's value, if the flag was given.
+    fn set<T: std::str::FromStr>(&self, flag: &str, slot: &mut T) -> Result<(), CliError> {
+        if let Some(v) = self.opt(flag)? {
+            *slot = v;
+        }
+        Ok(())
+    }
+}
+
+/// What one command line sets: a field per flag, each at its default
+/// unless given. The engine and store groups resolve into Ω, the oracle,
+/// a [`ServiceConfig`] and the store choice; the `serve` and `cached`
+/// knobs into their servers' configs. A subcommand's table decides which
+/// flags can reach it.
+struct Settings {
+    operands: Vec<String>,
+    omega: usize,
+    /// `None` keeps the registry's own default oracle.
+    oracle: Option<String>,
+    service: ServiceConfig,
+    tier: Option<StoreTier>,
+    cache_dir: Option<PathBuf>,
+    cache_addr: Option<String>,
+    addr: Option<String>,
+    out: Option<PathBuf>,
+    repeat: usize,
+    report: Option<PathBuf>,
+    json: bool,
+    verify: bool,
+    quiet: bool,
+    chrome: bool,
+    log_level: Option<String>,
+    net: EventedConfig,
+    cache_server: CacheServerConfig,
+    trace_capacity: usize,
+    trace_slow_ms: u64,
+    family: String,
+    qubits: u32,
+    seed: u64,
+}
+
+/// Finds the subcommand `args` names, matches the rest against its table
+/// and resolves the settings, without touching the file system, the
+/// network or the process.
+fn parse(args: &[String]) -> Result<(&'static Command, Settings), CliError> {
+    let cmd = COMMANDS
+        .iter()
+        .find(|cmd| {
+            let mut words = cmd.name.split(' ').enumerate();
+            words.all(|(i, word)| args.get(i).is_some_and(|arg| arg == word))
+        })
+        .ok_or(CliError::Usage)?;
+    let mut values = HashMap::new();
+    let mut operands = Vec::new();
+    let mut rest = args[cmd.name.split(' ').count()..].iter();
+    while let Some(arg) = rest.next() {
+        match cmd.flags().find(|(name, _)| name == arg) {
+            Some((name, "")) => {
+                values.insert(name, String::new());
+            }
+            Some((name, _)) => {
+                let value = rest.next().ok_or(CliError::Usage)?;
+                values.insert(name, value.clone());
+            }
+            None if arg.starts_with("--") || cmd.operand.is_empty() => return Err(CliError::Usage),
+            None => operands.push(arg.clone()),
+        }
+    }
+    let many = cmd.operand.ends_with("...");
+    if !cmd.operand.is_empty() && (operands.is_empty() || operands.len() > 1 && !many) {
+        return Err(CliError::Usage);
+    }
+    if let Some((flag, _)) = cmd.required.iter().find(|(f, _)| !values.contains_key(f)) {
+        return Err(CliError::Fail(format!("{flag} is required")));
+    }
+    let m = Matches(values);
+    // The library keeps the segment cache off; the CLI turns it on
+    // (`--seg-cache-capacity 0` opts back out).
+    let mut service = ServiceConfig {
+        seg_cache_capacity: 4096,
+        ..ServiceConfig::default()
+    };
+    m.set("--workers", &mut service.workers)?;
+    m.set("--threads-per-job", &mut service.threads_per_job)?;
+    m.set("--cache-capacity", &mut service.cache_capacity)?;
+    m.set("--seg-cache-capacity", &mut service.seg_cache_capacity)?;
+    let mut net = EventedConfig::default();
+    m.set("--conn-threads", &mut net.loop_threads)?;
+    m.set("--rate-limit", &mut net.rate_limit)?;
+    m.set("--shed-queue-depth", &mut net.shed_queue_depth)?;
+    // `--max-conns` caps whichever server the subcommand runs.
+    let mut cache_server = CacheServerConfig::default();
+    if let Some(cap) = m.opt("--max-conns")? {
+        (net.max_conns, cache_server.max_conns) = (cap, cap);
+    }
+    let tier = m.0.get("--cache-tier").map(|name| name.parse());
+    let s = Settings {
+        operands,
+        omega: m.opt("--omega")?.unwrap_or(200),
+        oracle: m.opt("--oracle")?,
+        service,
+        tier: tier.transpose().map_err(CliError::Fail)?,
+        cache_dir: m.opt("--cache-dir")?,
+        cache_addr: m.opt("--cache-addr")?,
+        addr: m.opt("--addr")?,
+        out: m.opt("--out")?,
+        repeat: m.opt("--repeat")?.unwrap_or(1),
+        report: m.opt("--report")?,
+        json: m.0.contains_key("--json"),
+        verify: m.0.contains_key("--verify"),
+        quiet: m.0.contains_key("--quiet"),
+        chrome: m.0.contains_key("--chrome"),
+        log_level: m.opt("--log-level")?,
+        net,
+        cache_server,
+        trace_capacity: m.opt("--trace-capacity")?.unwrap_or(256),
+        trace_slow_ms: m.opt("--trace-slow-ms")?.unwrap_or(1000),
+        family: m.opt("--family")?.unwrap_or_default(),
+        qubits: m.opt("--qubits")?.unwrap_or_default(),
+        seed: m.opt("--seed")?.unwrap_or(42),
+    };
+    if s.net.max_conns == 0 {
+        return Err(CliError::Fail("--max-conns must be at least 1".into()));
+    }
+    if s.omega == 0 || s.repeat == 0 || s.net.loop_threads == 0 {
+        return Err(CliError::Usage);
+    }
+    Ok((cmd, s))
+}
+
+/// Prints the synopsis of every subcommand, generated from [`COMMANDS`]
+/// (required flags bare, the rest in brackets), and exits 2.
 fn usage() -> ! {
-    eprintln!(
-        "usage:\n  \
-         popqc optimize <FILE|DIR>... [--out DIR] [--omega N] [--oracle ID]\n           \
-         [--workers N] [--threads-per-job N] [--cache-capacity N]\n           \
-         [--seg-cache-capacity N]\n           \
-         [--cache-tier memory|disk|tiered|remote|null] [--cache-dir DIR]\n           \
-         [--cache-addr HOST:PORT]\n           \
-         [--repeat N] [--report FILE] [--json] [--verify] [--quiet]\n           \
-         [--log-level error|warn|info|debug]\n  \
-         popqc serve [--addr HOST:PORT] [--workers N] [--threads-per-job N]\n           \
-         [--omega N] [--oracle ID] [--cache-capacity N] [--seg-cache-capacity N]\n           \
-         [--conn-threads N] [--max-conns N]\n           \
-         [--rate-limit REQS_PER_SEC] [--shed-queue-depth N]\n           \
-         [--cache-tier memory|disk|tiered|remote|null]\n           \
-         [--cache-dir DIR] [--cache-addr HOST:PORT]\n           \
-         [--trace-capacity N] [--trace-slow-ms MS]\n           \
-         [--log-level error|warn|info|debug]\n  \
-         popqc trace <ID|last> [--addr HOST:PORT] [--chrome]\n  \
-         popqc cached [--addr HOST:PORT] --cache-dir DIR [--cache-tier disk|tiered]\n           \
-         [--cache-capacity N] [--max-conns N] [--log-level error|warn|info|debug]\n  \
-         popqc cache stats --cache-dir DIR\n  \
-         popqc cache clear --cache-dir DIR\n  \
-         popqc cache warm <FILE|DIR>... --cache-dir DIR [--omega N] [--oracle ID]\n           \
-         [--workers N] [--threads-per-job N]\n  \
-         popqc gen --family NAME --qubits N [--seed S] [--out FILE|DIR]\n  \
-         popqc oracles\n  \
-         popqc families"
-    );
+    let bare = |(name, value): Flag| format!("{name} {value}").trim_end().to_string();
+    let mut text = String::from("usage:");
+    for cmd in COMMANDS {
+        let mut line = format!("  popqc {}", bare((cmd.name, cmd.operand)));
+        let optional = cmd.groups.iter().copied().flatten();
+        let optional = optional.map(|&flag| format!("[{}]", bare(flag)));
+        for word in cmd.required.iter().map(|&flag| bare(flag)).chain(optional) {
+            if line.len() + word.len() >= 78 {
+                text = text + "\n" + &line;
+                line = " ".repeat(10);
+            }
+            line = line + " " + &word;
+        }
+        text = text + "\n" + &line;
+    }
+    eprintln!("{text}");
     std::process::exit(2);
 }
 
 fn fail(msg: impl std::fmt::Display) -> ! {
     eprintln!("popqc: error: {msg}");
     std::process::exit(1);
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match parse(&args) {
+        Ok((cmd, settings)) => (cmd.run)(settings),
+        Err(CliError::Usage) => usage(),
+        Err(CliError::Fail(msg)) => fail(msg),
+    }
 }
 
 /// Installs the log filter: the `--log-level` spec when given (a bare
@@ -139,48 +338,23 @@ fn apply_log_filter(flag: Option<&str>) {
     .unwrap_or_else(|e| fail(e));
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("optimize") => cmd_optimize(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("trace") => cmd_trace(&args[1..]),
-        Some("cached") => cmd_cached(&args[1..]),
-        Some("cache") => cmd_cache(&args[1..]),
-        Some("gen") => cmd_gen(&args[1..]),
-        Some("oracles") => cmd_oracles(),
-        Some("families") => cmd_families(),
-        _ => usage(),
-    }
-}
-
 /// Resolves `--cache-tier`/`--cache-dir`/`--cache-addr` into a built
 /// store. An explicit `--cache-dir` without a tier implies `tiered` over
 /// disk (the obvious intent: memory-speed hits backed by
 /// restart-surviving disk), and a bare `--cache-addr` likewise implies
 /// `tiered` over remote. Every misconfiguration is a diagnostic and exit
-/// 1, never a panic or a silent ignore: unknown tier names, a persistent
-/// tier without a directory, a remote tier without an address, and a
-/// directory or address paired with a tier that cannot use it (the user
-/// asked for something they would not get).
-fn build_cli_store(
-    tier: Option<&str>,
-    dir: Option<&std::path::Path>,
-    addr: Option<&str>,
-    capacity: usize,
-    shards: usize,
-) -> std::sync::Arc<dyn ResultStore> {
-    let tier: StoreTier = match tier {
-        Some(name) => name.parse().unwrap_or_else(|e: String| fail(e)),
+/// 1, never a panic or a silent ignore: a persistent tier without a
+/// directory, a remote tier without an address, and a directory or
+/// address paired with a tier that cannot use it (the user asked for
+/// something they would not get).
+fn build_cli_store(s: &Settings) -> std::sync::Arc<dyn ResultStore> {
+    let (dir, addr) = (s.cache_dir.as_deref(), s.cache_addr.as_deref());
+    let tier = match s.tier {
+        Some(tier) => tier,
         None if dir.is_some() || addr.is_some() => StoreTier::Tiered,
         None => StoreTier::Memory,
     };
-    if dir.is_some()
-        && matches!(
-            tier,
-            StoreTier::Memory | StoreTier::Null | StoreTier::Remote
-        )
-    {
+    if dir.is_some() && !matches!(tier, StoreTier::Disk | StoreTier::Tiered) {
         fail(format!(
             "cache tier `{tier}` does not persist to --cache-dir (use `disk` or `tiered`, \
              or drop --cache-dir)"
@@ -192,91 +366,45 @@ fn build_cli_store(
              or drop --cache-addr)"
         ));
     }
-    build_store(tier, dir, addr, capacity, shards).unwrap_or_else(|e| fail(e))
+    build_store(tier, dir, addr, s.service.cache_capacity, CACHE_SHARDS).unwrap_or_else(|e| fail(e))
 }
 
-fn cmd_families() -> ExitCode {
+/// The service the engine and store groups describe: the built-in
+/// registry with `--oracle` as its default, over the store
+/// [`build_cli_store`] resolves. Unknown oracle ids fail with the
+/// available list.
+fn build_service(s: &Settings) -> OptimizationService {
+    let mut registry = OracleRegistry::builtin();
+    if let Some(id) = &s.oracle {
+        registry
+            .set_default(id)
+            .unwrap_or_else(|e| fail(format!("{e}; see `popqc oracles`")));
+    }
+    OptimizationService::with_store(registry, s.service.clone(), build_cli_store(s))
+}
+
+fn cmd_families(_: Settings) -> ExitCode {
     for f in Family::ALL {
         println!("{}", f.name().to_lowercase());
     }
     ExitCode::SUCCESS
 }
 
-fn cmd_oracles() -> ExitCode {
+fn cmd_oracles(_: Settings) -> ExitCode {
     for info in OracleRegistry::builtin().infos() {
-        println!(
-            "{}{}  {}",
-            info.id,
-            if info.default { " (default)" } else { "" },
-            info.description
-        );
+        let mark = if info.default { " (default)" } else { "" };
+        println!("{}{mark}  {}", info.id, info.description);
     }
     ExitCode::SUCCESS
 }
 
-/// The built-in registry with `--oracle` applied as the default id.
-/// Accepts the legacy spellings `rule` and `rule-fixpoint` for
-/// `rule_based`. Unknown ids fail with the available list.
-fn registry_with_default(oracle: &str) -> OracleRegistry {
-    let canonical = match oracle {
-        "rule" | "rule-fixpoint" => "rule_based",
-        other => other,
-    };
-    let mut registry = OracleRegistry::builtin();
-    registry
-        .set_default(canonical)
-        .unwrap_or_else(|e| fail(format!("{e}; see `popqc oracles`")));
-    registry
-}
-
-fn parse_family(name: &str) -> Family {
-    Family::ALL
-        .into_iter()
-        .find(|f| f.name().eq_ignore_ascii_case(name))
-        .unwrap_or_else(|| {
-            fail(format!(
-                "unknown family `{name}` (see `popqc families` for the list)"
-            ))
-        })
-}
-
-fn parse_num<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> T {
-    let Some(v) = value else {
-        fail(format!("{flag} requires a value"));
-    };
-    v.parse()
-        .unwrap_or_else(|_| fail(format!("cannot parse {flag} value `{v}`")))
-}
-
-fn cmd_gen(args: &[String]) -> ExitCode {
-    let mut family: Option<Family> = None;
-    let mut qubits: Option<u32> = None;
-    let mut seed: u64 = 42;
-    let mut out: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--family" => {
-                family = Some(parse_family(args.get(i + 1).unwrap_or_else(|| usage())));
-                i += 2;
-            }
-            "--qubits" => {
-                qubits = Some(parse_num("--qubits", args.get(i + 1)));
-                i += 2;
-            }
-            "--seed" => {
-                seed = parse_num("--seed", args.get(i + 1));
-                i += 2;
-            }
-            "--out" => {
-                out = Some(PathBuf::from(args.get(i + 1).unwrap_or_else(|| usage())));
-                i += 2;
-            }
-            _ => usage(),
-        }
-    }
-    let (Some(family), Some(qubits)) = (family, qubits) else {
-        usage();
+fn cmd_gen(s: Settings) -> ExitCode {
+    let (name, qubits, seed) = (&s.family, s.qubits, s.seed);
+    let named = |family: &Family| family.name().eq_ignore_ascii_case(name);
+    let Some(family) = Family::ALL.into_iter().find(named) else {
+        fail(format!(
+            "unknown family `{name}` (see `popqc families` for the list)"
+        ));
     };
     if qubits < family.min_qubits() {
         fail(format!(
@@ -287,10 +415,8 @@ fn cmd_gen(args: &[String]) -> ExitCode {
     }
     let circuit = family.generate(qubits, seed);
     let qasm = popqc::ir::qasm::to_qasm(&circuit);
-    match out {
-        None => {
-            print!("{qasm}");
-        }
+    match s.out {
+        None => print!("{qasm}"),
         Some(path) => {
             let path = if path.is_dir() {
                 path.join(format!(
@@ -313,142 +439,29 @@ fn cmd_gen(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_serve(args: &[String]) -> ExitCode {
-    let mut addr = "127.0.0.1:7878".to_string();
-    let mut omega: usize = 200;
-    let mut oracle = "rule_based".to_string();
-    // The library default keeps the segment cache off; the CLI turns it
-    // on (`--seg-cache-capacity 0` opts back out).
-    let mut svc_cfg = ServiceConfig {
-        seg_cache_capacity: 4096,
-        ..ServiceConfig::default()
-    };
-    let mut net_cfg = popqc::http::EventedConfig::default();
-    let mut cache_tier: Option<String> = None;
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut cache_addr: Option<String> = None;
-    let mut trace_capacity: usize = 256;
-    let mut trace_slow_ms: u64 = 1000;
-    let mut log_level: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--log-level" => {
-                log_level = Some(args.get(i + 1).unwrap_or_else(|| usage()).clone());
-                i += 2;
-            }
-            "--trace-capacity" => {
-                trace_capacity = parse_num("--trace-capacity", args.get(i + 1));
-                i += 2;
-            }
-            "--trace-slow-ms" => {
-                trace_slow_ms = parse_num("--trace-slow-ms", args.get(i + 1));
-                i += 2;
-            }
-            "--cache-tier" => {
-                cache_tier = Some(args.get(i + 1).unwrap_or_else(|| usage()).clone());
-                i += 2;
-            }
-            "--cache-dir" => {
-                cache_dir = Some(PathBuf::from(args.get(i + 1).unwrap_or_else(|| usage())));
-                i += 2;
-            }
-            "--cache-addr" => {
-                cache_addr = Some(args.get(i + 1).unwrap_or_else(|| usage()).clone());
-                i += 2;
-            }
-            "--addr" => {
-                addr = args.get(i + 1).unwrap_or_else(|| usage()).clone();
-                i += 2;
-            }
-            "--workers" => {
-                svc_cfg.workers = parse_num("--workers", args.get(i + 1));
-                i += 2;
-            }
-            "--threads-per-job" => {
-                svc_cfg.threads_per_job = parse_num("--threads-per-job", args.get(i + 1));
-                i += 2;
-            }
-            "--cache-capacity" => {
-                svc_cfg.cache_capacity = parse_num("--cache-capacity", args.get(i + 1));
-                i += 2;
-            }
-            "--seg-cache-capacity" => {
-                svc_cfg.seg_cache_capacity = parse_num("--seg-cache-capacity", args.get(i + 1));
-                i += 2;
-            }
-            "--conn-threads" => {
-                net_cfg.loop_threads = parse_num("--conn-threads", args.get(i + 1));
-                i += 2;
-            }
-            "--max-conns" => {
-                net_cfg.max_conns = parse_num("--max-conns", args.get(i + 1));
-                i += 2;
-            }
-            "--rate-limit" => {
-                let v = args.get(i + 1).unwrap_or_else(|| usage());
-                net_cfg.rate_limit = v.parse::<f64>().unwrap_or_else(|_| {
-                    fail(format!("bad --rate-limit `{v}` (need requests/second)"))
-                });
-                i += 2;
-            }
-            "--shed-queue-depth" => {
-                net_cfg.shed_queue_depth = parse_num("--shed-queue-depth", args.get(i + 1));
-                i += 2;
-            }
-            "--omega" => {
-                omega = parse_num("--omega", args.get(i + 1));
-                i += 2;
-            }
-            "--oracle" => {
-                oracle = args.get(i + 1).unwrap_or_else(|| usage()).clone();
-                i += 2;
-            }
-            _ => usage(),
-        }
-    }
-    if omega == 0 || net_cfg.loop_threads == 0 {
-        usage();
-    }
+fn cmd_serve(s: Settings) -> ExitCode {
     // The filter must be live before the service spins up so startup
     // events (and worker logs) already respect it.
-    apply_log_filter(log_level.as_deref());
+    apply_log_filter(s.log_level.as_deref());
     // Tracer config before the first request can start a trace.
-    qobs::trace::configure(
-        trace_capacity,
-        std::time::Duration::from_millis(trace_slow_ms),
-        16,
-    );
+    let slow = std::time::Duration::from_millis(s.trace_slow_ms);
+    qobs::trace::configure(s.trace_capacity, slow, 16);
 
     // One dynamically dispatched service over the whole registry: every
     // oracle stays selectable per request, `--oracle` only picks the
     // default for requests that name none. The result store is the one
     // seam `--cache-tier` swaps; nothing else changes between memory,
     // disk, and tiered deployments.
-    let store = build_cli_store(
-        cache_tier.as_deref(),
-        cache_dir.as_deref(),
-        cache_addr.as_deref(),
-        svc_cfg.cache_capacity,
-        svc_cfg.cache_shards,
-    );
-    let backend = store.stats().backend;
-    let seg_cache_capacity = svc_cfg.seg_cache_capacity;
-    let svc = OptimizationService::with_store(registry_with_default(&oracle), svc_cfg, store);
-    let workers = svc.workers();
-    let threads_per_job = svc.threads_per_job();
-    let oracle_ids = svc
-        .registry()
-        .ids()
-        .iter()
-        .map(|s| s.to_string())
-        .collect::<Vec<_>>()
-        .join(", ");
+    let svc = build_service(&s);
+    let backend = svc.store().stats().backend;
+    let (workers, threads_per_job) = (svc.workers(), svc.threads_per_job());
+    let oracle_ids = svc.registry().ids().join(", ");
     let default_oracle = svc.registry().default_id().to_string();
-    let state = std::sync::Arc::new(popqc::http::AppState::new(svc, omega));
+    let (addr, net) = (s.addr.as_deref().unwrap_or(SERVE_ADDR), &s.net);
+    let state = std::sync::Arc::new(popqc::http::AppState::new(svc, s.omega));
     // The server stays alive until the process dies (dropping it shuts it
     // down).
-    let server = popqc::http::EventedServer::serve(&addr, state, net_cfg.clone())
+    let server = popqc::http::EventedServer::serve(addr, state, net.clone())
         .unwrap_or_else(|e| fail(format!("cannot bind {addr}: {e}")));
     // The address stays an unquoted `addr=http://…` value so scripts (and
     // the CLI tests) can still extract the resolved ephemeral port by
@@ -460,14 +473,14 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         frontend = "evented",
         workers = workers,
         threads_per_job = threads_per_job,
-        omega = omega
+        omega = s.omega
     );
     qobs::log_info!(
         target: "popqc::serve",
         "admission control",
-        max_conns = net_cfg.max_conns,
-        rate_limit = net_cfg.rate_limit,
-        shed_queue_depth = net_cfg.shed_queue_depth
+        max_conns = net.max_conns,
+        rate_limit = net.rate_limit,
+        shed_queue_depth = net.shed_queue_depth
     );
     qobs::log_info!(
         target: "popqc::serve",
@@ -475,7 +488,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         available = oracle_ids,
         default = default_oracle
     );
-    match (&cache_dir, &cache_addr) {
+    match (&s.cache_dir, &s.cache_addr) {
         (Some(dir), _) => qobs::log_info!(
             target: "popqc::serve",
             "result store",
@@ -490,17 +503,17 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         ),
         (None, None) => qobs::log_info!(target: "popqc::serve", "result store", backend = backend),
     }
-    match seg_cache_capacity {
+    match s.service.seg_cache_capacity {
         0 => qobs::log_info!(target: "popqc::serve", "segment cache", state = "disabled"),
         cap => qobs::log_info!(target: "popqc::serve", "segment cache", capacity = cap),
     }
-    match trace_capacity {
+    match s.trace_capacity {
         0 => qobs::log_info!(target: "popqc::serve", "tracing", state = "disabled"),
         cap => qobs::log_info!(
             target: "popqc::serve",
             "tracing",
             capacity = cap,
-            slow_ms = trace_slow_ms
+            slow_ms = s.trace_slow_ms
         ),
     }
     qobs::log_info!(
@@ -552,32 +565,10 @@ fn http_get(addr: &str, path: &str) -> (u16, String) {
 /// `popqc trace <ID|last>` — fetches one kept trace from a running
 /// server and prints its span tree (or, with `--chrome`, the Chrome
 /// `trace_event` JSON on stdout, ready for chrome://tracing).
-fn cmd_trace(args: &[String]) -> ExitCode {
-    let mut addr = "127.0.0.1:7878".to_string();
-    let mut chrome = false;
-    let mut target: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => {
-                addr = args.get(i + 1).unwrap_or_else(|| usage()).clone();
-                i += 2;
-            }
-            "--chrome" => {
-                chrome = true;
-                i += 1;
-            }
-            flag if flag.starts_with("--") => usage(),
-            id if target.is_none() => {
-                target = Some(id.to_string());
-                i += 1;
-            }
-            _ => usage(),
-        }
-    }
-    let Some(target) = target else { usage() };
-    let id = if target == "last" {
-        let (status, body) = http_get(&addr, "/v1/traces?limit=1");
+fn cmd_trace(s: Settings) -> ExitCode {
+    let (addr, chrome) = (s.addr.as_deref().unwrap_or(SERVE_ADDR), s.chrome);
+    let id = if s.operands[0] == "last" {
+        let (status, body) = http_get(addr, "/v1/traces?limit=1");
         if status != 200 {
             fail(format!("GET /v1/traces answered {status}"));
         }
@@ -593,14 +584,11 @@ fn cmd_trace(args: &[String]) -> ExitCode {
             ),
         }
     } else {
-        target
+        s.operands[0].clone()
     };
-    let path = if chrome {
-        format!("/v1/traces/{id}?format=chrome")
-    } else {
-        format!("/v1/traces/{id}")
-    };
-    let (status, body) = http_get(&addr, &path);
+    let format = if chrome { "?format=chrome" } else { "" };
+    let path = format!("/v1/traces/{id}{format}");
+    let (status, body) = http_get(addr, &path);
     match status {
         200 => {}
         404 => fail(format!(
@@ -619,18 +607,17 @@ fn cmd_trace(args: &[String]) -> ExitCode {
     let report = popqc::api::TraceReport::from_json(&doc)
         .unwrap_or_else(|e| fail(format!("cannot parse trace report: {e}")));
     let ms = |nanos: u64| nanos as f64 / 1e6;
+    let dropped = match report.dropped_spans {
+        0 => String::new(),
+        n => format!(" (+{n} dropped)"),
+    };
     println!(
-        "trace {} status={} kept={} duration={:.3}ms spans={}{}",
+        "trace {} status={} kept={} duration={:.3}ms spans={}{dropped}",
         report.trace_id,
         report.status,
         report.sampled_because,
         ms(report.duration_nanos),
         report.spans.len(),
-        if report.dropped_spans > 0 {
-            format!(" (+{} dropped)", report.dropped_spans)
-        } else {
-            String::new()
-        }
     );
     println!(
         "split: queue={:.3}ms engine={:.3}ms oracle={:.3}ms store={:.3}ms",
@@ -681,65 +668,26 @@ fn print_span_tree(spans: &[popqc::api::TraceSpan], parent: u64, depth: usize) {
 /// serves straight from the files). Replicas point `--cache-addr` here;
 /// the tagged entry encoding lets this process refuse stale writes from
 /// replicas running an older store format or oracle version.
-fn cmd_cached(args: &[String]) -> ExitCode {
-    let mut addr = "127.0.0.1:7979".to_string();
-    let mut cache_tier: Option<String> = None;
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut cache_capacity: usize = 1024;
-    let mut server_cfg = CacheServerConfig::default();
-    let mut log_level: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => {
-                addr = args.get(i + 1).unwrap_or_else(|| usage()).clone();
-                i += 2;
-            }
-            "--cache-tier" => {
-                cache_tier = Some(args.get(i + 1).unwrap_or_else(|| usage()).clone());
-                i += 2;
-            }
-            "--cache-dir" => {
-                cache_dir = Some(PathBuf::from(args.get(i + 1).unwrap_or_else(|| usage())));
-                i += 2;
-            }
-            "--cache-capacity" => {
-                cache_capacity = parse_num("--cache-capacity", args.get(i + 1));
-                i += 2;
-            }
-            "--max-conns" => {
-                server_cfg.max_conns = parse_num("--max-conns", args.get(i + 1));
-                i += 2;
-            }
-            "--log-level" => {
-                log_level = Some(args.get(i + 1).unwrap_or_else(|| usage()).clone());
-                i += 2;
-            }
-            _ => usage(),
-        }
-    }
-    apply_log_filter(log_level.as_deref());
-    let Some(cache_dir) = cache_dir else {
-        fail("--cache-dir is required (the cache server is the fleet's persistent tier)");
-    };
+fn cmd_cached(s: Settings) -> ExitCode {
+    apply_log_filter(s.log_level.as_deref());
     // The server *is* the authoritative tier, so it must persist: only
     // disk-backed tiers make sense here (serving `remote` would chain
     // cache servers, and `memory` would silently drop the fleet's
     // warmth on restart).
-    let tier: StoreTier = match cache_tier.as_deref() {
-        None => StoreTier::Tiered,
-        Some(name) => match name.parse().unwrap_or_else(|e: String| fail(e)) {
-            t @ (StoreTier::Disk | StoreTier::Tiered) => t,
-            t => fail(format!(
-                "cache tier `{t}` cannot back a cache server (use `disk` or `tiered`)"
-            )),
-        },
-    };
-    let store =
-        build_store(tier, Some(&cache_dir), None, cache_capacity, 0).unwrap_or_else(|e| fail(e));
+    let tier = s.tier.unwrap_or(StoreTier::Tiered);
+    if !matches!(tier, StoreTier::Disk | StoreTier::Tiered) {
+        fail(format!(
+            "cache tier `{tier}` cannot back a cache server (use `disk` or `tiered`)"
+        ));
+    }
+    let cache_dir = s.cache_dir.as_deref().expect("--cache-dir is required");
+    let capacity = s.service.cache_capacity;
+    let store = build_store(tier, Some(cache_dir), None, capacity, CACHE_SHARDS)
+        .unwrap_or_else(|e| fail(e));
     let backend = store.stats().backend;
     let entries = store.len();
-    let server = CacheServer::serve(&addr, store, server_cfg)
+    let addr = s.addr.as_deref().unwrap_or("127.0.0.1:7979");
+    let server = CacheServer::serve(addr, store, s.cache_server.clone())
         .unwrap_or_else(|e| fail(format!("cannot bind {addr}: {e}")));
     // Like `serve`, the address stays an unquoted `addr=…` value so
     // scripts can grep the resolved ephemeral port from stderr.
@@ -757,46 +705,19 @@ fn cmd_cached(args: &[String]) -> ExitCode {
     }
 }
 
-/// `popqc cache {stats,clear,warm}` — admin access to the *persistent*
-/// tier. `stats` and `clear` open the disk store at `--cache-dir`
-/// directly (the memory tiers of running services are per-process and
-/// reachable over `GET /v1/cache` instead); `warm` pre-populates the disk
-/// tier by optimizing a directory of circuits through a service backed by
-/// it.
-fn cmd_cache(args: &[String]) -> ExitCode {
-    match args.first().map(String::as_str) {
-        Some("stats") => cmd_cache_stats(&args[1..]),
-        Some("clear") => cmd_cache_clear(&args[1..]),
-        Some("warm") => cmd_cache_warm(&args[1..]),
-        _ => usage(),
-    }
-}
-
-/// Parses the one flag `stats`/`clear` take and opens the disk store.
-fn open_disk_store(args: &[String]) -> DiskStore {
-    let mut dir: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--cache-dir" => {
-                dir = Some(PathBuf::from(args.get(i + 1).unwrap_or_else(|| usage())));
-                i += 2;
-            }
-            _ => usage(),
-        }
-    }
-    let Some(dir) = dir else {
-        fail("--cache-dir is required");
-    };
+/// `popqc cache {stats,clear}` open the disk store at `--cache-dir`
+/// directly: the memory tiers of running services are per-process and
+/// reachable over `GET /v1/cache` instead.
+fn open_disk_store(s: &Settings) -> DiskStore {
+    let dir = s.cache_dir.as_deref().expect("--cache-dir is required");
     if !dir.is_dir() {
         fail(format!("cache dir {} does not exist", dir.display()));
     }
-    DiskStore::open(&dir).unwrap_or_else(|e| fail(format!("cannot open {}: {e}", dir.display())))
+    DiskStore::open(dir).unwrap_or_else(|e| fail(format!("cannot open {}: {e}", dir.display())))
 }
 
-fn cmd_cache_stats(args: &[String]) -> ExitCode {
-    let store = open_disk_store(args);
-    let report = cache_report(&store.stats());
+fn cmd_cache_stats(s: Settings) -> ExitCode {
+    let report = cache_report(&open_disk_store(&s).stats());
     // Human-readable summary on stderr; stdout stays the machine-parsable
     // JSON document (scripts pipe it), same split as the log lines.
     eprintln!(
@@ -820,12 +741,10 @@ fn cmd_cache_stats(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_cache_clear(args: &[String]) -> ExitCode {
-    let store = open_disk_store(args);
-    let removed = ResultStore::clear(&store);
+fn cmd_cache_clear(s: Settings) -> ExitCode {
     let doc = popqc::api::CacheClearResponse {
         cleared: true,
-        entries_removed: removed,
+        entries_removed: ResultStore::clear(&open_disk_store(&s)),
     };
     println!(
         "{}",
@@ -834,78 +753,29 @@ fn cmd_cache_clear(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_cache_warm(args: &[String]) -> ExitCode {
-    let mut inputs: Vec<PathBuf> = Vec::new();
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut omega: usize = 200;
-    let mut oracle = "rule_based".to_string();
-    let mut svc_cfg = ServiceConfig::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--cache-dir" => {
-                cache_dir = Some(PathBuf::from(args.get(i + 1).unwrap_or_else(|| usage())));
-                i += 2;
-            }
-            "--omega" => {
-                omega = parse_num("--omega", args.get(i + 1));
-                i += 2;
-            }
-            "--oracle" => {
-                oracle = args.get(i + 1).unwrap_or_else(|| usage()).clone();
-                i += 2;
-            }
-            "--workers" => {
-                svc_cfg.workers = parse_num("--workers", args.get(i + 1));
-                i += 2;
-            }
-            "--threads-per-job" => {
-                svc_cfg.threads_per_job = parse_num("--threads-per-job", args.get(i + 1));
-                i += 2;
-            }
-            flag if flag.starts_with("--") => usage(),
-            path => {
-                inputs.push(PathBuf::from(path));
-                i += 1;
-            }
-        }
-    }
-    if inputs.is_empty() || omega == 0 {
-        usage();
-    }
-    let Some(cache_dir) = cache_dir else {
-        fail("--cache-dir is required");
-    };
-
-    let files = collect_qasm_files(&inputs);
-    let mut circuits = Vec::new();
-    for path in &files {
-        let src = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| fail(format!("cannot read {}: {e}", path.display())));
-        circuits.push(
-            popqc::ir::qasm::parse(&src)
-                .unwrap_or_else(|e| fail(format!("{}: {e}", path.display()))),
-        );
-    }
-
+/// `popqc cache warm` pre-populates the disk tier by optimizing circuits
+/// through a service backed by it.
+fn cmd_cache_warm(mut s: Settings) -> ExitCode {
+    let files = collect_qasm_files(&s.operands);
+    let circuits = read_circuits(&files);
     // Warm straight into the persistent tier: disk-only, so every entry
     // lands in the directory (a memory front would only help this
     // short-lived process).
-    let store =
-        build_store(StoreTier::Disk, Some(&cache_dir), None, 0, 0).unwrap_or_else(|e| fail(e));
-    let svc = OptimizationService::with_store(registry_with_default(&oracle), svc_cfg, store);
+    s.tier = Some(StoreTier::Disk);
+    let svc = build_service(&s);
     let batch = svc
-        .submit_batch(circuits, &PopqcConfig::with_omega(omega))
+        .submit_batch(circuits, &PopqcConfig::with_omega(s.omega))
         .wait();
     for (path, result) in files.iter().zip(&batch.results) {
         if let Some(err) = &result.error {
             fail(format!("{}: {err}", path.display()));
         }
     }
+    let dir = s.cache_dir.as_deref().expect("--cache-dir is required");
     eprintln!(
         "warmed {} circuits into {} ({} oracle calls, {} already cached)",
         batch.results.len(),
-        cache_dir.display(),
+        dir.display(),
         batch.oracle_calls_issued(),
         batch.cache_hits(),
     );
@@ -917,132 +787,10 @@ fn cmd_cache_warm(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-struct OptimizeOpts {
-    inputs: Vec<PathBuf>,
-    out_dir: Option<PathBuf>,
-    omega: usize,
-    oracle: String,
-    workers: usize,
-    threads_per_job: usize,
-    cache_capacity: usize,
-    seg_cache_capacity: usize,
-    cache_tier: Option<String>,
-    cache_dir: Option<PathBuf>,
-    cache_addr: Option<String>,
-    repeat: usize,
-    report: Option<PathBuf>,
-    json: bool,
-    verify: bool,
-    quiet: bool,
-    log_level: Option<String>,
-}
-
-fn parse_optimize_opts(args: &[String]) -> OptimizeOpts {
-    let mut o = OptimizeOpts {
-        inputs: Vec::new(),
-        out_dir: None,
-        omega: 200,
-        oracle: "rule_based".to_string(),
-        workers: 0,
-        threads_per_job: 0,
-        cache_capacity: 1024,
-        // On by default at the CLI surface (the library default is off);
-        // `--seg-cache-capacity 0` opts out.
-        seg_cache_capacity: 4096,
-        cache_tier: None,
-        cache_dir: None,
-        cache_addr: None,
-        repeat: 1,
-        report: None,
-        json: false,
-        verify: false,
-        quiet: false,
-        log_level: None,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--log-level" => {
-                o.log_level = Some(args.get(i + 1).unwrap_or_else(|| usage()).clone());
-                i += 2;
-            }
-            "--out" => {
-                o.out_dir = Some(PathBuf::from(args.get(i + 1).unwrap_or_else(|| usage())));
-                i += 2;
-            }
-            "--omega" => {
-                o.omega = parse_num("--omega", args.get(i + 1));
-                i += 2;
-            }
-            "--oracle" => {
-                o.oracle = args.get(i + 1).unwrap_or_else(|| usage()).clone();
-                i += 2;
-            }
-            "--workers" => {
-                o.workers = parse_num("--workers", args.get(i + 1));
-                i += 2;
-            }
-            "--threads-per-job" => {
-                o.threads_per_job = parse_num("--threads-per-job", args.get(i + 1));
-                i += 2;
-            }
-            "--cache-capacity" => {
-                o.cache_capacity = parse_num("--cache-capacity", args.get(i + 1));
-                i += 2;
-            }
-            "--seg-cache-capacity" => {
-                o.seg_cache_capacity = parse_num("--seg-cache-capacity", args.get(i + 1));
-                i += 2;
-            }
-            "--cache-tier" => {
-                o.cache_tier = Some(args.get(i + 1).unwrap_or_else(|| usage()).clone());
-                i += 2;
-            }
-            "--cache-dir" => {
-                o.cache_dir = Some(PathBuf::from(args.get(i + 1).unwrap_or_else(|| usage())));
-                i += 2;
-            }
-            "--cache-addr" => {
-                o.cache_addr = Some(args.get(i + 1).unwrap_or_else(|| usage()).clone());
-                i += 2;
-            }
-            "--repeat" => {
-                o.repeat = parse_num("--repeat", args.get(i + 1));
-                i += 2;
-            }
-            "--report" => {
-                o.report = Some(PathBuf::from(args.get(i + 1).unwrap_or_else(|| usage())));
-                i += 2;
-            }
-            "--json" => {
-                o.json = true;
-                i += 1;
-            }
-            "--verify" => {
-                o.verify = true;
-                i += 1;
-            }
-            "--quiet" => {
-                o.quiet = true;
-                i += 1;
-            }
-            flag if flag.starts_with("--") => usage(),
-            path => {
-                o.inputs.push(PathBuf::from(path));
-                i += 1;
-            }
-        }
-    }
-    if o.inputs.is_empty() || o.omega == 0 || o.repeat == 0 {
-        usage();
-    }
-    o
-}
-
 /// Expands files/directories into a sorted list of `.qasm` files.
-fn collect_qasm_files(inputs: &[PathBuf]) -> Vec<PathBuf> {
+fn collect_qasm_files(inputs: &[String]) -> Vec<PathBuf> {
     let mut files = Vec::new();
-    for input in inputs {
+    for input in inputs.iter().map(Path::new) {
         if input.is_dir() {
             let entries = std::fs::read_dir(input)
                 .unwrap_or_else(|e| fail(format!("cannot read {}: {e}", input.display())));
@@ -1055,7 +803,7 @@ fn collect_qasm_files(inputs: &[PathBuf]) -> Vec<PathBuf> {
                 }
             }
         } else {
-            files.push(input.clone());
+            files.push(input.to_path_buf());
         }
     }
     files.sort();
@@ -1066,93 +814,51 @@ fn collect_qasm_files(inputs: &[PathBuf]) -> Vec<PathBuf> {
     files
 }
 
-fn cmd_optimize(args: &[String]) -> ExitCode {
-    let opts = parse_optimize_opts(args);
-    apply_log_filter(opts.log_level.as_deref());
-    let files = collect_qasm_files(&opts.inputs);
+/// Parses every file up front, so a malformed one fails fast, named.
+fn read_circuits(files: &[PathBuf]) -> Vec<Circuit> {
+    let read = |path: &PathBuf| {
+        let src = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| fail(format!("cannot read {}: {e}", path.display())));
+        popqc::ir::qasm::parse(&src).unwrap_or_else(|e| fail(format!("{}: {e}", path.display())))
+    };
+    files.iter().map(read).collect()
+}
+
+fn cmd_optimize(s: Settings) -> ExitCode {
+    apply_log_filter(s.log_level.as_deref());
+    let files = collect_qasm_files(&s.operands);
 
     // Outputs are written under --out by basename; two inputs sharing one
     // would silently clobber each other, so reject that up front.
-    if opts.out_dir.is_some() {
-        let mut names = std::collections::HashSet::new();
-        for path in &files {
-            let name = path
-                .file_name()
-                .map(|n| n.to_os_string())
-                .unwrap_or_default();
-            if !names.insert(name.clone()) {
-                fail(format!(
-                    "two inputs share the file name `{}`; outputs under --out would \
-                     overwrite each other (rename one or run separate batches)",
-                    name.to_string_lossy()
-                ));
-            }
+    if s.out.is_some() {
+        let mut seen = std::collections::HashSet::new();
+        let mut names = files.iter().filter_map(|path| path.file_name());
+        if let Some(name) = names.find(|name| !seen.insert(*name)) {
+            fail(format!(
+                "two inputs share the file name `{}`; outputs under --out would \
+                 overwrite each other (rename one or run separate batches)",
+                name.to_string_lossy()
+            ));
         }
     }
-
-    // Parse every input up front so a malformed file fails fast.
-    let mut labels = Vec::new();
-    let mut circuits = Vec::new();
-    for path in &files {
-        let src = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| fail(format!("cannot read {}: {e}", path.display())));
-        let circuit = popqc::ir::qasm::parse(&src)
-            .unwrap_or_else(|e| fail(format!("{}: {e}", path.display())));
-        labels.push(
-            path.file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_else(|| path.display().to_string()),
-        );
-        circuits.push(circuit);
-    }
-
-    let cfg = PopqcConfig::with_omega(opts.omega);
-    let svc_cfg = ServiceConfig {
-        workers: opts.workers,
-        threads_per_job: opts.threads_per_job,
-        cache_capacity: opts.cache_capacity,
-        seg_cache_capacity: opts.seg_cache_capacity,
-        ..ServiceConfig::default()
+    let circuits = read_circuits(&files);
+    let label = |path: &PathBuf| match path.file_name() {
+        Some(name) => name.to_string_lossy().into_owned(),
+        None => path.display().to_string(),
     };
+    let labels: Vec<String> = files.iter().map(label).collect();
 
     // One dynamically dispatched service; the oracle is a per-request
     // registry id, with `--oracle` applied as the default, and the result
     // store chosen by `--cache-tier`/`--cache-dir` (a disk or tiered
     // store makes `--repeat`-style warm passes survive across runs).
-    let store = build_cli_store(
-        opts.cache_tier.as_deref(),
-        opts.cache_dir.as_deref(),
-        opts.cache_addr.as_deref(),
-        svc_cfg.cache_capacity,
-        svc_cfg.cache_shards,
-    );
-    let svc = OptimizationService::with_store(registry_with_default(&opts.oracle), svc_cfg, store);
-    let report = run_batches(svc, &labels, &circuits, &cfg, &opts, &files);
-
-    if let Some(report_path) = &opts.report {
-        let text = serde_json::to_string_pretty(&report.to_json()).expect("serialize report");
-        std::fs::write(report_path, text)
-            .unwrap_or_else(|e| fail(format!("cannot write {}: {e}", report_path.display())));
-        if !opts.quiet {
-            eprintln!("report written to {}", report_path.display());
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-fn run_batches(
-    svc: OptimizationService,
-    labels: &[String],
-    circuits: &[Circuit],
-    cfg: &PopqcConfig,
-    opts: &OptimizeOpts,
-    files: &[PathBuf],
-) -> popqc::api::ServiceReport {
+    let svc = build_service(&s);
+    let cfg = PopqcConfig::with_omega(s.omega);
     let mut passes = Vec::new();
     let mut last: Option<BatchResult> = None;
-    for pass in 1..=opts.repeat {
-        let batch = svc.submit_batch(circuits.iter().cloned(), cfg).wait();
-        if !opts.quiet {
+    for pass in 1..=s.repeat {
+        let batch = svc.submit_batch(circuits.iter().cloned(), &cfg).wait();
+        if !s.quiet {
             let (gates_in, gates_out) = batch.gate_totals();
             eprintln!(
                 "pass {pass}: {} jobs in {:.3}s ({:.1} jobs/s) — {} cache hits, \
@@ -1166,7 +872,7 @@ fn run_batches(
                 gates_out,
             );
         }
-        passes.push(batch_report(labels, &batch, pass, false));
+        passes.push(batch_report(&labels, &batch, pass, false));
         last = Some(batch);
     }
     let batch = last.expect("at least one pass");
@@ -1174,7 +880,7 @@ fn run_batches(
     // `--json`: one JobStatus document per job on stdout — the identical
     // DTO (same adapter, same serializer) the HTTP frontend answers with
     // for the same job, ids assigned in submission order like the server.
-    if opts.json {
+    if s.json {
         for (i, (label, result)) in labels.iter().zip(&batch.results).enumerate() {
             let doc = job_status(i as u64 + 1, Some(label), result.stats.rounds, Some(result));
             println!(
@@ -1194,7 +900,7 @@ fn run_batches(
     }
 
     // Write optimized QASM under --out, preserving file names.
-    if let Some(out_dir) = &opts.out_dir {
+    if let Some(out_dir) = &s.out {
         std::fs::create_dir_all(out_dir)
             .unwrap_or_else(|e| fail(format!("cannot create {}: {e}", out_dir.display())));
         for (path, result) in files.iter().zip(&batch.results) {
@@ -1203,7 +909,7 @@ fn run_batches(
             std::fs::write(&out_path, popqc::ir::qasm::to_qasm(&result.circuit))
                 .unwrap_or_else(|e| fail(format!("cannot write {}: {e}", out_path.display())));
         }
-        if !opts.quiet {
+        if !s.quiet {
             eprintln!(
                 "wrote {} optimized circuits to {}",
                 batch.results.len(),
@@ -1213,10 +919,10 @@ fn run_batches(
     }
 
     // Optional semantic verification on simulator-sized circuits.
-    if opts.verify {
+    if s.verify {
         let mut verified = 0;
         let mut skipped = 0;
-        for ((label, input), result) in labels.iter().zip(circuits).zip(&batch.results) {
+        for ((label, input), result) in labels.iter().zip(&circuits).zip(&batch.results) {
             if input.num_qubits <= 12 && input.len() <= 60_000 {
                 if !popqc::sim::circuits_equivalent(input, &result.circuit, 2, 0xC1C1) {
                     fail(format!("{label}: optimized circuit is NOT equivalent"));
@@ -1226,11 +932,154 @@ fn run_batches(
                 skipped += 1;
             }
         }
-        if !opts.quiet {
+        if !s.quiet {
             eprintln!("verify: {verified} equivalence-checked, {skipped} too large (skipped)");
         }
     }
 
-    let stats = svc.stats();
-    service_report(passes, &stats, svc.workers(), svc.threads_per_job())
+    let report = service_report(passes, &svc.stats(), svc.workers(), svc.threads_per_job());
+    if let Some(report_path) = &s.report {
+        let text = serde_json::to_string_pretty(&report.to_json()).expect("serialize report");
+        std::fs::write(report_path, text)
+            .unwrap_or_else(|e| fail(format!("cannot write {}: {e}", report_path.display())));
+        if !s.quiet {
+            eprintln!("report written to {}", report_path.display());
+        }
+    }
+    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_line(text: &str) -> Result<(&'static Command, Settings), CliError> {
+        let args: Vec<String> = text.split_whitespace().map(String::from).collect();
+        parse(&args)
+    }
+
+    /// The shortest command line `cmd` accepts, then `extra`.
+    fn minimal(cmd: &Command, extra: &str) -> String {
+        let mut line = cmd.name.to_string() + if cmd.operand.is_empty() { "" } else { " x" };
+        for (flag, _) in cmd.required {
+            line += &format!(" {flag} 1");
+        }
+        line + " " + extra
+    }
+
+    /// Parses `text`, which must give every flag its subcommand accepts.
+    fn parse_every_flag(text: &str) -> Settings {
+        let (cmd, settings) = parse_line(text).unwrap();
+        let given: Vec<&str> = text.split_whitespace().collect();
+        assert!(cmd.flags().all(|(flag, _)| given.contains(&flag)), "{text}");
+        settings
+    }
+
+    const SERVICE_FLAGS: &str = "--omega 7 --oracle search --workers 3 --threads-per-job 2 \
+        --cache-capacity 11 --seg-cache-capacity 12 --cache-tier tiered --cache-dir d \
+        --cache-addr c:2";
+
+    fn assert_service_flags_landed(s: &Settings) {
+        let c = &s.service;
+        assert_eq!((s.omega, s.oracle.as_deref()), (7, Some("search")));
+        assert_eq!((c.workers, c.threads_per_job), (3, 2));
+        assert_eq!((c.cache_capacity, c.seg_cache_capacity), (11, 12));
+        assert_eq!(s.tier, Some(StoreTier::Tiered));
+        assert_eq!(s.cache_dir, Some("d".into()));
+        assert_eq!(s.cache_addr.as_deref(), Some("c:2"));
+    }
+
+    #[test]
+    fn every_value_flag_needs_its_value_and_every_number_must_parse() {
+        for cmd in COMMANDS {
+            assert!(parse_line(&minimal(cmd, "")).is_ok(), "popqc {}", cmd.name);
+            for (flag, value) in cmd.flags().filter(|(_, value)| !value.is_empty()) {
+                let missing = parse_line(&minimal(cmd, flag)).err();
+                assert_eq!(missing, Some(CliError::Usage), "{} {flag}", cmd.name);
+                if ["N", "MS", "S", "REQS_PER_SEC"].contains(&value) {
+                    let refusal = CliError::Fail(format!("cannot parse {flag} value `x`"));
+                    let bad = parse_line(&minimal(cmd, &format!("{flag} x"))).err();
+                    assert_eq!(bad, Some(refusal), "{} {flag}", cmd.name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shapes_no_table_accepts_are_usage_errors() {
+        let lines = "|cache|serve --frontend evented|serve extra|optimize a --chrome|optimize \
+            --omega 9|optimize a --omega 0|serve --conn-threads 0|trace|trace a b|oracles extra";
+        for text in lines.split('|') {
+            assert_eq!(parse_line(text).err(), Some(CliError::Usage), "{text}");
+        }
+    }
+
+    #[test]
+    fn every_optimize_serve_and_cached_flag_lands_in_its_setting() {
+        let o = parse_every_flag(&format!(
+            "optimize a b {SERVICE_FLAGS} --out o --repeat 4 --report r --json --verify \
+             --quiet --log-level debug"
+        ));
+        assert_service_flags_landed(&o);
+        assert_eq!((o.operands, o.repeat), (vec!["a".into(), "b".into()], 4));
+        assert_eq!((o.out, o.report), (Some("o".into()), Some("r".into())));
+        assert!(o.json && o.verify && o.quiet && o.log_level.as_deref() == Some("debug"));
+
+        let s = parse_every_flag(&format!(
+            "serve --addr h:1 {SERVICE_FLAGS} --conn-threads 5 --max-conns 6 --rate-limit 2.5 \
+             --shed-queue-depth 8 --trace-capacity 9 --trace-slow-ms 10 --log-level debug"
+        ));
+        assert_service_flags_landed(&s);
+        assert_eq!((s.net.loop_threads, s.net.max_conns), (5, 6));
+        assert_eq!((s.net.rate_limit, s.net.shed_queue_depth), (2.5, 8));
+        assert_eq!((s.trace_capacity, s.trace_slow_ms), (9, 10));
+        assert_eq!(s.addr.as_deref(), Some("h:1"));
+        assert_eq!(s.log_level.as_deref(), Some("debug"));
+
+        let c = parse_every_flag(
+            "cached --cache-dir d --addr h:1 --cache-tier disk --cache-capacity 11 \
+             --max-conns 6 --log-level debug",
+        );
+        assert_eq!(
+            (c.addr.as_deref(), c.log_level.as_deref()),
+            (Some("h:1"), Some("debug"))
+        );
+        assert_eq!(c.cache_dir, Some("d".into()));
+        assert_eq!(c.tier, Some(StoreTier::Disk));
+        assert_eq!(
+            (c.service.cache_capacity, c.cache_server.max_conns),
+            (11, 6)
+        );
+    }
+
+    #[test]
+    fn absent_flags_keep_their_defaults() {
+        let (_, s) = parse_line("serve").unwrap();
+        // No `--oracle` keeps the registry's own default.
+        assert_eq!((s.omega, s.oracle), (200, None));
+        assert_eq!(s.service.seg_cache_capacity, 4096);
+    }
+
+    #[test]
+    fn a_missing_required_flag_or_a_zero_connection_cap_fails() {
+        let required = CliError::Fail("--cache-dir is required".into());
+        assert_eq!(parse_line("cached").err(), Some(required));
+        for text in ["serve --max-conns 0", "cached --cache-dir d --max-conns 0"] {
+            let refusal = CliError::Fail("--max-conns must be at least 1".into());
+            assert_eq!(parse_line(text).err(), Some(refusal), "{text}");
+        }
+    }
+
+    #[test]
+    fn the_readme_names_every_flag() {
+        let readme = include_str!("../../README.md");
+        let in_word = |c: char| c.is_alphanumeric() || c == '-';
+        let words: Vec<&str> = readme.split(|c| !in_word(c)).collect();
+        for cmd in COMMANDS {
+            for (flag, _) in cmd.flags() {
+                let named = words.contains(&flag);
+                assert!(named, "README never mentions `popqc {} {flag}`", cmd.name);
+            }
+        }
+    }
 }

@@ -40,7 +40,6 @@ fn http_and_cli_job_documents_are_byte_identical() {
         workers: 2,
         threads_per_job: 1,
         cache_capacity: 64,
-        cache_shards: 4,
         seg_cache_capacity: 0,
     };
     let circuit = Family::Vqe.generate(Family::Vqe.ladder(0)[0], 33);
