@@ -9,21 +9,24 @@
 //! (accept → read → dispatch → buffered write → keep-alive or close),
 //! and slow handler work runs on a separate dispatcher pool whose
 //! completions re-enter the loop through a wakeable mailbox — the loop
-//! itself never blocks on a socket or a handler.
+//! itself never blocks on one socket or on a handler.
 //!
-//! ## Std-only readiness
+//! ## Readiness through `poll(2)`
 //!
-//! The workspace is dependency-free and forbids `unsafe`, so there is no
-//! `epoll`/`kqueue` binding. Readiness is emulated with an adaptive
-//! sweep: each loop thread polls its connections with nonblocking
-//! reads/writes, then parks on a loopback `UdpSocket` waker with a small
-//! timeout (sub-millisecond when traffic is flowing, a few milliseconds
-//! when idle). Cross-thread events — new connections, dispatch
-//! completions, shutdown — post to the thread's mailbox and send a wake
-//! datagram, so completions are picked up immediately rather than on the
-//! next poll tick. The sweep is a drop-in seam for a real readiness
-//! syscall later; everything above it (state machines, admission control,
-//! dispatch) is already readiness-shaped.
+//! The workspace has no dependencies, so the readiness call is a small
+//! `extern "C"` binding to `poll(2)` in `server.rs`: one `#[repr(C)]`
+//! entry type and one `unsafe` call. Each loop thread sweeps its
+//! connections with nonblocking reads and writes, then blocks in `poll`
+//! over its loopback `UdpSocket` waker and every connection that wants
+//! input (`POLLIN`) or has output pending (`POLLOUT`). The wait ends when
+//! any of them is ready or at the earliest read or write-stall deadline;
+//! with no deadline armed it has no timeout, so an idle server uses no
+//! CPU. Cross-thread events — new connections, dispatch completions,
+//! shutdown — post to the thread's mailbox and send a wake datagram,
+//! which ends the `poll` at once. `poll` rather than `epoll`: the poll
+//! set is rebuilt from the connection states on every wake, so there is
+//! no registration state to keep in step with them, and the sweep is
+//! O(connections) per wake anyway.
 //!
 //! ## Admission control
 //!

@@ -12,23 +12,27 @@
 //!   thread's mailbox.
 //! * **L loop threads** — each owns its connections outright (no shared
 //!   connection state, no locks on the data path). A sweep drains the
-//!   mailbox, polls each connection with nonblocking reads/writes, runs
-//!   the [`Driver`] state machine on new bytes, enforces the read
-//!   deadline, then parks on a loopback UDP waker with an adaptive
-//!   timeout (spins at sub-millisecond while traffic flows, backs off to
-//!   a few milliseconds when idle).
+//!   mailbox, tries each connection with nonblocking reads/writes, runs
+//!   the [`Driver`] state machine on new bytes and enforces the
+//!   deadlines. Then the thread blocks in one `poll(2)` over its
+//!   loopback UDP waker and every connection that wants to read or
+//!   write, until one is ready or the earliest deadline falls due; with
+//!   no deadline armed it waits without a timeout, so an idle loop uses
+//!   no CPU.
 //! * **D dispatcher threads** — run [`Action::Dispatch`] closures (the
 //!   blocking handler path: oracle work, coalesced waits). A connection
 //!   with a dispatch in flight is *busy*: the loop feeds it no further
 //!   input, which both preserves pipeline order and applies natural
 //!   backpressure. Completions post `(bytes, keep_alive)` back to the
-//!   owning loop's mailbox and fire its waker, so responses leave on the
-//!   next sweep, not the next poll tick.
+//!   owning loop's mailbox and fire its waker, which ends the loop's
+//!   `poll`, so responses leave on the next sweep.
 
 use crate::stats::NetStats;
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs, UdpSocket};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::raw::{c_int, c_short};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::{Arc, Condvar, Mutex};
@@ -125,14 +129,83 @@ impl Default for NetConfig {
 }
 
 /// Sweep read cap per connection so one firehose peer cannot starve the
-/// rest of the sweep (the loop re-sweeps immediately while progressing).
+/// rest of the sweep (`poll` reports the unread rest at once, so the loop
+/// re-sweeps immediately).
 const READ_SLICE: usize = 256 * 1024;
 
-/// Adaptive park: start here after a busy sweep…
-const PARK_MIN: Duration = Duration::from_micros(500);
-/// …and back off to here when idle. Bounds worst-case first-byte
-/// latency for data that arrives while parked (no readiness syscall).
-const PARK_MAX: Duration = Duration::from_millis(4);
+/// `struct pollfd` from `<poll.h>`. An entry whose `fd` is negative is
+/// skipped by the kernel.
+#[repr(C)]
+struct PollFd {
+    fd: RawFd,
+    events: c_short,
+    revents: c_short,
+}
+
+const POLLIN: c_short = 0x1;
+const POLLOUT: c_short = 0x4;
+
+#[cfg(target_os = "linux")]
+type NfdsT = std::os::raw::c_ulong;
+#[cfg(not(target_os = "linux"))]
+type NfdsT = std::os::raw::c_uint;
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: c_int) -> c_int;
+}
+
+/// Blocks until an entry of `fds` is ready or `timeout_ms` passes (`-1`
+/// waits without limit), filling in each entry's `revents`. An error
+/// (in practice `EINTR`) is a wake like any other: the loop re-sweeps
+/// and polls again.
+fn poll_fds(fds: &mut [PollFd], timeout_ms: c_int) {
+    // SAFETY: `fds` is an exclusively borrowed slice of `#[repr(C)]`
+    // entries laid out as `struct pollfd`, and exactly its length is
+    // passed as `nfds`, so the kernel reads and writes (`revents` only)
+    // inside the slice and keeps no pointer past the call.
+    unsafe { poll(fds.as_mut_ptr(), fds.len() as NfdsT, timeout_ms) };
+}
+
+/// The `poll` entry for one connection: `POLLIN` exactly when the sweep
+/// would read it, `POLLOUT` while output is pending, and fd `-1` when it
+/// wants neither. Passing the fd with no events would still report
+/// `POLLHUP`/`POLLERR`: a busy connection whose peer reset would wake
+/// the loop on every call until its dispatch completes.
+fn interest(c: &Conn, max_buffer: usize) -> PollFd {
+    let mut events = 0;
+    if c.wants_read(max_buffer) {
+        events |= POLLIN;
+    }
+    if !c.output_drained() {
+        events |= POLLOUT;
+    }
+    let fd = if events == 0 {
+        -1
+    } else {
+        c.stream.as_raw_fd()
+    };
+    PollFd {
+        fd,
+        events,
+        revents: 0,
+    }
+}
+
+/// The `poll` timeout: milliseconds until the earliest connection
+/// deadline, rounded up so the wake finds it due (a deadline already
+/// past gives 0), or `-1` when no deadline is armed.
+fn poll_timeout<'a>(
+    conns: impl IntoIterator<Item = &'a Conn>,
+    read_deadline: Duration,
+    now: Instant,
+) -> c_int {
+    let deadlines = conns.into_iter().filter_map(|c| c.deadline(read_deadline));
+    let Some(due) = deadlines.min() else {
+        return -1;
+    };
+    let left = due.saturating_duration_since(now);
+    c_int::try_from(left.as_nanos().div_ceil(1_000_000)).unwrap_or(c_int::MAX)
+}
 
 enum Mail {
     NewConn(u64, TcpStream, Box<dyn Driver>),
@@ -202,11 +275,27 @@ struct Conn {
     last_request: Instant,
     /// Last time the peer made write progress (or the backlog was
     /// empty). A peer that stops reading its responses is reaped when
-    /// this goes stale — see the write-stall reap in the sweep.
+    /// this goes stale — see [`Conn::deadline`].
     last_write: Instant,
 }
 
 impl Conn {
+    fn new(stream: TcpStream, driver: Box<dyn Driver>) -> Conn {
+        Conn {
+            stream,
+            driver,
+            input: Vec::new(),
+            output: Vec::new(),
+            out_pos: 0,
+            busy: false,
+            closing: false,
+            read_closed: false,
+            stalled: false,
+            last_request: Instant::now(),
+            last_write: Instant::now(),
+        }
+    }
+
     fn queue_output(&mut self, bytes: Vec<u8>) {
         if self.output_drained() {
             self.output = bytes;
@@ -232,6 +321,44 @@ impl Conn {
     /// Bytes queued but not yet accepted by the kernel.
     fn pending_output(&self) -> usize {
         self.output.len() - self.out_pos
+    }
+
+    /// Whether the driver is ready for more input. A peer with
+    /// `max_buffer` of undrained responses gets no further reads
+    /// (pipelining backpressure): the output backlog stays bounded
+    /// instead of growing with every pipelined request the peer refuses
+    /// to read the answer to.
+    fn wants_read(&self, max_buffer: usize) -> bool {
+        !self.busy
+            && !self.closing
+            && !self.read_closed
+            && self.input.len() < max_buffer
+            && self.pending_output() < max_buffer
+    }
+
+    /// When the sweep reaps this connection if nothing changes, or
+    /// `None` while it is exempt.
+    ///
+    /// * Read deadline: anchored to the last *completed* request, so
+    ///   both a slowloris trickle and an idle keep-alive connection hit
+    ///   it. Connections waiting on a dispatched job or still draining a
+    ///   response are exempt.
+    /// * Write-stall deadline: the read deadline exempts a connection
+    ///   with undrained output, so a peer that sends requests and then
+    ///   never reads the responses (kernel send buffer full, writes
+    ///   return WouldBlock) would otherwise pin a `max_conns` slot
+    ///   forever. No write progress for a whole `read_deadline` means
+    ///   the peer is gone or hostile; it is reaped even mid-dispatch
+    ///   (the completion for a removed connection is dropped
+    ///   harmlessly).
+    fn deadline(&self, read_deadline: Duration) -> Option<Instant> {
+        if !self.output_drained() {
+            self.last_write.checked_add(read_deadline)
+        } else if !self.busy {
+            self.last_request.checked_add(read_deadline)
+        } else {
+            None
+        }
     }
 }
 
@@ -285,11 +412,13 @@ impl NetServer {
         });
 
         // One waker socket per loop thread; the router keeps a shared
-        // sender. Loopback UDP only — nothing leaves the host.
+        // sender. Loopback UDP only — nothing leaves the host. Nonblocking,
+        // so the loop can drain every queued datagram after a wake.
         let mut wakers = Vec::with_capacity(loop_threads);
         let mut waker_addrs = Vec::with_capacity(loop_threads);
         for _ in 0..loop_threads {
             let sock = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0))?;
+            sock.set_nonblocking(true)?;
             waker_addrs.push(sock.local_addr()?);
             wakers.push(sock);
         }
@@ -490,7 +619,7 @@ fn event_loop(
     let mut scratch = vec![0u8; 16 * 1024];
     let mut actions: Vec<Action> = Vec::new();
     let mut dead: Vec<u64> = Vec::new();
-    let mut park = PARK_MIN;
+    let mut fds: Vec<PollFd> = Vec::new();
     let mut wake_buf = [0u8; 8];
 
     'outer: loop {
@@ -502,22 +631,7 @@ fn event_loop(
         for m in mail {
             match m {
                 Mail::NewConn(id, stream, driver) => {
-                    conns.insert(
-                        id,
-                        Conn {
-                            stream,
-                            driver,
-                            input: Vec::new(),
-                            output: Vec::new(),
-                            out_pos: 0,
-                            busy: false,
-                            closing: false,
-                            read_closed: false,
-                            stalled: false,
-                            last_request: Instant::now(),
-                            last_write: Instant::now(),
-                        },
-                    );
+                    conns.insert(id, Conn::new(stream, driver));
                 }
                 Mail::Complete {
                     conn,
@@ -549,19 +663,9 @@ fn event_loop(
 
         // 2. Sweep every connection: read → driver → flush → reap.
         let now = Instant::now();
-        let mut progress = false;
         for (&id, c) in conns.iter_mut() {
-            // Read while the driver is ready for more input. A peer
-            // with `max_buffer` of undrained responses gets no further
-            // reads (pipelining backpressure): the output backlog stays
-            // bounded instead of growing with every pipelined request
-            // the peer refuses to read the answer to.
-            if !c.busy
-                && !c.closing
-                && !c.read_closed
-                && c.input.len() < cfg.max_buffer
-                && c.pending_output() < cfg.max_buffer
-            {
+            // Read while the driver is ready for more input.
+            if c.wants_read(cfg.max_buffer) {
                 let mut got = 0usize;
                 loop {
                     match c.stream.read(&mut scratch) {
@@ -586,7 +690,6 @@ fn event_loop(
                     }
                 }
                 if got > 0 {
-                    progress = true;
                     run_driver(id, c, &dispatch, idx, &mut actions);
                 }
             }
@@ -604,7 +707,6 @@ fn event_loop(
                         Ok(n) => {
                             c.out_pos += n;
                             c.last_write = now;
-                            progress = true;
                             if c.output_drained() {
                                 break;
                             }
@@ -642,27 +744,9 @@ fn event_loop(
                 dead.push(id);
                 continue;
             }
-            // Read deadline: anchored to the last *completed* request, so
-            // both a slowloris trickle and an idle keep-alive connection
-            // hit it. Connections waiting on a dispatched job or still
-            // draining a response are exempt.
-            if !c.busy
-                && c.output_drained()
-                && now.duration_since(c.last_request) > cfg.read_deadline
-            {
-                stats.deadline_close();
-                dead.push(id);
-                continue;
-            }
-            // Write-stall deadline: every reap above exempts a
-            // connection with undrained output, so a peer that sends
-            // requests and then never reads the responses (kernel send
-            // buffer full, writes return WouldBlock) would otherwise
-            // pin a max_conns slot forever. No write progress for a
-            // whole read_deadline means the peer is gone or hostile;
-            // reap it even mid-dispatch (the completion for a removed
-            // connection is dropped harmlessly).
-            if !c.output_drained() && now.duration_since(c.last_write) > cfg.read_deadline {
+            // Read or write-stall deadline (see `Conn::deadline`): the
+            // same instant the poll timeout below wakes for.
+            if c.deadline(cfg.read_deadline).is_some_and(|due| now >= due) {
                 stats.deadline_close();
                 dead.push(id);
             }
@@ -673,15 +757,22 @@ fn event_loop(
             }
         }
 
-        // 3. Park. Progress resets the backoff; otherwise double it up
-        // to PARK_MAX. A waker datagram (completion, new conn) ends the
-        // park early.
-        if progress {
-            park = PARK_MIN;
-        } else {
-            park = (park * 2).min(PARK_MAX);
-            let _ = waker.set_read_timeout(Some(park));
-            let _ = waker.recv_from(&mut wake_buf);
+        // 3. Block until the waker (a mailbox post), a connection that
+        // wants to read or write, or the earliest deadline is ready.
+        fds.clear();
+        fds.push(PollFd {
+            fd: waker.as_raw_fd(),
+            events: POLLIN,
+            revents: 0,
+        });
+        fds.extend(conns.values().map(|c| interest(c, cfg.max_buffer)));
+        let timeout = poll_timeout(conns.values(), cfg.read_deadline, Instant::now());
+        poll_fds(&mut fds, timeout);
+        if fds[0].revents != 0 {
+            // Drain every queued wake before the mailbox is read: a post
+            // that lands after this leaves a datagram behind, and the next
+            // poll returns at once.
+            while waker.recv_from(&mut wake_buf).is_ok() {}
         }
     }
 
@@ -757,5 +848,109 @@ fn dispatch_loop(shared: Arc<DispatchShared>, router: Arc<Router>) {
                 keep_alive,
             },
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const MAX_BUFFER: usize = 1024;
+    const DEADLINE: Duration = Duration::from_millis(300);
+
+    struct Idle;
+
+    impl Driver for Idle {
+        fn on_data(&mut self, _input: &mut Vec<u8>, _out: &mut Vec<Action>) {}
+    }
+
+    /// A freshly accepted connection over a loopback pair, plus the
+    /// client end that keeps it open.
+    fn accepted() -> (Conn, TcpStream) {
+        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind loopback");
+        let client = TcpStream::connect(listener.local_addr().expect("listener address"))
+            .expect("connect loopback");
+        let (stream, _) = listener.accept().expect("accept loopback");
+        (Conn::new(stream, Box::new(Idle)), client)
+    }
+
+    fn ago(now: Instant, ms: u64) -> Instant {
+        now.checked_sub(Duration::from_millis(ms))
+            .expect("monotonic clock older than the test offsets")
+    }
+
+    #[test]
+    fn busy_and_drained_closing_conns_are_not_polled() {
+        let (mut c, _client) = accepted();
+        let idle = interest(&c, MAX_BUFFER);
+        assert_eq!((idle.fd, idle.events), (c.stream.as_raw_fd(), POLLIN));
+
+        c.busy = true;
+        assert_eq!(interest(&c, MAX_BUFFER).fd, -1);
+        c.busy = false;
+        c.closing = true;
+        assert_eq!(interest(&c, MAX_BUFFER).fd, -1);
+        c.closing = false;
+        c.read_closed = true;
+        assert_eq!(interest(&c, MAX_BUFFER).fd, -1);
+        c.read_closed = false;
+        c.input = vec![b'x'; MAX_BUFFER];
+        assert_eq!(interest(&c, MAX_BUFFER).fd, -1);
+    }
+
+    #[test]
+    fn pending_output_polls_for_write_and_arms_the_stall_deadline() {
+        let (mut c, _client) = accepted();
+        let now = Instant::now();
+        c.busy = true; // an interim response queued ahead of a dispatch
+        c.queue_output(b"100 continue\n".to_vec());
+        c.last_write = ago(now, 100);
+        c.last_request = ago(now, 250);
+        let p = interest(&c, MAX_BUFFER);
+        assert_eq!((p.fd, p.events), (c.stream.as_raw_fd(), POLLOUT));
+        assert_eq!(c.deadline(DEADLINE), Some(c.last_write + DEADLINE));
+        assert_eq!(poll_timeout([&c], DEADLINE, now), 200);
+
+        // Not busy: it reads and writes at once, and a full backlog
+        // stops the reads.
+        c.busy = false;
+        assert_eq!(interest(&c, MAX_BUFFER).events, POLLIN | POLLOUT);
+        c.queue_output(vec![b'y'; MAX_BUFFER]);
+        assert_eq!(interest(&c, MAX_BUFFER).events, POLLOUT);
+    }
+
+    #[test]
+    fn idle_keepalive_conn_arms_its_read_deadline() {
+        let (mut a, _client_a) = accepted();
+        let (mut b, _client_b) = accepted();
+        let now = Instant::now();
+        a.last_request = ago(now, 100);
+        b.last_request = ago(now, 250);
+        assert_eq!(a.deadline(DEADLINE), Some(a.last_request + DEADLINE));
+        assert_eq!(poll_timeout([&a], DEADLINE, now), 200);
+        // The earliest deadline sets the wait.
+        assert_eq!(poll_timeout([&a, &b], DEADLINE, now), 50);
+        // A busy connection with nothing to write is exempt.
+        a.busy = true;
+        assert_eq!(poll_timeout([&a], DEADLINE, now), -1);
+    }
+
+    #[test]
+    fn no_conns_waits_forever() {
+        assert_eq!(poll_timeout([], DEADLINE, Instant::now()), -1);
+    }
+
+    #[test]
+    fn a_due_deadline_times_out_at_once_never_negative() {
+        let (mut c, _client) = accepted();
+        let now = Instant::now();
+        c.last_request = ago(now, 3000);
+        assert_eq!(poll_timeout([&c], DEADLINE, now), 0);
+        c.last_request = ago(now, 300);
+        assert_eq!(poll_timeout([&c], DEADLINE, now), 0);
+        // A fraction of a millisecond left rounds up, so the wake finds
+        // the deadline due.
+        c.last_request = ago(now, 300) + Duration::from_micros(300);
+        assert_eq!(poll_timeout([&c], DEADLINE, now), 1);
     }
 }

@@ -2,9 +2,11 @@
 //! line-echo driver proves the sweep/dispatch/completion path, and the
 //! admission controls (connection cap, read deadline, partial-write
 //! buffering) are exercised with raw sockets doing deliberately
-//! antisocial things.
+//! antisocial things. Two more pin how the loop waits: it answers an
+//! idle connection at once, and a reset peer does not make it spin.
 
 use qnet::{Action, Driver, DriverFactory, NetConfig, NetServer};
+use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -13,10 +15,13 @@ use std::time::{Duration, Instant};
 /// Echoes each `\n`-terminated line through the dispatcher pool;
 /// `quit` answers inline and closes; `big` answers with `BIG_BYTES` of
 /// payload (the partial-write test); `empty` answers with zero bytes
-/// (a dispatch that legitimately writes nothing).
+/// (a dispatch that legitimately writes nothing); `slow` sends an
+/// interim `working` line, then answers `done` from a dispatch that
+/// takes `SLOW_DISPATCH`.
 struct EchoDriver;
 
 const BIG_BYTES: usize = 8 * 1024 * 1024;
+const SLOW_DISPATCH: Duration = Duration::from_millis(500);
 
 impl Driver for EchoDriver {
     fn on_data(&mut self, input: &mut Vec<u8>, out: &mut Vec<Action>) {
@@ -35,6 +40,13 @@ impl Driver for EchoDriver {
                 break; // busy until the completion posts back
             } else if line == b"empty" {
                 out.push(Action::Dispatch(Box::new(move || (Vec::new(), true))));
+                break;
+            } else if line == b"slow" {
+                out.push(Action::Interim(b"working\n".to_vec()));
+                out.push(Action::Dispatch(Box::new(move || {
+                    std::thread::sleep(SLOW_DISPATCH);
+                    (b"done\n".to_vec(), true)
+                })));
                 break;
             } else {
                 line.push(b'\n');
@@ -314,6 +326,93 @@ fn empty_dispatch_response_keeps_the_connection() {
     writeln!(s, "empty").unwrap();
     writeln!(s, "still-here").unwrap();
     assert_eq!(read_line(&mut s).unwrap(), "still-here");
+}
+
+/// Every request meets a loop that has sat idle for 10 ms, so the loop
+/// must notice bytes as they arrive, not on its next timed wake. A loop
+/// that waits on a timed read of its waker instead (0.5–4 ms timeouts,
+/// which a 250 Hz kernel stretches to 4–8 ms) reads 4–8 ms here and
+/// fails.
+#[test]
+fn requests_to_an_idle_loop_answer_within_two_milliseconds() {
+    let server = start(NetConfig::default());
+    let mut s = TcpStream::connect(server.local_addr()).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut rtts: Vec<Duration> = (0..20)
+        .map(|i| {
+            std::thread::sleep(Duration::from_millis(10));
+            // One write: `writeln!` may split the line, and Nagle would
+            // then hold the tail for the delayed ACK.
+            let line = format!("ping-{i}\n");
+            let t0 = Instant::now();
+            s.write_all(line.as_bytes()).unwrap();
+            assert_eq!(read_line(&mut s).unwrap(), format!("ping-{i}"));
+            t0.elapsed()
+        })
+        .collect();
+    rtts.sort();
+    let median = rtts[rtts.len() / 2];
+    assert!(
+        median < Duration::from_millis(2),
+        "median round trip {median:?}, all {rtts:?}"
+    );
+}
+
+/// CPU time (user + system, in clock ticks) each `qnet-loop-*` thread of
+/// this process has used so far, by thread id.
+fn loop_thread_ticks() -> HashMap<String, u64> {
+    let mut ticks = HashMap::new();
+    for entry in std::fs::read_dir("/proc/self/task").expect("list /proc/self/task") {
+        let entry = entry.expect("read /proc/self/task entry");
+        // A thread may exit between the listing and the read.
+        let Ok(stat) = std::fs::read_to_string(entry.path().join("stat")) else {
+            continue;
+        };
+        // `tid (comm) state ...`; comm may hold spaces and parentheses.
+        let (open, close) = (stat.find('(').unwrap(), stat.rfind(')').unwrap());
+        if !stat[open + 1..close].starts_with("qnet-loop-") {
+            continue;
+        }
+        // utime and stime are fields 14 and 15; `after` starts at field 3.
+        let after: Vec<&str> = stat[close + 1..].split_whitespace().collect();
+        let used = after[11].parse::<u64>().unwrap() + after[12].parse::<u64>().unwrap();
+        ticks.insert(entry.file_name().to_string_lossy().into_owned(), used);
+    }
+    ticks
+}
+
+/// A busy connection whose peer reset must leave the poll set until its
+/// dispatch completes. The sweep does not read a busy connection, so
+/// polling its fd would report the reset on every call and spin the
+/// loop for the whole 500 ms dispatch, about 50 ticks. Other tests'
+/// loop threads share the process, so the bound is per thread.
+#[test]
+fn busy_conn_whose_peer_reset_does_not_spin_the_loop() {
+    let server = start(NetConfig::default());
+    let mut s = TcpStream::connect(server.local_addr()).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    writeln!(s, "slow").unwrap();
+    // Leave the interim line unread, so closing sends a reset.
+    let mut buf = [0u8; 1];
+    assert_eq!(s.peek(&mut buf).unwrap(), 1);
+    let before = loop_thread_ticks();
+    drop(s);
+    std::thread::sleep(SLOW_DISPATCH);
+    let after = loop_thread_ticks();
+
+    let spin = after
+        .iter()
+        .map(|(tid, &t)| t.saturating_sub(before.get(tid).copied().unwrap_or(0)))
+        .max()
+        .unwrap_or(0);
+    assert!(spin < 10, "a loop thread used {spin} ticks while idle");
+
+    // The completion for the reset peer closes the connection.
+    let t0 = Instant::now();
+    while server.stats().connections_open() > 0 && t0.elapsed() < Duration::from_secs(5) {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(server.stats().connections_open(), 0);
 }
 
 #[test]
