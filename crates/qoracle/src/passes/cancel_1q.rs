@@ -22,7 +22,7 @@ impl Pass for CancelSingleQubit {
         "cancel-1q"
     }
 
-    fn run(&self, gates: Vec<Gate>, _num_qubits: u32) -> Vec<Gate> {
+    fn run(&self, gates: Vec<Gate>, _num_qubits: u32) -> (Vec<Gate>, bool) {
         let mut slots: Vec<Option<Gate>> = gates.into_iter().map(Some).collect();
         for i in 0..slots.len() {
             let Some(g) = slots[i] else { continue };
@@ -66,7 +66,7 @@ mod tests {
     use qcir::{Angle, Circuit};
 
     fn run(c: &Circuit) -> Vec<Gate> {
-        CancelSingleQubit.run(c.gates.clone(), c.num_qubits)
+        CancelSingleQubit.run(c.gates.clone(), c.num_qubits).0
     }
 
     #[test]

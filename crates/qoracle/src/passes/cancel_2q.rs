@@ -17,7 +17,7 @@ impl Pass for CancelTwoQubit {
         "cancel-2q"
     }
 
-    fn run(&self, gates: Vec<Gate>, _num_qubits: u32) -> Vec<Gate> {
+    fn run(&self, gates: Vec<Gate>, _num_qubits: u32) -> (Vec<Gate>, bool) {
         let mut slots: Vec<Option<Gate>> = gates.into_iter().map(Some).collect();
         for i in 0..slots.len() {
             let Some(g @ Gate::Cnot(c, t)) = slots[i] else {
@@ -51,7 +51,7 @@ mod tests {
     use qcir::{Angle, Circuit};
 
     fn run(c: &Circuit) -> Vec<Gate> {
-        CancelTwoQubit.run(c.gates.clone(), c.num_qubits)
+        CancelTwoQubit.run(c.gates.clone(), c.num_qubits).0
     }
 
     #[test]

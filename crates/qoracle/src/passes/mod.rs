@@ -1,9 +1,11 @@
 //! The rule-based optimizer's pass framework.
 //!
-//! Each pass is a pure function `Vec<Gate> → Vec<Gate>` implementing one of
-//! the Nam-et-al. optimization families. Passes communicate only through the
-//! gate sequence, so the pipeline in [`crate::rule_based`] can run them in
-//! any order and to fixpoint.
+//! Each pass implements one of the Nam-et-al. optimization families as a
+//! deterministic function of the gate sequence (and the circuit width) that
+//! also reports whether it changed anything. Passes communicate only through
+//! the gate sequence, so the pipeline in [`crate::rule_based`] can run them
+//! in any order and to fixpoint, and can skip a pass whose answer on the
+//! current sequence it already knows.
 
 pub mod cancel_1q;
 pub mod cancel_2q;
@@ -28,17 +30,28 @@ pub trait Pass: Sync + Send {
 
     /// Rewrites the gate sequence into an equivalent one (up to global
     /// phase). `num_qubits` is the enclosing circuit width.
-    fn run(&self, gates: Vec<Gate>, num_qubits: u32) -> Vec<Gate>;
+    ///
+    /// The flag is `true` whenever the output differs from the input; it
+    /// may be `true` for an unchanged output, never `false` for a changed
+    /// one. The pipeline skips a pass that already left the same sequence
+    /// unchanged, which is sound only because the output is a function of
+    /// the input and `num_qubits` alone.
+    fn run(&self, gates: Vec<Gate>, num_qubits: u32) -> (Vec<Gate>, bool);
 }
 
 /// Compacts a tombstoned working buffer into a dense gate vector, dropping
-/// removed slots and identity rotations (`RZ(0)`).
-pub(crate) fn compact(slots: Vec<Option<Gate>>) -> Vec<Gate> {
-    slots
+/// removed slots and identity rotations (`RZ(0)`). The flag is whether
+/// anything was dropped: for passes whose every rewrite deletes a gate,
+/// exactly whether the output differs from the input.
+pub(crate) fn compact(slots: Vec<Option<Gate>>) -> (Vec<Gate>, bool) {
+    let len = slots.len();
+    let out: Vec<Gate> = slots
         .into_iter()
         .flatten()
         .filter(|g| !g.is_identity())
-        .collect()
+        .collect();
+    let changed = out.len() < len;
+    (out, changed)
 }
 
 /// One entry per gate: the neighbouring slot on the gate's first wire and
@@ -78,7 +91,53 @@ pub(crate) fn wire_links(gates: &[Gate], num_qubits: u32) -> (WireLinks, WireLin
 
 #[cfg(test)]
 pub(crate) mod testutil {
-    use qcir::{Angle, Circuit};
+    use popqc::oracles::{RuleBasedOptimizer, SegmentOracle};
+    use popqc::prelude::{optimize_circuit, Family, PopqcConfig};
+    use qcir::{Angle, Circuit, Gate};
+    use std::sync::{Mutex, OnceLock};
+
+    /// Hands segments to the engine's oracle, keeping a copy of each.
+    struct Recording {
+        oracle: RuleBasedOptimizer,
+        segments: Mutex<Vec<(Vec<Gate>, u32)>>,
+    }
+
+    impl SegmentOracle<Gate> for Recording {
+        fn optimize(&self, units: &[Gate], num_qubits: u32) -> Vec<Gate> {
+            self.segments
+                .lock()
+                .expect("no recording thread panics")
+                .push((units.to_vec(), num_qubits));
+            self.oracle.optimize(units, num_qubits)
+        }
+
+        fn cost(&self, units: &[Gate]) -> u64 {
+            self.oracle.cost(units)
+        }
+    }
+
+    /// Every 2Ω-segment (Ω = 100), with its circuit width, that the engine
+    /// feeds `rule_based` while optimizing each family of [`Family::ALL`]
+    /// at `ladder(0)[0]` (generator seed 7). The oracle is the library
+    /// build the engine links against, so the segments are the ones a real
+    /// run produces; recorded once per test binary.
+    pub fn family_segments() -> &'static [(Vec<Gate>, u32)] {
+        static SEGMENTS: OnceLock<Vec<(Vec<Gate>, u32)>> = OnceLock::new();
+        SEGMENTS.get_or_init(|| {
+            let recording = Recording {
+                oracle: RuleBasedOptimizer::oracle(),
+                segments: Mutex::new(Vec::new()),
+            };
+            for family in Family::ALL {
+                let circuit = family.generate(family.ladder(0)[0], 7);
+                optimize_circuit(&circuit, &recording, &PopqcConfig::with_omega(100));
+            }
+            recording
+                .segments
+                .into_inner()
+                .expect("no recording thread panics")
+        })
+    }
 
     /// Deterministic random circuit over `n` qubits with angles on the
     /// π/8 grid — dense in redundancy so passes have work to do.
@@ -116,5 +175,79 @@ pub(crate) mod testutil {
             }
         }
         c
+    }
+
+    /// [`random_circuit`] inputs of widths 1–60 and lengths 0–300, with
+    /// their widths. The π/8 grid includes S and S†; the degenerate
+    /// `CNOT(0, 0)` that width 1 draws is left out.
+    pub fn random_inputs() -> Vec<(Vec<Gate>, u32)> {
+        let mut inputs = Vec::new();
+        for n in [1, 2, 3, 5, 8, 13, 21, 40, 60] {
+            for len in [0, 1, 7, 60, 300] {
+                for seed in 0..3 {
+                    let c = random_circuit(n, len, seed * 1_009 + u64::from(n) * 31 + len as u64);
+                    let gates = c
+                        .gates
+                        .into_iter()
+                        .filter(|g| !matches!(g, Gate::Cnot(a, b) if a == b))
+                        .collect();
+                    inputs.push((gates, n));
+                }
+            }
+        }
+        inputs
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testutil::{family_segments, random_inputs};
+    use super::*;
+    use crate::structural::CancelSelfInverse;
+
+    /// The six rule-based passes and the structural oracle's one.
+    const PASSES: [&dyn Pass; 7] = [
+        &NotPropagation,
+        &HadamardReduction,
+        &CancelSingleQubit,
+        &CancelTwoQubit,
+        &RotationMerge,
+        &RotationMergeScan { deadline: None },
+        &CancelSelfInverse,
+    ];
+
+    /// Runs every pass on `gates` and then on its own output until it
+    /// reports no change, checking each flag against the outputs.
+    fn assert_flags_exact(gates: &[Gate], num_qubits: u32) {
+        for pass in PASSES {
+            let mut input = gates.to_vec();
+            for _ in 0..64 {
+                let (out, changed) = pass.run(input.clone(), num_qubits);
+                assert_eq!(
+                    changed,
+                    out != input,
+                    "{}: flag {changed} on {input:?}",
+                    pass.name()
+                );
+                if !changed {
+                    break;
+                }
+                input = out;
+            }
+        }
+    }
+
+    #[test]
+    fn change_flags_are_exact_on_random_circuits() {
+        for (gates, n) in random_inputs() {
+            assert_flags_exact(&gates, n);
+        }
+    }
+
+    #[test]
+    fn change_flags_are_exact_on_family_segments() {
+        for (gates, n) in family_segments() {
+            assert_flags_exact(gates, *n);
+        }
     }
 }

@@ -24,33 +24,42 @@ impl Pass for NotPropagation {
         "not-propagation"
     }
 
-    fn run(&self, gates: Vec<Gate>, num_qubits: u32) -> Vec<Gate> {
+    fn run(&self, gates: Vec<Gate>, num_qubits: u32) -> (Vec<Gate>, bool) {
         let mut pending = vec![false; num_qubits as usize];
         let mut out = Vec::with_capacity(gates.len());
-        for g in gates {
+        // Whether some emitted gate differs from the input gate at its
+        // position: with the final length check, exactly "output differs".
+        // Trailing X gates that come back in the same order count as
+        // unchanged, so a propagated segment is a fixpoint of this pass.
+        let mut changed = false;
+        let mut emit = |out: &mut Vec<Gate>, g: Gate| {
+            changed |= gates.get(out.len()) != Some(&g);
+            out.push(g);
+        };
+        for &g in &gates {
             match g {
                 Gate::X(q) => {
                     pending[q as usize] = !pending[q as usize];
                 }
                 Gate::H(q) => {
-                    out.push(Gate::H(q));
+                    emit(&mut out, Gate::H(q));
                     if pending[q as usize] {
                         // X then H  =  H then Z.
-                        out.push(Gate::Rz(q, Angle::PI));
+                        emit(&mut out, Gate::Rz(q, Angle::PI));
                         pending[q as usize] = false;
                     }
                 }
                 Gate::Rz(q, a) => {
                     if pending[q as usize] {
                         if !a.is_zero() {
-                            out.push(Gate::Rz(q, -a));
+                            emit(&mut out, Gate::Rz(q, -a));
                         }
                     } else if !a.is_zero() {
-                        out.push(Gate::Rz(q, a));
+                        emit(&mut out, Gate::Rz(q, a));
                     }
                 }
                 Gate::Cnot(c, t) => {
-                    out.push(g);
+                    emit(&mut out, g);
                     // X on the control copies onto the target; X on the
                     // target commutes through.
                     if pending[c as usize] {
@@ -61,10 +70,11 @@ impl Pass for NotPropagation {
         }
         for (q, p) in pending.into_iter().enumerate() {
             if p {
-                out.push(Gate::X(q as u32));
+                emit(&mut out, Gate::X(q as u32));
             }
         }
-        out
+        let changed = changed || out.len() != gates.len();
+        (out, changed)
     }
 }
 
@@ -74,7 +84,7 @@ mod tests {
     use qcir::Circuit;
 
     fn run(c: &Circuit) -> Vec<Gate> {
-        NotPropagation.run(c.gates.clone(), c.num_qubits)
+        NotPropagation.run(c.gates.clone(), c.num_qubits).0
     }
 
     #[test]

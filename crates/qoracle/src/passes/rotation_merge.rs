@@ -119,7 +119,8 @@ impl Pass for RotationMerge {
         "rotation-merge"
     }
 
-    fn run(&self, mut gates: Vec<Gate>, num_qubits: u32) -> Vec<Gate> {
+    fn run(&self, mut gates: Vec<Gate>, num_qubits: u32) -> (Vec<Gate>, bool) {
+        let input_len = gates.len();
         // 0 = untouched, else local id + 1.
         let mut local = vec![0u32; num_qubits as usize];
         let mut wires = 0u32;
@@ -237,7 +238,10 @@ impl Pass for RotationMerge {
         }
         gates.truncate(kept);
         gates.retain(|g| !g.is_identity());
-        gates
+        // A merge rewrites its site only while dropping the later rotation,
+        // so the output differs from the input exactly when it is shorter.
+        let changed = gates.len() < input_len;
+        (gates, changed)
     }
 }
 
@@ -249,7 +253,7 @@ mod tests {
     use std::collections::HashMap;
 
     fn run(c: &Circuit) -> Vec<Gate> {
-        RotationMerge.run(c.gates.clone(), c.num_qubits)
+        RotationMerge.run(c.gates.clone(), c.num_qubits).0
     }
 
     /// XOR (symmetric difference) of two sorted variable sets.
@@ -356,7 +360,7 @@ mod tests {
                 }
             }
         }
-        super::super::compact(out)
+        super::super::compact(out).0
     }
 
     #[test]
@@ -392,7 +396,7 @@ mod tests {
                         })
                         .collect();
                     assert_eq!(
-                        RotationMerge.run(gates.clone(), n),
+                        RotationMerge.run(gates.clone(), n).0,
                         reference_run(&gates, n),
                         "width {n}, length {len}, seed {seed}, H share {h_share}"
                     );
@@ -418,7 +422,7 @@ mod tests {
         // this rotation would merge into the first one.
         gates.extend((0..129).map(|i| Gate::Cnot(i, 129)));
         gates.push(Gate::Rz(129, theta));
-        let out = RotationMerge.run(gates.clone(), 130);
+        let out = RotationMerge.run(gates.clone(), 130).0;
         assert_eq!(out, reference_run(&gates, 130));
         assert_eq!(out, gates, "no two rotations share a function");
     }
@@ -437,7 +441,7 @@ mod tests {
             Gate::Cnot(0, 1),
             Gate::Rz(1, Angle::PI_4),
         ];
-        let out = RotationMerge.run(gates.clone(), 2);
+        let out = RotationMerge.run(gates.clone(), 2).0;
         assert_eq!(out, reference_run(&gates, 2));
         assert_eq!(
             out,
@@ -456,9 +460,9 @@ mod tests {
         // Not fed to `reference_run`: it allocates one vector per wire of
         // the enclosing circuit before looking at a gate.
         let c = random_circuit(12, 400, 5);
-        let narrow = RotationMerge.run(c.gates.clone(), 12);
+        let narrow = RotationMerge.run(c.gates.clone(), 12).0;
         let start = std::time::Instant::now();
-        let wide = RotationMerge.run(c.gates.clone(), 1_000_000);
+        let wide = RotationMerge.run(c.gates.clone(), 1_000_000).0;
         let took = start.elapsed();
         assert_eq!(wide, narrow);
         assert!(took.as_millis() < 50, "took {took:?}");

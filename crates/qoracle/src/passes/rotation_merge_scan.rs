@@ -67,7 +67,7 @@ impl Pass for RotationMergeScan {
         "rotation-merge-scan"
     }
 
-    fn run(&self, gates: Vec<Gate>, num_qubits: u32) -> Vec<Gate> {
+    fn run(&self, gates: Vec<Gate>, num_qubits: u32) -> (Vec<Gate>, bool) {
         let n = num_qubits as usize;
         let mut slots: Vec<Option<Gate>> = gates.into_iter().map(Some).collect();
         let mut fresh: i64 = -1;
@@ -142,7 +142,9 @@ mod tests {
     use qcir::{Angle, Circuit};
 
     fn run(c: &Circuit) -> Vec<Gate> {
-        RotationMergeScan::default().run(c.gates.clone(), c.num_qubits)
+        RotationMergeScan::default()
+            .run(c.gates.clone(), c.num_qubits)
+            .0
     }
 
     #[test]
@@ -160,7 +162,7 @@ mod tests {
         for seed in 0..6 {
             let c = crate::passes::testutil::random_circuit(4, 60, seed * 29 + 3);
             let slow = run(&c);
-            let fast = RotationMerge.run(c.gates.clone(), c.num_qubits);
+            let fast = RotationMerge.run(c.gates.clone(), c.num_qubits).0;
             // Both are sound; the fast pass folds at least as much.
             assert!(fast.len() <= slow.len() || slow.len() <= c.len());
             let slow_c = Circuit {
@@ -198,7 +200,7 @@ mod tests {
         c.rz(0, Angle::PI_4).rz(0, Angle::PI_4);
         // Expired deadline: pass may bail before merging; output is merely
         // a compaction of the input.
-        let out = pass.run(c.gates.clone(), 2);
+        let out = pass.run(c.gates.clone(), 2).0;
         assert!(out.len() <= 2);
     }
 }

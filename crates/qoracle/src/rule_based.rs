@@ -21,6 +21,10 @@ use std::time::Instant;
 /// A pipeline of rewrite passes with an iteration bound.
 pub struct RuleBasedOptimizer {
     passes: Vec<Box<dyn Pass>>,
+    /// `kinds[i]` is the first slot whose pass has the same name as pass
+    /// `i`'s: same-named passes compute the same function, so a sequence
+    /// one of them left unchanged needs no visit from the other.
+    kinds: Vec<usize>,
     max_rounds: usize,
     /// Stable configuration id; doubles as the optimization service's
     /// cache-key oracle id, so distinct behaviours must carry distinct
@@ -29,6 +33,22 @@ pub struct RuleBasedOptimizer {
 }
 
 impl RuleBasedOptimizer {
+    fn new(passes: Vec<Box<dyn Pass>>, max_rounds: usize, label: &'static str) -> Self {
+        let kinds = (0..passes.len())
+            .map(|i| {
+                (0..i)
+                    .find(|&j| passes[j].name() == passes[i].name())
+                    .unwrap_or(i)
+            })
+            .collect();
+        RuleBasedOptimizer {
+            passes,
+            kinds,
+            max_rounds,
+            label,
+        }
+    }
+
     /// The Nam-style pass sequence with the *linear* phase-folding rotation
     /// merge — this reproduction's modernized pipeline: NOT propagation,
     /// Hadamard reduction, single-qubit cancellation, two-qubit
@@ -65,11 +85,7 @@ impl RuleBasedOptimizer {
     /// algorithm. `deadline` reproduces the paper's baseline timeout
     /// handling (work is cut off cooperatively once the deadline passes).
     pub fn voqc_baseline_with_deadline(deadline: Option<Instant>) -> RuleBasedOptimizer {
-        RuleBasedOptimizer {
-            passes: Self::voqc_sequence(deadline),
-            max_rounds: 1,
-            label: "voqc-baseline",
-        }
+        Self::new(Self::voqc_sequence(deadline), 1, "voqc-baseline")
     }
 
     /// [`Self::voqc_baseline_with_deadline`] without a deadline.
@@ -81,32 +97,21 @@ impl RuleBasedOptimizer {
     /// ablation showing how much of the Table 1/2 gap is VOQC's pass
     /// asymptotics versus locality/parallelism.
     pub fn modern_baseline() -> RuleBasedOptimizer {
-        RuleBasedOptimizer {
-            passes: Self::nam_sequence(),
-            max_rounds: 1,
-            label: "rule-single-pass",
-        }
+        Self::new(Self::nam_sequence(), 1, "rule-single-pass")
     }
 
     /// Oracle configuration: iterate the modernized sequence to fixpoint
     /// (bounded at 32 rounds, which no realistic 2Ω-segment approaches).
     pub fn oracle() -> RuleBasedOptimizer {
-        RuleBasedOptimizer {
-            passes: Self::nam_sequence(),
-            max_rounds: 32,
-            label: "rule-fixpoint",
-        }
+        Self::new(Self::nam_sequence(), 32, "rule-fixpoint")
     }
 
     /// Custom iteration bound (ablations).
     pub fn with_rounds(max_rounds: usize) -> RuleBasedOptimizer {
-        RuleBasedOptimizer {
-            passes: Self::nam_sequence(),
-            max_rounds: max_rounds.max(1),
-            // Ambiguous across bounds by construction; service users should
-            // supply an explicit oracle id for custom-bounded pipelines.
-            label: "rule-bounded",
-        }
+        // The label is ambiguous across bounds by construction; service
+        // users should supply an explicit oracle id for custom-bounded
+        // pipelines.
+        Self::new(Self::nam_sequence(), max_rounds.max(1), "rule-bounded")
     }
 
     /// Runs the pipeline on a raw gate sequence. The result never has more
@@ -117,18 +122,40 @@ impl RuleBasedOptimizer {
     /// oracle approximately *well-behaved* in the paper's sense — every
     /// sub-segment of a pipeline fixpoint is itself a fixpoint for the
     /// local rewrites, which is what Theorem 7's guarantee leans on.
+    ///
+    /// Passes are deterministic, so a pass that left a sequence unchanged
+    /// would leave it unchanged again. `run` numbers the sequences it
+    /// passes through (the version goes up on every change a pass
+    /// reports) and skips any pass whose kind already left the current
+    /// version unchanged. A round in which no pass reports a change has
+    /// converged; after any other round the sequence is compared with the
+    /// round's start, so cycles and the round bound behave as if every
+    /// pass ran.
     pub fn run(&self, gates: &[Gate], num_qubits: u32) -> Vec<Gate> {
         // The shortest sequence seen so far; `None` is the input itself,
         // which is copied only if it is what gets returned.
         let mut best: Option<Vec<Gate>> = None;
         let mut cur = gates.to_vec();
+        let mut version = 0u64;
+        // Per kind, the version it last left unchanged.
+        let mut clean = vec![u64::MAX; self.passes.len()];
         for round in 1..=self.max_rounds {
             let before = (round > 1).then(|| cur.clone());
-            for p in &self.passes {
-                cur = p.run(cur, num_qubits);
+            let start = version;
+            for (p, &kind) in self.passes.iter().zip(&self.kinds) {
+                if clean[kind] == version {
+                    continue;
+                }
+                let changed;
+                (cur, changed) = p.run(cur, num_qubits);
+                if changed {
+                    version += 1;
+                } else {
+                    clean[kind] = version;
+                }
             }
             let best_len = best.as_deref().unwrap_or(gates).len();
-            if cur == before.as_deref().unwrap_or(gates) {
+            if version == start || cur == before.as_deref().unwrap_or(gates) {
                 // Converged. `best` can only tie `cur` here (never beat it,
                 // lengths are monotone within the tracked minimum), so
                 // prefer the fixpoint.
@@ -173,7 +200,7 @@ impl SegmentOracle<Gate> for RuleBasedOptimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::passes::testutil::random_circuit;
+    use crate::passes::testutil::{family_segments, random_circuit};
     use qcir::Angle;
 
     #[test]
@@ -238,14 +265,15 @@ mod tests {
 
     #[test]
     fn run_returns_what_the_copying_loop_returned() {
-        // `run` as it was when it cloned `best` and `before` every round.
+        // `run` as it was when it ran every pass and cloned `best` and
+        // `before` every round.
         fn copying_run(o: &RuleBasedOptimizer, gates: &[Gate], num_qubits: u32) -> Vec<Gate> {
             let mut best = gates.to_vec();
             let mut cur = gates.to_vec();
             for _ in 0..o.max_rounds {
                 let before = cur.clone();
                 for p in &o.passes {
-                    cur = p.run(cur, num_qubits);
+                    cur = p.run(cur, num_qubits).0;
                 }
                 if cur.len() < best.len() {
                     best = cur.clone();
@@ -266,6 +294,13 @@ mod tests {
                     o.run(&c.gates, 5),
                     copying_run(&o, &c.gates, 5),
                     "bound {rounds}, seed {seed}"
+                );
+            }
+            for (k, (gates, n)) in family_segments().iter().enumerate() {
+                assert_eq!(
+                    o.run(gates, *n),
+                    copying_run(&o, gates, *n),
+                    "bound {rounds}, family segment {k}"
                 );
             }
             // Already a fixpoint: the input comes back.

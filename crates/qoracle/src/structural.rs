@@ -32,9 +32,14 @@ use qcir::{Circuit, Gate};
 
 /// Value-blind compaction: drops tombstones only. Unlike
 /// `passes::compact` it keeps identity rotations (`RZ(0)`) — deleting
-/// them would be a decision made by *reading* an angle value.
-fn compact_blind(slots: Vec<Option<Gate>>) -> Vec<Gate> {
-    slots.into_iter().flatten().collect()
+/// them would be a decision made by *reading* an angle value. The flag is
+/// whether a tombstone was dropped, which for a pass that only cancels
+/// pairs is exactly whether the output differs from the input.
+fn compact_blind(slots: Vec<Option<Gate>>) -> (Vec<Gate>, bool) {
+    let len = slots.len();
+    let out: Vec<Gate> = slots.into_iter().flatten().collect();
+    let changed = out.len() < len;
+    (out, changed)
 }
 
 /// Cancellation of adjacent-up-to-commutation self-inverse pairs (`H`,
@@ -49,7 +54,7 @@ impl Pass for CancelSelfInverse {
         "cancel-self-inverse"
     }
 
-    fn run(&self, gates: Vec<Gate>, _num_qubits: u32) -> Vec<Gate> {
+    fn run(&self, gates: Vec<Gate>, _num_qubits: u32) -> (Vec<Gate>, bool) {
         let mut slots: Vec<Option<Gate>> = gates.into_iter().map(Some).collect();
         for i in 0..slots.len() {
             let Some(g) = slots[i] else { continue };
@@ -106,14 +111,13 @@ impl StructuralOptimizer {
         }
     }
 
-    /// Runs the pass to fixpoint. Cancellation only ever deletes gates,
-    /// so lengths are strictly decreasing until convergence.
+    /// Runs the pass until it reports no change (or for `max_rounds`).
     pub fn run(&self, gates: &[Gate], num_qubits: u32) -> Vec<Gate> {
         let mut cur = gates.to_vec();
         for _ in 0..self.max_rounds {
-            let before_len = cur.len();
-            cur = self.pass.run(cur, num_qubits);
-            if cur.len() == before_len {
+            let changed;
+            (cur, changed) = self.pass.run(cur, num_qubits);
+            if !changed {
                 break;
             }
         }

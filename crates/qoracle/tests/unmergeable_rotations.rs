@@ -67,7 +67,7 @@ fn every_pass_leaves_the_pair_unmerged() {
         &RotationMergeScan::default(),
     ];
     for pass in passes {
-        assert_unmerged(pass.name(), |g| pass.run(g.to_vec(), 2));
+        assert_unmerged(pass.name(), |g| pass.run(g.to_vec(), 2).0);
     }
 }
 
@@ -93,5 +93,5 @@ fn a_mergeable_rotation_still_merges_past_the_pair() {
     )
     .unwrap();
     assert_eq!(c.gates[2], Gate::Rz(0, -a));
-    assert_eq!(RotationMerge.run(c.gates, 1), [Gate::Rz(0, b)]);
+    assert_eq!(RotationMerge.run(c.gates, 1).0, [Gate::Rz(0, b)]);
 }
