@@ -4,9 +4,9 @@ use super::run_popqc;
 use crate::harness::{
     dump_json, extreme_instances, fmt_pct, fmt_secs, instances, print_table, Opts,
 };
-use popqc_core::PopqcConfig;
-use qcir::Circuit;
-use qoracle::{GateCount, LayerSearchOracle, MixedDepthGates};
+use popqc_core::{Engine, PopqcConfig};
+use qcir::{Circuit, Layer, LayeredCircuit};
+use qoracle::{GateCount, LayerSearchOracle, MixedDepthGates, SegmentOracle};
 use serde_json::json;
 use std::time::Duration;
 
@@ -137,15 +137,21 @@ pub fn fig6(opts: &Opts) {
             let c = family.generate(*qubits, opts.seed);
             let lc = c.layered();
             let cfg = PopqcConfig::with_omega(omega);
-            let gate_arm = LayerSearchOracle::new(GateCount, budget, c.num_qubits);
-            let (out_g, _) = qexec::with_width(opts.max_threads(), || {
-                popqc_core::optimize_layered(&lc, &gate_arm, &cfg)
-            });
-            let mixed_arm =
-                LayerSearchOracle::new(MixedDepthGates::default(), budget, c.num_qubits);
-            let (out_m, _) = qexec::with_width(opts.max_threads(), || {
-                popqc_core::optimize_layered(&lc, &mixed_arm, &cfg)
-            });
+            let run = |oracle: &dyn SegmentOracle<Layer>| {
+                let (layers, _) = qexec::with_width(opts.max_threads(), || {
+                    Engine::new(oracle, cfg.clone()).run(lc.layers.clone(), lc.num_qubits)
+                });
+                LayeredCircuit {
+                    num_qubits: lc.num_qubits,
+                    layers,
+                }
+            };
+            let out_g = run(&LayerSearchOracle::new(GateCount, budget, c.num_qubits));
+            let out_m = run(&LayerSearchOracle::new(
+                MixedDepthGates::default(),
+                budget,
+                c.num_qubits,
+            ));
             let gates0 = lc.gate_count() as f64;
             let depth0 = lc.depth() as f64;
             acc[0][0] += 1.0 - out_g.gate_count() as f64 / gates0;

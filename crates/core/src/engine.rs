@@ -6,13 +6,14 @@
 //! the potential function `|F| + 2·cost` (Lemma 2) strictly decreases with
 //! every oracle call, so termination needs no well-behavedness assumption.
 //!
-//! The engine is generic over the unit type: `Gate` reproduces the paper's
-//! primary gate-sequence mode; `Layer` reproduces the layered/depth-aware
-//! mode of Section 7.8.
+//! [`Engine::run`] is the one driver. It is generic over the unit type:
+//! `Gate` reproduces the paper's primary gate-sequence mode; `Layer`
+//! reproduces the layered/depth-aware mode of Section 7.8.
+//! [`optimize_circuit`] is its shorthand for a [`Circuit`].
 
 use crate::fingers::{merge_dedup, select_fingers};
 use crate::sparse::{SparseCircuit, Update};
-use qcir::{Circuit, Gate, Layer, LayeredCircuit};
+use qcir::{Circuit, Gate};
 use qoracle::SegmentOracle;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
@@ -47,7 +48,7 @@ impl PopqcConfig {
 }
 
 /// Per-round accounting (drives Figures 4 and 7).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RoundRecord {
     /// Fingers alive at the start of the round.
     pub fingers: usize,
@@ -106,12 +107,6 @@ pub trait RoundObserver: Sync {
     fn on_round(&self, round: usize, record: &RoundRecord);
 }
 
-/// The no-op observer used by the plain entry points.
-impl RoundObserver for () {
-    #[inline]
-    fn on_round(&self, _round: usize, _record: &RoundRecord) {}
-}
-
 /// Segment-level cache consulted inside the engine's hot path, *before*
 /// each oracle call. A hit replaces the oracle invocation entirely — the
 /// cached rewrite is fed through the same acceptance test the oracle's
@@ -138,254 +133,211 @@ pub trait SegmentCacheHook<U>: Sync {
     fn record(&self, segment: &[U], num_qubits: u32, optimized: &[U]);
 }
 
-/// The no-op cache used by the plain entry points: never hits, records
-/// nothing.
-pub struct NoSegmentCache;
+/// The POPQC driver (Algorithm 2) over an arbitrary unit sequence: the
+/// oracle, the config and the two optional hooks. Build one with
+/// [`Engine::new`] and set `observer`/`cache` as needed; [`Engine::run`]
+/// drives the rounds.
+pub struct Engine<'a, U, O: ?Sized> {
+    /// The segment optimizer (Algorithm 3's oracle).
+    pub oracle: &'a O,
+    /// Ω and the round cap.
+    pub config: PopqcConfig,
+    /// Notified after every round.
+    pub observer: Option<&'a dyn RoundObserver>,
+    /// Consulted before every oracle call.
+    pub cache: Option<&'a dyn SegmentCacheHook<U>>,
+}
 
-impl<U> SegmentCacheHook<U> for NoSegmentCache {
-    #[inline]
-    fn lookup(&self, _segment: &[U], _num_qubits: u32) -> Option<Vec<U>> {
-        None
+impl<'a, U, O> Engine<'a, U, O>
+where
+    U: Clone + Send + Sync,
+    O: SegmentOracle<U> + ?Sized,
+{
+    /// An engine with no observer and no segment cache.
+    pub fn new(oracle: &'a O, config: PopqcConfig) -> Self {
+        Engine {
+            oracle,
+            config,
+            observer: None,
+            cache: None,
+        }
     }
 
-    #[inline]
-    fn record(&self, _segment: &[U], _num_qubits: u32, _optimized: &[U]) {}
-}
-
-/// POPQC (Algorithm 2) over an arbitrary unit sequence.
-///
-/// Returns the optimized unit sequence and run statistics. Deterministic:
-/// the result is identical for every `qexec` width.
-pub fn popqc_units<U, O>(
-    units: Vec<U>,
-    num_qubits: u32,
-    oracle: &O,
-    cfg: &PopqcConfig,
-) -> (Vec<U>, PopqcStats)
-where
-    U: Clone + Send + Sync,
-    O: SegmentOracle<U> + ?Sized,
-{
-    popqc_units_cached(units, num_qubits, oracle, cfg, &(), &NoSegmentCache)
-}
-
-/// [`popqc_units`] with a [`RoundObserver`] progress hook and a
-/// [`SegmentCacheHook`] consulted before every oracle call.
-pub fn popqc_units_cached<U, O, Obs, C>(
-    units: Vec<U>,
-    num_qubits: u32,
-    oracle: &O,
-    cfg: &PopqcConfig,
-    observer: &Obs,
-    cache: &C,
-) -> (Vec<U>, PopqcStats)
-where
-    U: Clone + Send + Sync,
-    O: SegmentOracle<U> + ?Sized,
-    Obs: RoundObserver + ?Sized,
-    C: SegmentCacheHook<U> + ?Sized,
-{
-    assert!(cfg.omega >= 1, "Ω must be at least 1");
-    let t_start = Instant::now();
-    let n = units.len();
-    let mut stats = PopqcStats {
-        initial_units: n,
-        ..Default::default()
-    };
-
-    // Initialize fingers at every Ω-th slot (physical == logical initially).
-    let mut fingers: Vec<usize> = (0..n).step_by(cfg.omega).collect();
-    let mut circuit = SparseCircuit::create(units);
-
-    let oracle_nanos = AtomicU64::new(0);
-    let calls = AtomicU64::new(0);
-    let accepted = AtomicU64::new(0);
-    let seg_hits = AtomicU64::new(0);
-
-    while !fingers.is_empty() && stats.rounds < cfg.max_rounds {
-        let (selected, remaining) = select_fingers(&circuit, &fingers, cfg.omega);
-        let round_accepted = AtomicU64::new(0);
-
-        // The paper's parmap over selected fingers (Algorithm 3 line 3).
-        // Minimum chunk 1: every item is an oracle call.
-        let results: Vec<(Vec<usize>, Vec<Update<U>>)> =
-            qexec::par_map_range(selected.len(), 1, |i| {
-                optimize_one_segment(
-                    &circuit,
-                    selected[i],
-                    num_qubits,
-                    oracle,
-                    cfg.omega,
-                    &oracle_nanos,
-                    &calls,
-                    &round_accepted,
-                    cache,
-                    &seg_hits,
-                )
-            });
-
-        // Flatten preserving order: selected fingers ascend and their
-        // segments are disjoint, so both lists arrive sorted.
-        let mut new_fingers = Vec::new();
-        let mut updates = Vec::new();
-        for (nf, up) in results {
-            new_fingers.extend(nf);
-            updates.extend(up);
-        }
-        circuit.substitute(updates);
-
-        let ra = round_accepted.load(Relaxed);
-        accepted.fetch_add(ra, Relaxed);
-        let record = RoundRecord {
-            fingers: fingers.len(),
-            selected: selected.len(),
-            accepted: ra as usize,
+    /// Optimizes `units` (`Gate`s for the paper's primary mode, `Layer`s
+    /// for the Section 7.8 mode). Returns the optimized sequence and run
+    /// statistics. Deterministic: the result is identical for every
+    /// `qexec` width.
+    pub fn run(&self, units: Vec<U>, num_qubits: u32) -> (Vec<U>, PopqcStats) {
+        let omega = self.config.omega;
+        assert!(omega >= 1, "Ω must be at least 1");
+        let t_start = Instant::now();
+        let n = units.len();
+        let mut stats = PopqcStats {
+            initial_units: n,
+            ..Default::default()
         };
-        stats.rounds_detail.push(record);
-        stats.rounds += 1;
-        observer.on_round(stats.rounds, &record);
-        fingers = merge_dedup(&remaining, &new_fingers);
-    }
 
-    let out = circuit.into_units();
-    stats.final_units = out.len();
-    stats.oracle_calls = calls.load(Relaxed);
-    stats.accepted = accepted.load(Relaxed);
-    stats.oracle_nanos = oracle_nanos.load(Relaxed);
-    stats.seg_cache_hits = seg_hits.load(Relaxed);
-    stats.total_nanos = t_start.elapsed().as_nanos() as u64;
-    (out, stats)
+        // Initialize fingers at every Ω-th slot (physical == logical initially).
+        let mut fingers: Vec<usize> = (0..n).step_by(omega).collect();
+        let mut circuit = SparseCircuit::create(units);
+        let run = Run {
+            engine: self,
+            num_qubits,
+            oracle_nanos: AtomicU64::new(0),
+            calls: AtomicU64::new(0),
+            accepted: AtomicU64::new(0),
+            seg_hits: AtomicU64::new(0),
+        };
+
+        while !fingers.is_empty() && stats.rounds < self.config.max_rounds {
+            let (selected, remaining) = select_fingers(&circuit, &fingers, omega);
+
+            // The paper's parmap over selected fingers (Algorithm 3 line 3).
+            // Minimum chunk 1: every item is an oracle call.
+            let results: Vec<(Vec<usize>, Vec<Update<U>>)> =
+                qexec::par_map_range(selected.len(), 1, |i| {
+                    run.optimize_one_segment(&circuit, selected[i])
+                });
+
+            // Flatten preserving order: selected fingers ascend and their
+            // segments are disjoint, so both lists arrive sorted.
+            let mut new_fingers = Vec::new();
+            let mut updates = Vec::new();
+            for (nf, up) in results {
+                new_fingers.extend(nf);
+                updates.extend(up);
+            }
+            circuit.substitute(updates);
+
+            let round_accepted = run.accepted.swap(0, Relaxed);
+            stats.accepted += round_accepted;
+            let record = RoundRecord {
+                fingers: fingers.len(),
+                selected: selected.len(),
+                accepted: round_accepted as usize,
+            };
+            stats.rounds_detail.push(record);
+            stats.rounds += 1;
+            if let Some(observer) = self.observer {
+                observer.on_round(stats.rounds, &record);
+            }
+            fingers = merge_dedup(&remaining, &new_fingers);
+        }
+
+        let out = circuit.into_units();
+        stats.final_units = out.len();
+        stats.oracle_calls = run.calls.into_inner();
+        stats.oracle_nanos = run.oracle_nanos.into_inner();
+        stats.seg_cache_hits = run.seg_hits.into_inner();
+        stats.total_nanos = t_start.elapsed().as_nanos() as u64;
+        (out, stats)
+    }
 }
 
-/// One selected finger's work item (Algorithm 3 lines 4–13): extract the
-/// 2Ω-segment around the finger, call the oracle, and on acceptance emit the
-/// substitution plus boundary fingers.
-#[allow(clippy::too_many_arguments)]
-fn optimize_one_segment<U, O, C>(
-    circuit: &SparseCircuit<U>,
-    finger: usize,
+/// One [`Engine::run`]'s shared state: the engine and the counters its
+/// parallel segment tasks add to.
+struct Run<'e, 'a, U, O: ?Sized> {
+    engine: &'e Engine<'a, U, O>,
     num_qubits: u32,
-    oracle: &O,
-    omega: usize,
-    oracle_nanos: &AtomicU64,
-    calls: &AtomicU64,
-    accepted: &AtomicU64,
-    cache: &C,
-    seg_hits: &AtomicU64,
-) -> (Vec<usize>, Vec<Update<U>>)
+    oracle_nanos: AtomicU64,
+    calls: AtomicU64,
+    /// This round's accepted rewrites; the driver takes it at round end.
+    accepted: AtomicU64,
+    seg_hits: AtomicU64,
+}
+
+impl<U, O> Run<'_, '_, U, O>
 where
     U: Clone + Send + Sync,
     O: SegmentOracle<U> + ?Sized,
-    C: SegmentCacheHook<U> + ?Sized,
 {
-    let total = circuit.len();
-    let pos = circuit.before(finger);
-    let start = pos.saturating_sub(omega);
-    let end = (pos + omega).min(total);
-    if end <= start {
-        return (Vec::new(), Vec::new());
-    }
-    // Segment extraction: one descent, then a walk along the leaves —
-    // O(lg n + Ω + gaps·lg n) work, where the per-rank `select` loop paid
-    // O(Ω lg n); sequential either way, so the span is unchanged. One rank
-    // past the segment is asked for, so the walk also yields the unit
-    // after it, the trailing boundary finger (absent iff `end == total`).
-    let mut phys = Vec::with_capacity(end - start + 1);
-    circuit.select_run(start, end - start + 1, &mut phys);
-    let after = if end < total { phys.pop() } else { None };
-    debug_assert_eq!(phys.len(), end - start);
-    let segment: Vec<U> = phys
-        .iter()
-        .map(|&p| circuit.slot(p).expect("live slot").clone())
-        .collect();
-
-    // Segment cache first: a hit replaces the oracle call entirely (the
-    // cached rewrite still faces the acceptance test below, so hits on
-    // improving rewrites count as accepted — without an oracle call).
-    let opt = match cache.lookup(&segment, num_qubits) {
-        Some(hit) => {
-            seg_hits.fetch_add(1, Relaxed);
-            hit
+    /// One selected finger's work item (Algorithm 3 lines 4–13): extract
+    /// the 2Ω-segment around the finger, call the oracle, and on
+    /// acceptance emit the substitution plus boundary fingers.
+    fn optimize_one_segment(
+        &self,
+        circuit: &SparseCircuit<U>,
+        finger: usize,
+    ) -> (Vec<usize>, Vec<Update<U>>) {
+        let Engine { oracle, cache, .. } = *self.engine;
+        let omega = self.engine.config.omega;
+        let num_qubits = self.num_qubits;
+        let total = circuit.len();
+        let pos = circuit.before(finger);
+        let start = pos.saturating_sub(omega);
+        let end = (pos + omega).min(total);
+        if end <= start {
+            return (Vec::new(), Vec::new());
         }
-        None => {
-            let t0 = Instant::now();
-            let opt = oracle.optimize(&segment, num_qubits);
-            oracle_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Relaxed);
-            calls.fetch_add(1, Relaxed);
-            cache.record(&segment, num_qubits, &opt);
-            opt
+        // Segment extraction: one descent, then a walk along the leaves —
+        // O(lg n + Ω + gaps·lg n) work, where the per-rank `select` loop
+        // paid O(Ω lg n); sequential either way, so the span is unchanged.
+        // One rank past the segment is asked for, so the walk also yields
+        // the unit after it, the trailing boundary finger (absent iff
+        // `end == total`).
+        let mut phys = Vec::with_capacity(end - start + 1);
+        circuit.select_run(start, end - start + 1, &mut phys);
+        let after = if end < total { phys.pop() } else { None };
+        debug_assert_eq!(phys.len(), end - start);
+        let segment: Vec<U> = phys
+            .iter()
+            .map(|&p| circuit.slot(p).expect("live slot").clone())
+            .collect();
+
+        // Segment cache first: a hit replaces the oracle call entirely (the
+        // cached rewrite still faces the acceptance test below, so hits on
+        // improving rewrites count as accepted — without an oracle call).
+        let opt = match cache.and_then(|c| c.lookup(&segment, num_qubits)) {
+            Some(hit) => {
+                self.seg_hits.fetch_add(1, Relaxed);
+                hit
+            }
+            None => {
+                let t0 = Instant::now();
+                let opt = oracle.optimize(&segment, num_qubits);
+                self.oracle_nanos
+                    .fetch_add(t0.elapsed().as_nanos() as u64, Relaxed);
+                self.calls.fetch_add(1, Relaxed);
+                if let Some(cache) = cache {
+                    cache.record(&segment, num_qubits, &opt);
+                }
+                opt
+            }
+        };
+
+        let improved = oracle.cost(&opt) < oracle.cost(&segment) && opt.len() <= segment.len();
+        if !improved {
+            // Oracle found nothing: drop the finger (Algorithm 3 line 12).
+            return (Vec::new(), Vec::new());
         }
-    };
+        self.accepted.fetch_add(1, Relaxed);
 
-    let improved = oracle.cost(&opt) < oracle.cost(&segment) && opt.len() <= segment.len();
-    if !improved {
-        // Oracle found nothing: drop the finger (Algorithm 3 line 12).
-        return (Vec::new(), Vec::new());
+        // padWithTombstone: surplus slots become tombstones.
+        let updates: Vec<Update<U>> = phys
+            .iter()
+            .enumerate()
+            .map(|(k, &p)| (p, opt.get(k).cloned()))
+            .collect();
+
+        // Boundary fingers at the segment's first unit and the first unit
+        // after it (both as physical indices, stable under the coming
+        // substitution).
+        let mut new_fingers = vec![phys[0]];
+        new_fingers.extend(after);
+        (new_fingers, updates)
     }
-    accepted.fetch_add(1, Relaxed);
-
-    // padWithTombstone: surplus slots become tombstones.
-    let updates: Vec<Update<U>> = phys
-        .iter()
-        .enumerate()
-        .map(|(k, &p)| (p, opt.get(k).cloned()))
-        .collect();
-
-    // Boundary fingers at the segment's first unit and the first unit after
-    // it (both as physical indices, stable under the coming substitution).
-    let mut new_fingers = vec![phys[0]];
-    new_fingers.extend(after);
-    (new_fingers, updates)
 }
 
-/// Gate-granularity POPQC over a [`Circuit`] (the paper's primary mode).
+/// Gate-granularity POPQC over a [`Circuit`] (the paper's primary mode):
+/// [`Engine::run`] over the circuit's gates.
 pub fn optimize_circuit<O: SegmentOracle<Gate> + ?Sized>(
     c: &Circuit,
     oracle: &O,
     cfg: &PopqcConfig,
 ) -> (Circuit, PopqcStats) {
-    optimize_circuit_cached(c, oracle, cfg, &(), &NoSegmentCache)
-}
-
-/// [`optimize_circuit`] with a [`RoundObserver`] progress hook and a
-/// [`SegmentCacheHook`] consulted before every oracle call.
-pub fn optimize_circuit_cached<O, Obs, C>(
-    c: &Circuit,
-    oracle: &O,
-    cfg: &PopqcConfig,
-    observer: &Obs,
-    cache: &C,
-) -> (Circuit, PopqcStats)
-where
-    O: SegmentOracle<Gate> + ?Sized,
-    Obs: RoundObserver + ?Sized,
-    C: SegmentCacheHook<Gate> + ?Sized,
-{
-    let (gates, stats) =
-        popqc_units_cached(c.gates.clone(), c.num_qubits, oracle, cfg, observer, cache);
-    (
-        Circuit {
-            num_qubits: c.num_qubits,
-            gates,
-        },
-        stats,
-    )
-}
-
-/// Layer-granularity POPQC over a [`LayeredCircuit`] (Section 7.8 mode).
-pub fn optimize_layered<O: SegmentOracle<Layer> + ?Sized>(
-    lc: &LayeredCircuit,
-    oracle: &O,
-    cfg: &PopqcConfig,
-) -> (LayeredCircuit, PopqcStats) {
-    let (layers, stats) = popqc_units(lc.layers.clone(), lc.num_qubits, oracle, cfg);
-    (
-        LayeredCircuit {
-            num_qubits: lc.num_qubits,
-            layers,
-        },
-        stats,
-    )
+    let (gates, stats) = Engine::new(oracle, cfg.clone()).run(c.gates.clone(), c.num_qubits);
+    let num_qubits = c.num_qubits;
+    (Circuit { num_qubits, gates }, stats)
 }
 
 /// Checks the paper's local-optimality guarantee (Theorem 7) directly: every
@@ -402,6 +354,7 @@ where
     U: Clone + Send + Sync,
     O: SegmentOracle<U> + ?Sized,
 {
+    assert!(omega >= 1, "Ω must be at least 1");
     if units.len() < 2 {
         return Ok(());
     }

@@ -14,12 +14,16 @@
 //! * [`sparse::SparseCircuit`] — the Algorithm 1 interface: `create`,
 //!   `before`, `get`, `substitute`, `gates` (here `to_units`, and the
 //!   consuming `into_units` the engine ends with), with the stated cost
-//!   bounds.
+//!   bounds — except `gates`, which is a sequential O(n) compaction
+//!   rather than the paper's O(lg n)-span filter.
 //! * [`fingers`] — `selectFingers` (Algorithm 4) and the sorted finger
 //!   merge.
-//! * [`engine`] — the round-based driver (Algorithms 2–3), generic over the
-//!   unit type: [`qcir::Gate`] for the primary gate-sequence mode,
-//!   [`qcir::Layer`] for the Section 7.8 depth-aware mode.
+//! * [`engine`] — the round-based driver (Algorithms 2–3): one
+//!   [`Engine`] value (oracle, [`PopqcConfig`], optional
+//!   [`RoundObserver`] and [`SegmentCacheHook`]) whose [`Engine::run`]
+//!   is generic over the unit type — [`qcir::Gate`] for the primary
+//!   gate-sequence mode, [`qcir::Layer`] for the Section 7.8 depth-aware
+//!   mode. [`optimize_circuit`] is its shorthand for a `Circuit`.
 //!
 //! ## Which term of Theorem 4 the engine does not pay
 //!
@@ -54,9 +58,8 @@ pub mod index_tree;
 pub mod sparse;
 
 pub use engine::{
-    optimize_circuit, optimize_circuit_cached, optimize_layered, popqc_units, popqc_units_cached,
-    verify_local_optimality, NoSegmentCache, PopqcConfig, PopqcStats, RoundObserver, RoundRecord,
-    SegmentCacheHook,
+    optimize_circuit, verify_local_optimality, Engine, PopqcConfig, PopqcStats, RoundObserver,
+    RoundRecord, SegmentCacheHook,
 };
 pub use index_tree::IndexTree;
 pub use sparse::SparseCircuit;

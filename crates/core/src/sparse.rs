@@ -115,33 +115,20 @@ impl<U: Clone + Send + Sync> SparseCircuit<U> {
     }
 
     /// `gates` (Algorithm 1): the live units in order, tombstones dropped.
-    /// O(n) work, O(lg n) span (parallel filter-collect).
+    /// O(n) work and span: a sequential filter-collect, not the paper's
+    /// O(lg n)-span parallel filter.
     pub fn to_units(&self) -> Vec<U> {
-        if self.collects_in_parallel() {
-            qexec::par_map_range(self.slots.len(), PAR_THRESHOLD, |i| self.slots[i].clone())
-                .into_iter()
-                .flatten()
-                .collect()
-        } else {
-            self.slots.iter().filter_map(|s| s.clone()).collect()
-        }
+        self.slots.iter().filter_map(|s| s.clone()).collect()
     }
 
-    /// [`to_units`](Self::to_units) for a circuit that is done with: the
-    /// sequential arm compacts the slot array in place instead of cloning
-    /// every live unit into a second O(n) buffer.
+    /// [`to_units`](Self::to_units) for a circuit that is done with: it
+    /// compacts the slot array in place instead of cloning every live
+    /// unit into a second O(n) buffer. O(n) work and span.
     pub fn into_units(self) -> Vec<U> {
-        if self.collects_in_parallel() {
-            return self.to_units();
-        }
         // Not `.flatten()`: only `filter_map` over `vec::IntoIter` collects
         // into the source allocation.
         #[allow(clippy::filter_map_identity)]
         self.slots.into_iter().filter_map(|s| s).collect()
-    }
-
-    fn collects_in_parallel(&self) -> bool {
-        self.slots.len() > PAR_THRESHOLD && qexec::current_width() > 1
     }
 }
 

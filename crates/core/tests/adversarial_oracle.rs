@@ -5,7 +5,7 @@
 //! the damage when an oracle breaks the contract: no panics, guaranteed
 //! termination, no substitution of oversized segments.
 
-use popqc_core::{optimize_circuit, popqc_units, PopqcConfig};
+use popqc_core::{optimize_circuit, Engine, PopqcConfig};
 use qcir::{Angle, Circuit, Gate};
 use qoracle::SegmentOracle;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -97,7 +97,7 @@ impl SegmentOracle<u32> for DropLastOracle {
 #[test]
 fn always_shrinking_oracle_terminates_by_potential() {
     let data: Vec<u32> = (0..500).collect();
-    let (out, stats) = popqc_units(data, 0, &DropLastOracle, &PopqcConfig::with_omega(10));
+    let (out, stats) = Engine::new(&DropLastOracle, PopqcConfig::with_omega(10)).run(data, 0);
     // Potential L = |F| + 2|C| bounds the calls even under maximal churn.
     let bound = 500usize.div_ceil(10) + 2 * 500;
     assert!((stats.oracle_calls as usize) <= bound);

@@ -1,10 +1,10 @@
 //! Engine-level tests: the POPQC driver against the paper's guarantees.
 
 use popqc_core::{
-    optimize_circuit, optimize_layered, popqc_units, verify_local_optimality, PopqcConfig,
+    optimize_circuit, verify_local_optimality, Engine, PopqcConfig, RoundObserver, RoundRecord,
     SparseCircuit,
 };
-use qcir::{Angle, Circuit, Gate};
+use qcir::{Angle, Circuit, Gate, LayeredCircuit};
 use qoracle::{
     IdentityOracle, LayerSearchOracle, MixedDepthGates, RuleBasedOptimizer, SegmentOracle,
 };
@@ -92,18 +92,53 @@ fn deterministic_across_thread_counts() {
     assert_eq!(a, b, "1-thread vs 2-thread outputs differ");
     assert_eq!(b, d, "2-thread vs 4-thread outputs differ");
 
-    // The engine's last step, on its two arms: the in-place compaction
-    // (width 1) and the parallel collect (width > 1 and more than 4096
-    // slots), over a half-tombstoned circuit.
+    // The engine's last step, the in-place compaction, over a
+    // half-tombstoned circuit of more than 4096 slots: the same at every
+    // width.
     let half_tombstoned = || {
         let mut sc = SparseCircuit::create((0..10_000u32).collect());
         sc.substitute((0..10_000).step_by(2).map(|s| (s, None)).collect());
         sc
     };
-    let sequential = qexec::with_width(1, || half_tombstoned().into_units());
-    let parallel = qexec::with_width(3, || half_tombstoned().into_units());
-    assert_eq!(sequential, (1..10_000).step_by(2).collect::<Vec<u32>>());
-    assert_eq!(sequential, parallel, "into_units differs across widths");
+    let narrow = qexec::with_width(1, || half_tombstoned().into_units());
+    let wide = qexec::with_width(3, || half_tombstoned().into_units());
+    assert_eq!(narrow, (1..10_000).step_by(2).collect::<Vec<u32>>());
+    assert_eq!(narrow, wide, "into_units differs across widths");
+}
+
+#[test]
+fn observer_sees_every_round_in_order() {
+    struct Recorder(std::sync::Mutex<Vec<(usize, RoundRecord)>>);
+    impl RoundObserver for Recorder {
+        fn on_round(&self, round: usize, record: &RoundRecord) {
+            self.0.lock().unwrap().push((round, *record));
+        }
+    }
+    let oracle = RuleBasedOptimizer::oracle();
+    let c = random_circuit(5, 300, 404);
+    let recorder = Recorder(std::sync::Mutex::new(Vec::new()));
+    let engine = Engine {
+        observer: Some(&recorder),
+        ..Engine::new(&oracle, PopqcConfig::with_omega(16))
+    };
+    let (_, stats) = engine.run(c.gates.clone(), c.num_qubits);
+    let seen = recorder.0.into_inner().unwrap();
+    assert!(stats.rounds > 1);
+    let rounds: Vec<usize> = seen.iter().map(|(r, _)| *r).collect();
+    assert_eq!(rounds, (1..=stats.rounds).collect::<Vec<_>>());
+    let records: Vec<RoundRecord> = seen.iter().map(|(_, r)| *r).collect();
+    assert_eq!(records, stats.rounds_detail);
+}
+
+#[test]
+#[should_panic(expected = "Ω must be at least 1")]
+fn verify_local_optimality_rejects_omega_zero() {
+    let _ = verify_local_optimality(
+        &[Gate::H(0), Gate::H(0)],
+        1,
+        &RuleBasedOptimizer::oracle(),
+        0,
+    );
 }
 
 #[test]
@@ -184,7 +219,11 @@ fn layer_mode_reduces_mixed_cost() {
     let oracle = LayerSearchOracle::new(MixedDepthGates::default(), 150, c.num_qubits);
     let cfg = PopqcConfig::with_omega(6);
     let before_cost = lc.mixed_cost();
-    let (opt, stats) = optimize_layered(&lc, &oracle, &cfg);
+    let (layers, stats) = Engine::new(&oracle, cfg).run(lc.layers.clone(), lc.num_qubits);
+    let opt = LayeredCircuit {
+        num_qubits: lc.num_qubits,
+        layers,
+    };
     let after_cost = opt.mixed_cost();
     assert!(
         after_cost <= before_cost,
@@ -199,7 +238,7 @@ fn layer_mode_reduces_mixed_cost() {
 }
 
 #[test]
-fn popqc_units_generic_over_plain_data() {
+fn engine_generic_over_plain_data() {
     // The engine is unit-agnostic; drive it with integers and a toy oracle
     // that removes adjacent equal pairs.
     struct PairRemover;
@@ -220,7 +259,7 @@ fn popqc_units_generic_over_plain_data() {
         }
     }
     let data = vec![1, 2, 2, 3, 3, 3, 4, 4, 5, 1, 1, 5];
-    let (out, stats) = popqc_units(data, 0, &PairRemover, &PopqcConfig::with_omega(3));
+    let (out, stats) = Engine::new(&PairRemover, PopqcConfig::with_omega(3)).run(data, 0);
     // Full stack-cancellation of this sequence: 1 2 2 3 3 3 4 4 5 1 1 5 ->
     // 1 3 5 5 ... depends on windowing, but local optimality w.r.t. Ω=3
     // windows must hold.
@@ -277,8 +316,12 @@ fn segment_cache_hook_replaces_oracle_calls_without_changing_output() {
     // either reached the oracle or was served by an earlier intra-run
     // recording (identical segments recur across rounds), never both.
     let cache = MemoCache::new();
-    let (cold, cold_stats) = popqc_core::optimize_circuit_cached(&c, &oracle, &cfg, &(), &cache);
-    assert_eq!(cold.gates, plain.gates);
+    let engine = Engine {
+        cache: Some(&cache),
+        ..Engine::new(&oracle, cfg)
+    };
+    let (cold, cold_stats) = engine.run(c.gates.clone(), c.num_qubits);
+    assert_eq!(cold, plain.gates);
     assert_eq!(
         cold_stats.oracle_calls + cold_stats.seg_cache_hits,
         plain_stats.oracle_calls
@@ -286,8 +329,8 @@ fn segment_cache_hook_replaces_oracle_calls_without_changing_output() {
 
     // Warm re-run: every segment repeats, so every lookup hits and the
     // oracle is never consulted — yet the output is byte-identical.
-    let (warm, warm_stats) = popqc_core::optimize_circuit_cached(&c, &oracle, &cfg, &(), &cache);
-    assert_eq!(warm.gates, plain.gates);
+    let (warm, warm_stats) = engine.run(c.gates.clone(), c.num_qubits);
+    assert_eq!(warm, plain.gates);
     assert_eq!(
         warm_stats.oracle_calls, 0,
         "warm run must not call the oracle"

@@ -9,7 +9,7 @@
 //!        │     │                              │  (each scopes a
 //!        │     └─ OracleRegistry lookup       │   threads-per-job width on
 //!        │ store probe                        ▼   the shared qexec pool)
-//!        ▼                                 optimize_circuit_cached
+//!        ▼                                 Engine::run
 //!  Arc<dyn ResultStore> ◀──── put ────────────┘
 //!   (memory │ disk │ tiered │ null)
 //!        │
@@ -57,7 +57,7 @@ use crate::cache::{CacheStats, CACHE_SHARDS};
 use crate::metrics;
 use crate::segcache::{SegCacheStats, SegmentCacheLayer};
 use crate::store::{CachedRun, MemoryStore, ResultStore, StoreStats};
-use popqc_core::{optimize_circuit_cached, PopqcConfig, PopqcStats, RoundObserver, RoundRecord};
+use popqc_core::{Engine, PopqcConfig, PopqcStats, RoundObserver, RoundRecord};
 use qcir::{Circuit, Fingerprint, Gate};
 use qoracle::{GateCount, RuleBasedOptimizer, SearchOptimizer, SegmentOracle, StructuralOptimizer};
 use std::collections::{HashMap, VecDeque};
@@ -1009,18 +1009,17 @@ impl Inner {
             // of spawning scoped threads per round.
             qobs::trace::with_active(&engine_ctx, || {
                 qexec::with_width(self.threads_per_job, || {
-                    optimize_circuit_cached(
-                        &job.circuit,
-                        &timed_oracle,
-                        &job.key.config,
-                        &observer,
-                        &seg_hook,
-                    )
+                    Engine {
+                        observer: Some(&observer),
+                        cache: Some(&seg_hook),
+                        ..Engine::new(&timed_oracle, job.key.config.clone())
+                    }
+                    .run(job.circuit.gates.clone(), job.circuit.num_qubits)
                 })
             })
         }));
         drop(engine_span);
-        let (optimized, stats) = match outcome {
+        let (gates, stats) = match outcome {
             Ok(run) => run,
             Err(payload) => {
                 drop(guard); // armed: removes the in-flight entry, re-enqueues waiters
@@ -1058,6 +1057,10 @@ impl Inner {
         guard.armed = false;
         drop(guard); // release the borrows of `job` before it is moved below
         let run_nanos = t0.elapsed().as_nanos() as u64;
+        let optimized = Circuit {
+            num_qubits: job.circuit.num_qubits,
+            gates,
+        };
 
         self.oracle_calls_issued
             .fetch_add(stats.oracle_calls, Relaxed);

@@ -23,9 +23,14 @@ fn main() {
     // oracle and budget; only the cost function differs — exactly the
     // comparison of the paper's Figure 6.
     let cfg = PopqcConfig::with_omega(20);
+    let run = |oracle: &dyn SegmentOracle<Layer>| {
+        let (layers, stats) =
+            Engine::new(oracle, cfg.clone()).run(layered.layers.clone(), layered.num_qubits);
+        let num_qubits = layered.num_qubits;
+        (LayeredCircuit { num_qubits, layers }, stats)
+    };
 
-    let gate_oracle = LayerSearchOracle::new(GateCount, 400, circuit.num_qubits);
-    let (by_gates, _) = optimize_layered(&layered, &gate_oracle, &cfg);
+    let (by_gates, _) = run(&LayerSearchOracle::new(GateCount, 400, circuit.num_qubits));
     println!(
         "gate-count objective:  {} gates, depth {} (mixed cost {})",
         by_gates.gate_count(),
@@ -33,8 +38,11 @@ fn main() {
         by_gates.mixed_cost()
     );
 
-    let mixed_oracle = LayerSearchOracle::new(MixedDepthGates::default(), 400, circuit.num_qubits);
-    let (by_depth, stats) = optimize_layered(&layered, &mixed_oracle, &cfg);
+    let (by_depth, stats) = run(&LayerSearchOracle::new(
+        MixedDepthGates::default(),
+        400,
+        circuit.num_qubits,
+    ));
     println!(
         "mixed objective:       {} gates, depth {} (mixed cost {}) in {} rounds",
         by_depth.gate_count(),

@@ -58,7 +58,7 @@ pub mod prelude {
     pub use benchgen::Family;
     pub use oac::{oac_optimize, OacConfig, OacStats};
     pub use popqc_core::{
-        optimize_circuit, optimize_layered, verify_local_optimality, PopqcConfig, PopqcStats,
+        optimize_circuit, verify_local_optimality, Engine, PopqcConfig, PopqcStats,
     };
     pub use qapi::ApiError;
     pub use qcir::{Angle, Circuit, Fingerprint, Gate, Layer, LayeredCircuit, Qubit};

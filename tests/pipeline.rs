@@ -105,7 +105,10 @@ fn layer_mode_on_benchmarks() {
     let circuit = Family::Vqe.generate(8, 21);
     let layered = circuit.layered();
     let oracle = LayerSearchOracle::new(MixedDepthGates::default(), 200, circuit.num_qubits);
-    let (opt, _) = optimize_layered(&layered, &oracle, &PopqcConfig::with_omega(12));
+    let num_qubits = layered.num_qubits;
+    let (layers, _) =
+        Engine::new(&oracle, PopqcConfig::with_omega(12)).run(layered.layers.clone(), num_qubits);
+    let opt = LayeredCircuit { num_qubits, layers };
     assert!(opt.mixed_cost() <= layered.mixed_cost());
     assert!(popqc::sim::circuits_equivalent(
         &circuit,
