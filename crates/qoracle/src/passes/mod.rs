@@ -6,6 +6,13 @@
 //! the gate sequence, so the pipeline in [`crate::rule_based`] can run them
 //! in any order and to fixpoint, and can skip a pass whose answer on the
 //! current sequence it already knows.
+//!
+//! Most calls change nothing, so the passes make that case cheap. The two
+//! cancellation passes rewrite their input vector in place and record
+//! removals in a `Tombstones` bitmap that exists only once something is
+//! removed; a call that removes nothing returns its input as it came.
+//! `RotationMerge` first tries a linear proof that no two rotations can
+//! merge and returns its input when the proof holds.
 
 pub mod cancel_1q;
 pub mod cancel_2q;
@@ -43,6 +50,10 @@ pub trait Pass: Sync + Send {
 /// removed slots and identity rotations (`RZ(0)`). The flag is whether
 /// anything was dropped: for passes whose every rewrite deletes a gate,
 /// exactly whether the output differs from the input.
+///
+/// Passes that rewrite their input in place use [`Tombstones`] instead;
+/// this form is left to the quadratic [`RotationMergeScan`] and the
+/// reference implementations the tests hold the passes to.
 pub(crate) fn compact(slots: Vec<Option<Gate>>) -> (Vec<Gate>, bool) {
     let len = slots.len();
     let out: Vec<Gate> = slots
@@ -52,6 +63,52 @@ pub(crate) fn compact(slots: Vec<Option<Gate>>) -> (Vec<Gate>, bool) {
         .collect();
     let changed = out.len() < len;
     (out, changed)
+}
+
+/// The removed positions of a pass that rewrites its gate vector in place.
+///
+/// The contract of an in-place pass: it may overwrite a gate with its
+/// replacement (a merged rotation) and mark positions removed here, and it
+/// notes whether its input holds an identity rotation (`RZ(0)`). Nothing
+/// is allocated until the first removal, and [`Tombstones::compact`] hands
+/// an input with no removal and no `RZ(0)` back untouched, so a call that
+/// finds nothing to do neither allocates nor copies.
+#[derive(Default)]
+pub(crate) struct Tombstones(Vec<u64>);
+
+impl Tombstones {
+    /// Whether position `i` was removed.
+    #[inline]
+    pub(crate) fn is_dead(&self, i: usize) -> bool {
+        self.0.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1)
+    }
+
+    /// Removes position `i` of a `len`-gate sequence.
+    #[inline]
+    pub(crate) fn kill(&mut self, i: usize, len: usize) {
+        if self.0.is_empty() {
+            self.0 = vec![0; len.div_ceil(64)];
+        }
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    /// Drops the removed positions and every `RZ(0)` from `gates` with one
+    /// `retain`; `identity` is whether the input held an `RZ(0)`. The flag
+    /// is whether anything was dropped, as for [`compact`].
+    pub(crate) fn compact(self, mut gates: Vec<Gate>, identity: bool) -> (Vec<Gate>, bool) {
+        if self.0.is_empty() && !identity {
+            return (gates, false);
+        }
+        let len = gates.len();
+        let mut i = 0;
+        gates.retain(|g| {
+            let keep = !self.is_dead(i) && !g.is_identity();
+            i += 1;
+            keep
+        });
+        let changed = gates.len() < len;
+        (gates, changed)
+    }
 }
 
 /// One entry per gate: the neighbouring slot on the gate's first wire and
@@ -175,6 +232,63 @@ pub(crate) mod testutil {
             }
         }
         c
+    }
+
+    /// `gates` and the sequences the pipeline makes of it before each
+    /// cancellation pass: after NOT propagation and Hadamard reduction,
+    /// and after rotation merging.
+    pub fn cancellation_inputs(gates: &[Gate], num_qubits: u32) -> [Vec<Gate>; 3] {
+        use super::{HadamardReduction, NotPropagation, Pass, RotationMerge};
+        let first = NotPropagation.run(gates.to_vec(), num_qubits).0;
+        let first = HadamardReduction.run(first, num_qubits).0;
+        let merged = RotationMerge.run(first.clone(), num_qubits).0;
+        [gates.to_vec(), first, merged]
+    }
+
+    /// Small inputs at the edges of the cancellation walks, with their
+    /// widths: the degenerate `CNOT(q, q)`, identity rotations, a rotation
+    /// pair whose sum has no canonical [`Angle`], X sliding past a CNOT
+    /// target, RZ sliding past a control, H blocked by a CNOT, and a merge
+    /// chain that reaches zero mid-wire.
+    pub fn hand_cases() -> Vec<(Vec<Gate>, u32)> {
+        use Gate::{Cnot, Rz, H, X};
+        let (pi_4, pi_2) = (Angle::PI_4, Angle::PI_2);
+        // Coprime denominators just above 2^31.5: no canonical sum.
+        let (a, b) = (Angle::pi_frac(1, 3037000507), Angle::pi_frac(1, 3037000493));
+        vec![
+            (
+                vec![Rz(0, pi_4), Cnot(0, 0), Rz(0, pi_4), X(0), Cnot(0, 0), X(0)],
+                1,
+            ),
+            (vec![H(0), Cnot(0, 0), H(0), Cnot(0, 0), Cnot(0, 0)], 1),
+            (vec![Cnot(0, 1), Cnot(1, 1), Cnot(0, 1), Rz(1, pi_4)], 2),
+            (
+                vec![Rz(0, Angle::ZERO), H(1), Rz(0, pi_4), Rz(1, Angle::ZERO)],
+                2,
+            ),
+            (vec![Cnot(0, 1), Rz(1, Angle::ZERO), Cnot(0, 1)], 2),
+            (vec![H(0), Rz(1, Angle::ZERO)], 2),
+            (vec![Rz(0, a), Rz(0, b)], 1),
+            (vec![Rz(0, a), Cnot(0, 1), Rz(0, b), Rz(0, -b)], 2),
+            (vec![Rz(0, a), X(0), Rz(0, b), X(0), Rz(0, -a)], 1),
+            (vec![X(1), Cnot(0, 1), X(1), Cnot(0, 1)], 2),
+            (vec![Rz(0, pi_4), Cnot(0, 1), Rz(0, pi_4), Cnot(0, 1)], 2),
+            (vec![Rz(1, pi_4), Cnot(0, 1), Rz(1, -pi_4)], 2),
+            (vec![H(0), Cnot(0, 1), H(0), Cnot(1, 0), Cnot(0, 1)], 2),
+            (
+                vec![
+                    Rz(0, pi_2),
+                    Cnot(0, 1),
+                    Rz(0, pi_2),
+                    Rz(0, Angle::PI),
+                    Rz(0, pi_4),
+                    H(0),
+                    H(0),
+                    Rz(0, -pi_4),
+                ],
+                2,
+            ),
+        ]
     }
 
     /// [`random_circuit`] inputs of widths 1–60 and lengths 0–300, with

@@ -47,6 +47,37 @@
 //! counted (against `MAX_TERMS`), and the numbering is injective, so which
 //! number a wire or a Hadamard gets cannot show in the output: numbering
 //! wires by first touch instead of by qubit id changes nothing observable.
+//!
+//! # The no-merge proof
+//!
+//! Most segments the engine hands over have no two rotations on one linear
+//! part, and the sweep then builds all of the above to change nothing.
+//! Before it, one linear scan tries to prove that case:
+//!
+//! * every path variable gets a 64-bit word, drawn from a fixed-seed
+//!   SplitMix64 and forced non-zero; a wire gets its word at first touch;
+//! * an H gives its wire a fresh variable, whose word is drawn at the
+//!   wire's next touch; `CNOT(c, t)` XORs `c`'s word into `t`'s, and an X
+//!   changes nothing;
+//! * each rotation's word goes into an open-addressed table sized by the
+//!   rotation count.
+//!
+//! If no input is `RZ(0)`, no CNOT leaves a word zero, and the rotations'
+//! words are pairwise distinct, the pass returns its input with `false`;
+//! otherwise the sweep runs as if the proof were not there.
+//!
+//! Why this is sound. A wire's word is the image of its *uncapped* linear
+//! part under the XOR-linear map that sends each variable to its word. So
+//! distinct words mean distinct linear parts, and a non-zero word means a
+//! non-empty one. The sweep compares *capped* linear parts, but a
+//! `MAX_TERMS` reset is the substitution of a fresh variable `v` for the
+//! linear part `S` it replaces, and substituting `v ↦ S` back turns a
+//! capped part into the uncapped one: equal capped parts have equal
+//! uncapped parts, and an empty capped part has an empty uncapped one. So
+//! when the proof holds, the sweep finds no site to merge into and no
+//! rotation on a constant, and with no `RZ(0)` to drop it leaves the input
+//! as it is. A hash collision can only make the proof fail, which sends
+//! the segment down the exact path.
 
 use super::Pass;
 use qcir::Gate;
@@ -114,17 +145,82 @@ fn xor_sorted(a: &[u32], b: &[u32], out: &mut [u32; 2 * MAX_TERMS]) -> usize {
     n
 }
 
+/// Seed of the no-merge proof's words. Fixed, so the pass stays a function
+/// of its input; a segment built to collide only loses the fast path.
+const WORD_SEED: u64 = 0x5EED_0F9A_2177_C0DE;
+
+/// Whether the sweep would leave `gates` as it is: no rotation is `RZ(0)`,
+/// none sits on a constant linear part and no two share one, by the word
+/// scan in the module doc; `false` when that cannot be shown. `rotations`
+/// is the number of rotations in `gates`.
+fn no_merge_proof(gates: &[Gate], num_qubits: u32, rotations: usize) -> bool {
+    // Per wire, the word of its linear part, or 0 where the wire holds a
+    // variable that has no word yet: before its first touch, and after an
+    // H until its next one.
+    let mut words = vec![0u64; num_qubits as usize];
+    let mut state = WORD_SEED;
+    // The word of wire `q`, drawn (SplitMix64, non-zero) if it has none.
+    let mut word = |words: &mut [u64], q: u32| {
+        let w = &mut words[q as usize];
+        while *w == 0 {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            *w = z ^ (z >> 31);
+        }
+        *w
+    };
+    // Open addressing at load ≤ 1/2 on the top bits of the word; a word is
+    // never 0, which marks an empty entry.
+    let table_len = (2 * rotations + 2).next_power_of_two();
+    let shift = u64::BITS - table_len.trailing_zeros();
+    let mut table = vec![0u64; table_len];
+    for &g in gates {
+        match g {
+            Gate::H(q) => words[q as usize] = 0,
+            Gate::X(_) => {}
+            Gate::Cnot(c, t) => {
+                let w = word(&mut words, c) ^ word(&mut words, t);
+                if w == 0 {
+                    return false;
+                }
+                words[t as usize] = w;
+            }
+            Gate::Rz(q, theta) => {
+                if theta.is_zero() {
+                    return false;
+                }
+                let w = word(&mut words, q);
+                let mut at = (w >> shift) as usize;
+                loop {
+                    match table[at] {
+                        0 => break table[at] = w,
+                        seen if seen == w => return false,
+                        _ => at = (at + 1) & (table_len - 1),
+                    }
+                }
+            }
+        }
+    }
+    true
+}
+
 impl Pass for RotationMerge {
     fn name(&self) -> &'static str {
         "rotation-merge"
     }
 
     fn run(&self, mut gates: Vec<Gate>, num_qubits: u32) -> (Vec<Gate>, bool) {
+        let rotations = gates.iter().filter(|g| matches!(g, Gate::Rz(..))).count();
+        if rotations == 0 || no_merge_proof(&gates, num_qubits, rotations) {
+            return (gates, false);
+        }
+
         let input_len = gates.len();
         // 0 = untouched, else local id + 1.
         let mut local = vec![0u32; num_qubits as usize];
         let mut wires = 0u32;
-        let mut rotations = 0usize;
         for g in &gates {
             let (a, b) = g.qubits();
             for q in [Some(a), b].into_iter().flatten() {
@@ -133,7 +229,6 @@ impl Pass for RotationMerge {
                     local[q as usize] = wires;
                 }
             }
-            rotations += usize::from(matches!(g, Gate::Rz(..)));
         }
         let wire = |q: u32| (local[q as usize] - 1) as usize;
 
@@ -247,7 +342,8 @@ impl Pass for RotationMerge {
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::random_circuit;
+    use super::super::testutil::{family_segments, random_circuit, random_inputs};
+    use super::super::{CancelSingleQubit, CancelTwoQubit, HadamardReduction, NotPropagation};
     use super::*;
     use qcir::{Angle, Circuit};
     use std::collections::HashMap;
@@ -405,10 +501,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fan_in_crosses_max_terms_like_the_reference() {
-        // Wire 129 gains one variable per CNOT: 128 terms after control
-        // 126, reset to a fresh variable by control 127.
+    /// Wire 129 gains one variable per CNOT: 128 terms after control 126,
+    /// reset to a fresh variable by control 127.
+    fn fan_in_gates() -> Vec<Gate> {
         let theta = Angle::PI_4;
         let mut gates = vec![Gate::Rz(129, theta)];
         for i in 0..129 {
@@ -422,6 +517,12 @@ mod tests {
         // this rotation would merge into the first one.
         gates.extend((0..129).map(|i| Gate::Cnot(i, 129)));
         gates.push(Gate::Rz(129, theta));
+        gates
+    }
+
+    #[test]
+    fn fan_in_crosses_max_terms_like_the_reference() {
+        let gates = fan_in_gates();
         let out = RotationMerge.run(gates.clone(), 130).0;
         assert_eq!(out, reference_run(&gates, 130));
         assert_eq!(out, gates, "no two rotations share a function");
@@ -466,6 +567,80 @@ mod tests {
         let took = start.elapsed();
         assert_eq!(wide, narrow);
         assert!(took.as_millis() < 50, "took {took:?}");
+    }
+
+    /// [`no_merge_proof`] on `gates`, with their rotation count.
+    fn proof(gates: &[Gate], num_qubits: u32) -> bool {
+        let rotations = gates.iter().filter(|g| matches!(g, Gate::Rz(..))).count();
+        no_merge_proof(gates, num_qubits, rotations)
+    }
+
+    #[test]
+    fn the_proof_holds_only_where_the_sweep_changes_nothing() {
+        // Each input as the engine hands it over and as the pipeline hands
+        // it to this pass, after the passes that run before it.
+        let mut inputs = random_inputs();
+        inputs.extend(family_segments().iter().cloned());
+        let mut accepted = 0;
+        for (gates, n) in inputs {
+            let mut before = NotPropagation.run(gates.clone(), n).0;
+            for pass in [
+                &HadamardReduction as &dyn Pass,
+                &CancelSingleQubit,
+                &CancelTwoQubit,
+            ] {
+                before = pass.run(before, n).0;
+            }
+            for input in [gates, before] {
+                if proof(&input, n) {
+                    accepted += 1;
+                    assert_eq!(reference_run(&input, n), input, "proof held on {input:?}");
+                }
+            }
+        }
+        assert!(accepted > 0);
+    }
+
+    #[test]
+    fn the_proof_holds_on_nine_in_ten_family_segments_the_sweep_keeps() {
+        let (mut kept, mut accepted) = (0, 0);
+        for (gates, n) in family_segments() {
+            if reference_run(gates, *n) == *gates {
+                kept += 1;
+                accepted += usize::from(proof(gates, *n));
+            }
+        }
+        assert!(kept > 0);
+        assert!(
+            accepted * 10 >= kept * 9,
+            "the proof held on {accepted} of {kept} unchanged segments"
+        );
+    }
+
+    #[test]
+    fn the_proof_declines_where_the_sweep_could_act() {
+        let theta = Angle::PI_4;
+        // An identity rotation, which the sweep drops.
+        assert!(!proof(&[Gate::Rz(0, theta), Gate::Rz(1, Angle::ZERO)], 2));
+        assert!(proof(&[Gate::Rz(0, theta), Gate::Rz(1, theta)], 2));
+        // The swap in `merges_across_different_wires`: two rotations on x0
+        // by different CNOT paths.
+        let swap = [
+            Gate::Rz(0, theta),
+            Gate::Cnot(0, 1),
+            Gate::Cnot(1, 0),
+            Gate::Cnot(0, 1),
+            Gate::Rz(1, theta),
+        ];
+        assert!(!proof(&swap, 2));
+        assert!(proof(&swap[..4], 2));
+        // A rotation after CNOT(q, q), on a constant.
+        assert!(!proof(&[Gate::Cnot(0, 0), Gate::Rz(0, theta)], 1));
+        // The `MAX_TERMS` fan-in: the sweep's capped parts differ, the
+        // uncapped ones agree, so the proof cannot tell and declines.
+        let fan_in = fan_in_gates();
+        assert!(!proof(&fan_in, 130));
+        assert!(proof(&fan_in[..fan_in.len() - 1], 130));
     }
 
     #[test]

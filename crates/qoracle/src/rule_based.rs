@@ -131,7 +131,36 @@ impl RuleBasedOptimizer {
     /// converged; after any other round the sequence is compared with the
     /// round's start, so cycles and the round bound behave as if every
     /// pass ran.
+    ///
+    /// The passes size per-call state by the width. A segment touches at
+    /// most two wires per gate, so when `num_qubits` is larger than that
+    /// the segment's wires are renamed to their ranks, the pipeline runs
+    /// at that compact width, and the output is renamed back. The renaming
+    /// keeps wire order, so the output is what the full width gives.
     pub fn run(&self, gates: &[Gate], num_qubits: u32) -> Vec<Gate> {
+        if num_qubits as usize <= 2 * gates.len() {
+            return self.run_at_width(gates, num_qubits);
+        }
+        let mut wires: Vec<u32> = gates
+            .iter()
+            .flat_map(|g| {
+                let (a, b) = g.qubits();
+                [Some(a), b]
+            })
+            .flatten()
+            .collect();
+        wires.sort_unstable();
+        wires.dedup();
+        let rank = |q: u32| wires.binary_search(&q).expect("a wire of the segment") as u32;
+        let narrow: Vec<Gate> = gates.iter().map(|&g| rename(g, rank)).collect();
+        self.run_at_width(&narrow, wires.len() as u32)
+            .into_iter()
+            .map(|g| rename(g, |r| wires[r as usize]))
+            .collect()
+    }
+
+    /// [`Self::run`] with every wire of `gates` below `num_qubits`.
+    fn run_at_width(&self, gates: &[Gate], num_qubits: u32) -> Vec<Gate> {
         // The shortest sequence seen so far; `None` is the input itself,
         // which is copied only if it is what gets returned.
         let mut best: Option<Vec<Gate>> = None;
@@ -180,6 +209,16 @@ impl RuleBasedOptimizer {
             num_qubits: c.num_qubits,
             gates: self.run(&c.gates, c.num_qubits),
         }
+    }
+}
+
+/// `g` with each wire `q` replaced by `f(q)`.
+fn rename(g: Gate, f: impl Fn(u32) -> u32) -> Gate {
+    match g {
+        Gate::H(q) => Gate::H(f(q)),
+        Gate::X(q) => Gate::X(f(q)),
+        Gate::Rz(q, a) => Gate::Rz(f(q), a),
+        Gate::Cnot(c, t) => Gate::Cnot(f(c), f(t)),
     }
 }
 
