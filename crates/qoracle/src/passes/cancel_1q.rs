@@ -16,8 +16,7 @@
 //!
 //! The whole-circuit baselines run this pass too, so it no longer adds to
 //! their superlinear cost: what is left there is VOQC's quadratic rotation
-//! merge ([`super::RotationMergeScan`]), kept on purpose, and the worst
-//! case of the CNOT walks in [`super::CancelTwoQubit`].
+//! merge ([`super::RotationMergeScan`]), kept on purpose.
 
 use super::{Pass, Tombstones, NO_LINK};
 use crate::commutes;
@@ -83,7 +82,9 @@ impl Pass for CancelSingleQubit {
 #[cfg(test)]
 mod tests {
     use super::super::compact;
-    use super::super::testutil::{cancellation_inputs, family_segments, hand_cases, random_inputs};
+    use super::super::testutil::{
+        cancellation_inputs, family_segments, fuzz_inputs, hand_cases, random_inputs,
+    };
     use super::*;
     use qcir::{Angle, Circuit};
 
@@ -150,6 +151,17 @@ mod tests {
     fn matches_reference_on_hand_cases() {
         for (gates, n) in hand_cases() {
             assert_matches_reference(&gates, n);
+        }
+    }
+
+    #[test]
+    fn matches_reference_on_fuzz_inputs() {
+        for (gates, n) in fuzz_inputs(20_000, 0xC1) {
+            assert_eq!(
+                CancelSingleQubit.run(gates.clone(), n),
+                reference_run(&gates),
+                "on {gates:?}"
+            );
         }
     }
 

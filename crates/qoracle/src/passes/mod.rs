@@ -8,11 +8,14 @@
 //! current sequence it already knows.
 //!
 //! Most calls change nothing, so the passes make that case cheap. The two
-//! cancellation passes rewrite their input vector in place and record
-//! removals in a `Tombstones` bitmap that exists only once something is
-//! removed; a call that removes nothing returns its input as it came.
-//! `RotationMerge` first tries a linear proof that no two rotations can
-//! merge and returns its input when the proof holds.
+//! cancellation passes each replay their forward walks in one scan, O(n)
+//! (expected, for the CNOT pass's pair table) in the length: one open walk
+//! per wire for single-qubit gates, one per control-target pair for CNOTs.
+//! They rewrite their input vector in place and record removals in a
+//! `Tombstones` bitmap that exists only once something is removed; a call
+//! that removes nothing returns its input as it came. `RotationMerge`
+//! first tries a linear proof that no two rotations can merge and returns
+//! its input when the proof holds.
 
 pub mod cancel_1q;
 pub mod cancel_2q;
@@ -196,18 +199,22 @@ pub(crate) mod testutil {
         })
     }
 
-    /// Deterministic random circuit over `n` qubits with angles on the
-    /// π/8 grid — dense in redundancy so passes have work to do.
-    pub fn random_circuit(n: u32, len: usize, seed: u64) -> Circuit {
-        // SplitMix64, kept local to avoid a dev-dependency cycle with qsim.
-        let mut s = seed;
-        let mut next = move || {
+    /// SplitMix64 from `seed`, kept local to avoid a dev-dependency cycle
+    /// with qsim.
+    fn splitmix64(mut s: u64) -> impl FnMut() -> u64 {
+        move || {
             s = s.wrapping_add(0x9E3779B97F4A7C15);
             let mut z = s;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
             z ^ (z >> 31)
-        };
+        }
+    }
+
+    /// Deterministic random circuit over `n` qubits with angles on the
+    /// π/8 grid — dense in redundancy so passes have work to do.
+    pub fn random_circuit(n: u32, len: usize, seed: u64) -> Circuit {
+        let mut next = splitmix64(seed);
         let mut c = Circuit::new(n);
         for _ in 0..len {
             let r = next();
@@ -249,7 +256,11 @@ pub(crate) mod testutil {
     /// widths: the degenerate `CNOT(q, q)`, identity rotations, a rotation
     /// pair whose sum has no canonical [`Angle`], X sliding past a CNOT
     /// target, RZ sliding past a control, H blocked by a CNOT, and a merge
-    /// chain that reaches zero mid-wire.
+    /// chain that reaches zero mid-wire. Then the mechanics of the CNOT
+    /// scan: a pair cancelling across a fan-out and across a fan-in, X on
+    /// the control (blocks) against X on the target (does not), a pair
+    /// that opens again after a block, nested pairs, and `CNOT(q, q)` next
+    /// to the gates that do and do not block it.
     pub fn hand_cases() -> Vec<(Vec<Gate>, u32)> {
         use Gate::{Cnot, Rz, H, X};
         let (pi_4, pi_2) = (Angle::PI_4, Angle::PI_2);
@@ -288,7 +299,54 @@ pub(crate) mod testutil {
                 ],
                 2,
             ),
+            (vec![Cnot(0, 1), Cnot(0, 2), Cnot(0, 3), Cnot(0, 2)], 4),
+            (vec![Cnot(1, 0), Cnot(2, 0), X(0), Cnot(1, 0)], 3),
+            (vec![Cnot(0, 1), X(0), Cnot(0, 1)], 2),
+            (vec![Cnot(0, 1), X(1), Cnot(0, 1)], 2),
+            (vec![Cnot(0, 1), H(1), Cnot(0, 1), Cnot(0, 1)], 2),
+            (vec![Cnot(0, 1), Cnot(1, 0), Cnot(1, 0), Cnot(0, 1)], 2),
+            (vec![Cnot(0, 0), X(0), Cnot(0, 0)], 1),
+            (vec![Cnot(0, 0), Rz(0, pi_4), Cnot(0, 0)], 1),
+            (vec![Cnot(0, 0), Cnot(0, 1), Cnot(0, 0)], 2),
+            (
+                vec![
+                    Cnot(0, 0),
+                    X(0),
+                    Cnot(0, 1),
+                    Cnot(0, 0),
+                    Rz(0, pi_4),
+                    Cnot(0, 0),
+                ],
+                2,
+            ),
         ]
+    }
+
+    /// `count` short random inputs for the cancellation passes, with their
+    /// widths: widths 1–5, lengths 0–40, about half CNOTs with the
+    /// degenerate `CNOT(q, q)` allowed, and rotations on the π/8 grid,
+    /// `RZ(0)` included. Drawn from `seed` as in [`random_circuit`].
+    pub fn fuzz_inputs(count: usize, seed: u64) -> Vec<(Vec<Gate>, u32)> {
+        let mut next = splitmix64(seed);
+        (0..count)
+            .map(|_| {
+                let n = (next() % 5) as u32 + 1;
+                let len = (next() % 41) as usize;
+                let gates = (0..len)
+                    .map(|_| {
+                        let r = next();
+                        let q = (r % u64::from(n)) as u32;
+                        match (r >> 8) % 6 {
+                            0 => Gate::H(q),
+                            1 => Gate::X(q),
+                            2 => Gate::Rz(q, Angle::pi_frac(((r >> 16) % 16) as i64, 8)),
+                            _ => Gate::Cnot(q, ((r >> 16) % u64::from(n)) as u32),
+                        }
+                    })
+                    .collect();
+                (gates, n)
+            })
+            .collect()
     }
 
     /// [`random_circuit`] inputs of widths 1–60 and lengths 0–300, with
@@ -315,7 +373,7 @@ pub(crate) mod testutil {
 
 #[cfg(test)]
 mod tests {
-    use super::testutil::{family_segments, random_inputs};
+    use super::testutil::{family_segments, hand_cases, random_inputs};
     use super::*;
     use crate::structural::CancelSelfInverse;
 
@@ -354,6 +412,13 @@ mod tests {
     #[test]
     fn change_flags_are_exact_on_random_circuits() {
         for (gates, n) in random_inputs() {
+            assert_flags_exact(&gates, n);
+        }
+    }
+
+    #[test]
+    fn change_flags_are_exact_on_hand_cases() {
+        for (gates, n) in hand_cases() {
             assert_flags_exact(&gates, n);
         }
     }
