@@ -47,8 +47,10 @@
 //!   is saturated.
 //!
 //! The crate is protocol-agnostic: a [`Driver`] consumes raw bytes and
-//! emits [`Action`]s. `popqc-http` layers its vendored HTTP/1.1 framing
-//! on top (`qhttp::evented`).
+//! emits [`Action`]s. Two protocols run on it: `popqc-http` layers its
+//! vendored HTTP/1.1 framing on top (`qhttp::evented`), and `popqc-svc`'s
+//! wire driver serves the fleet cache's length-prefixed frames
+//! (`qsvc::CacheServer`, what `popqc cached` runs).
 
 pub mod limiter;
 pub mod metrics;

@@ -8,6 +8,12 @@
 //! disk tier's, so `store_format` and `oracle_version` travel end to end
 //! and the server refuses stale entries exactly like a local `DiskStore`.
 //!
+//! [`CacheServer`] has no connection machinery of its own: a small wire
+//! [`qnet::Driver`] frames requests on a [`qnet::NetServer`], the layer
+//! under `popqc serve`'s HTTP frontend, so the cache server shares its
+//! pre-accept connection cap, request-completion deadline, dispatcher
+//! pool, panic isolation and shutdown.
+//!
 //! ## Degradation contract
 //!
 //! The remote tier must **never** surface a network problem as a job
@@ -24,7 +30,10 @@
 //!   automatic and hits resume;
 //! * a `HIT` payload is re-validated against the requested key and
 //!   oracle version before it is trusted — a confused or stale server
-//!   degrades to a miss, never to a wrong circuit.
+//!   degrades to a miss, never to a wrong circuit;
+//! * an entry too large for one frame is never sent: the put is dropped
+//!   without touching the network or the breaker, and the server
+//!   answers a `GET` for one with `MISS`.
 //!
 //! Every degraded operation increments the tier's `errors` counter
 //! (visible in `StatsReport.cache_tiers` and `/v1/metrics`), so a fleet
@@ -34,11 +43,12 @@ use crate::metrics;
 use crate::service::JobKey;
 use crate::store::{self, CachedRun, ResultStore, StoreStats, TierStats};
 use crate::wire::{self, Frame, Op, WireError};
+use qnet::{Action, Driver, DriverFactory, NetConfig, NetServer};
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Condvar, Mutex};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Client-side knobs for one [`RemoteStore`]. The defaults suit a
@@ -314,14 +324,26 @@ impl ResultStore for RemoteStore {
         } else {
             None
         };
-        let body = store::encode_entry(key, oracle_version, &value).into_bytes();
+        let req = Frame::new(
+            Op::Put,
+            store::encode_entry(key, oracle_version, &value).into_bytes(),
+        );
         if let Some(span) = &mut span {
             span.attr("addr", self.cfg.addr.as_str());
-            span.attr("bytes", body.len());
+            span.attr("bytes", req.payload.len());
         }
         // A degraded put is a dropped write (the entry stays in the
-        // front tier / recomputes later) — counted, never an error.
-        let ok = self.request(&Frame::new(Op::Put, body)).is_ok();
+        // front tier / recomputes later) — counted, never an error. An
+        // entry too large for one frame is dropped unsent: the server
+        // would refuse it and hang up, and the retries would trip the
+        // breaker, turning every replica lookup into a local miss.
+        let ok = if req.fits() {
+            self.request(&req).is_ok()
+        } else {
+            self.errors.fetch_add(1, Relaxed);
+            metrics::remote_errors().inc();
+            false
+        };
         if let Some(mut span) = span {
             span.attr("delivered", ok);
         }
@@ -376,13 +398,16 @@ impl ResultStore for RemoteStore {
 /// Server-side knobs for one [`CacheServer`].
 #[derive(Clone, Debug)]
 pub struct CacheServerConfig {
-    /// Read timeout per frame; also the idle-connection reaper — a
-    /// client silent for this long frees its connection thread.
+    /// Each request frame must arrive whole within this window, counted
+    /// from accept or from the previous response, or the connection is
+    /// closed. One rule reaps idle pooled connections and peers that
+    /// drip a frame byte by byte; the same window bounds a peer that
+    /// stops reading its responses.
     pub read_timeout: Duration,
-    /// Open-connection cap, and so the cap on connection threads. At the
-    /// cap the acceptor stops calling `accept`, so further clients queue
-    /// in the kernel backlog (backpressure) instead of being served or
-    /// refused. Clamped to at least 1, like the HTTP frontend's.
+    /// Open-connection cap. At the cap the acceptor stops calling
+    /// `accept`, so further clients queue in the kernel backlog
+    /// (backpressure) instead of being served or refused. Clamped to at
+    /// least 1, like the HTTP frontend's.
     pub max_conns: usize,
 }
 
@@ -395,8 +420,12 @@ impl Default for CacheServerConfig {
     }
 }
 
-/// State shared by the acceptor, every connection handler, and the
-/// [`CacheServer`] handle.
+/// Per-connection input cap: one legal frame, length prefix included,
+/// always fits.
+const MAX_BUFFER: usize = wire::MAX_FRAME_BYTES as usize + 4;
+
+/// State shared by every connection's driver and the [`CacheServer`]
+/// handle.
 struct Served {
     store: Arc<dyn ResultStore>,
     /// The server's oracle-version index. Memory tiers ignore
@@ -406,42 +435,17 @@ struct Served {
     /// written under and answers a mismatched GET with a miss before the
     /// backing store — which might not check — is consulted.
     versions: Mutex<HashMap<JobKey, String>>,
-    /// `try_clone` handles of live connections, so `shutdown` can cut
-    /// in-flight handlers loose instead of letting them serve pooled
-    /// client connections past the server's death.
-    conns: Mutex<HashMap<u64, TcpStream>>,
-    /// Signaled whenever a connection handler exits, so an acceptor
-    /// parked at `max_conns` can re-check for a free slot.
-    conn_released: Condvar,
-    stop: AtomicBool,
-}
-
-/// Removes this connection's shutdown handle when its handler exits.
-struct ConnGuard<'a> {
-    served: &'a Served,
-    id: u64,
-}
-
-impl Drop for ConnGuard<'_> {
-    fn drop(&mut self) {
-        self.served
-            .conns
-            .lock()
-            .expect("conns poisoned")
-            .remove(&self.id);
-        self.served.conn_released.notify_one();
-    }
 }
 
 /// The `popqc cached` server: serves the [`crate::wire`] protocol over
 /// any [`ResultStore`] (a `DiskStore`, or memory-over-disk tiered, in
-/// practice). One dedicated acceptor thread; each accepted connection is
-/// served on a thread of its own until its peer hangs up, so every
-/// pooled client — up to `max_conns` of them — is answered at once.
+/// practice) on a [`qnet::NetServer`]. Its event loops frame the
+/// requests of every open connection — up to `max_conns` of them — and
+/// each whole frame runs on the dispatcher pool, since store operations
+/// can block on disk. Dropping the server shuts it down.
 pub struct CacheServer {
-    local_addr: SocketAddr,
     served: Arc<Served>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
+    net: NetServer,
 }
 
 impl CacheServer {
@@ -452,31 +456,23 @@ impl CacheServer {
         store: Arc<dyn ResultStore>,
         cfg: CacheServerConfig,
     ) -> io::Result<CacheServer> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
         let served = Arc::new(Served {
             store,
             versions: Mutex::new(HashMap::new()),
-            conns: Mutex::new(HashMap::new()),
-            conn_released: Condvar::new(),
-            stop: AtomicBool::new(false),
         });
-        let acceptor = {
-            let served = Arc::clone(&served);
-            std::thread::Builder::new()
-                .name("popqc-cached-accept".to_string())
-                .spawn(move || accept_loop(listener, served, cfg))?
+        let net_cfg = NetConfig {
+            max_conns: cfg.max_conns,
+            read_deadline: cfg.read_timeout,
+            max_buffer: MAX_BUFFER,
+            ..NetConfig::default()
         };
-        Ok(CacheServer {
-            local_addr,
-            served,
-            acceptor: Some(acceptor),
-        })
+        let net = NetServer::serve(addr, Arc::new(WireDriver(Arc::clone(&served))), net_cfg)?;
+        Ok(CacheServer { served, net })
     }
 
     /// The bound address (the resolved port for `:0` binds).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.net.local_addr()
     }
 
     /// The store this server serves (for stats/admin surfaces).
@@ -484,145 +480,49 @@ impl CacheServer {
         &self.served.store
     }
 
-    /// Stops accepting, severs every live connection, and joins the
-    /// acceptor thread, which joins the connection threads. The listening
-    /// port is released before this returns, so a test (or a supervisor)
-    /// can rebind it to simulate recovery.
+    /// Stops accepting, closes every live connection, and joins the
+    /// server's threads. The listening port is released before this
+    /// returns, so a test (or a supervisor) can rebind it to simulate
+    /// recovery.
     pub fn shutdown(&mut self) {
-        if self.served.stop.swap(true, Relaxed) {
-            return;
-        }
-        // Wake the blocking accept with a throwaway connection.
-        let _ = TcpStream::connect_timeout(&self.local_addr, Duration::from_millis(200));
-        // Cut in-flight handlers loose: without this, a handler blocked
-        // in read on a pooled client connection would keep answering
-        // until its idle timeout — a "dead" server that still serves.
-        for (_, conn) in self.served.conns.lock().expect("conns poisoned").drain() {
-            let _ = conn.shutdown(std::net::Shutdown::Both);
-        }
-        if let Some(handle) = self.acceptor.take() {
-            let _ = handle.join();
-        }
+        self.net.shutdown();
     }
 }
 
-impl Drop for CacheServer {
-    fn drop(&mut self) {
-        self.shutdown();
+/// One connection's framing of the wire protocol (and, as the factory,
+/// the maker of one per connection). Each whole request frame is one
+/// dispatch; a framing violation gets an `ERROR` frame and the
+/// connection is closed — after one the stream position is
+/// untrustworthy.
+struct WireDriver(Arc<Served>);
+
+impl DriverFactory for WireDriver {
+    fn make(&self, peer: SocketAddr) -> Box<dyn Driver> {
+        qobs::log_debug!(target: "qsvc::cached", "connection", peer = peer);
+        Box::new(WireDriver(Arc::clone(&self.0)))
     }
 }
 
-fn accept_loop(listener: TcpListener, served: Arc<Served>, cfg: CacheServerConfig) {
-    let mut next_id = 0u64;
-    let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    let max_conns = cfg.max_conns.max(1);
-    loop {
-        handlers.retain(|h| !h.is_finished());
-        // Gate BEFORE accept: at the cap the acceptor parks, so excess
-        // clients wait in the kernel backlog (backpressure) rather than
-        // being served past the cap or actively refused. The timeout
-        // keeps the park responsive to `shutdown`.
-        let mut conns = served.conns.lock().expect("conns poisoned");
-        while conns.len() >= max_conns && !served.stop.load(Relaxed) {
-            let (guard, _) = served
-                .conn_released
-                .wait_timeout(conns, Duration::from_millis(100))
-                .expect("conns poisoned");
-            conns = guard;
-        }
-        drop(conns);
-        if served.stop.load(Relaxed) {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                if served.stop.load(Relaxed) {
-                    break;
-                }
-                qobs::log_debug!(target: "qsvc::cached", "connection", peer = peer);
-                let id = next_id;
-                next_id += 1;
-                // Without a shutdown handle the connection would be
-                // invisible to both the max_conns gate and shutdown's
-                // forced-teardown sweep — refuse it rather than serve
-                // it untracked.
-                let handle = match stream.try_clone() {
-                    Ok(handle) => handle,
-                    Err(e) => {
-                        qobs::log_warn!(target: "qsvc::cached", "dropping connection: try_clone failed", error = e);
-                        continue;
-                    }
-                };
-                served
-                    .conns
-                    .lock()
-                    .expect("conns poisoned")
-                    .insert(id, handle);
-                let spawned = {
-                    let served = Arc::clone(&served);
-                    let read_timeout = cfg.read_timeout;
-                    std::thread::Builder::new()
-                        .name(format!("popqc-cached-conn-{id}"))
-                        .spawn(move || {
-                            let _guard = ConnGuard {
-                                served: &served,
-                                id,
-                            };
-                            handle_connection(stream, &served, read_timeout);
-                        })
-                };
-                match spawned {
-                    Ok(handler) => handlers.push(handler),
-                    Err(e) => {
-                        // The closure (and the stream in it) is dropped
-                        // unrun, which hangs up on the client.
-                        qobs::log_warn!(target: "qsvc::cached", "dropping connection: thread spawn failed", error = e);
-                        served.conns.lock().expect("conns poisoned").remove(&id);
-                    }
-                }
+impl Driver for WireDriver {
+    fn on_data(&mut self, input: &mut Vec<u8>, out: &mut Vec<Action>) {
+        match wire::split_frame(input) {
+            Ok(None) => {}
+            Ok(Some(frame)) => {
+                let served = Arc::clone(&self.0);
+                out.push(Action::Dispatch(Box::new(move || {
+                    metrics::cached_requests(frame.op.name()).inc();
+                    let resp = dispatch(&frame, &served);
+                    sync_server_gauges(&served.store);
+                    (resp.encode(), true)
+                })));
             }
-            Err(_) if served.stop.load(Relaxed) => break,
-            Err(e) => {
-                qobs::log_warn!(target: "qsvc::cached", "accept failed", error = e);
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
-    }
-    // Release the port for a restart before waiting on the handlers,
-    // whose connections `shutdown` severs.
-    drop(listener);
-    for handler in handlers {
-        // A handler that panicked has already said so through the panic
-        // hook; its connection closed when its stack unwound.
-        let _ = handler.join();
-    }
-}
-
-/// One connection's serve loop: frames in, responses out, until the
-/// client hangs up, times out idle, or the server stops. Protocol
-/// violations get a best-effort `ERROR` frame and then the connection is
-/// dropped — after a framing error the stream position is untrustworthy.
-fn handle_connection(mut stream: TcpStream, served: &Served, read_timeout: Duration) {
-    let _ = stream.set_read_timeout(Some(read_timeout));
-    let _ = stream.set_write_timeout(Some(read_timeout));
-    let _ = stream.set_nodelay(true);
-    while !served.stop.load(Relaxed) {
-        match wire::read_frame(&mut stream) {
-            Ok(frame) => {
-                metrics::cached_requests(frame.op.name()).inc();
-                let resp = dispatch(&frame, served);
-                sync_server_gauges(&served.store);
-                if wire::write_frame(&mut stream, &resp).is_err() {
-                    break;
-                }
-            }
-            Err(WireError::Closed) => break,
-            Err(WireError::Io(_)) => break,
             Err(violation) => {
                 metrics::cached_requests("invalid").inc();
                 let msg = violation.to_string().into_bytes();
-                let _ = wire::write_frame(&mut stream, &Frame::new(Op::Error, msg));
-                break;
+                out.push(Action::Respond {
+                    bytes: Frame::new(Op::Error, msg).encode(),
+                    keep_alive: false,
+                });
             }
         }
     }
@@ -671,10 +571,17 @@ fn serve_get(
                 .lock()
                 .expect("versions poisoned")
                 .insert(key.clone(), version.to_string());
-            Frame::new(
+            let hit = Frame::new(
                 Op::Hit,
                 store::encode_entry(key, version, &run).into_bytes(),
-            )
+            );
+            // A hit too large for one frame cannot travel: the replica
+            // recomputes, as on any miss.
+            if hit.fits() {
+                hit
+            } else {
+                Frame::empty(Op::Miss)
+            }
         }
         None => Frame::empty(Op::Miss),
     }

@@ -32,10 +32,14 @@
 //! end, so the server (and every other replica reading through it) can
 //! refuse stale entries exactly like a local disk tier does.
 //!
-//! Robustness rules, enforced by [`read_frame`]:
+//! Robustness rules, enforced by `split_frame` — the one check both
+//! the client's blocking [`read_frame`] and the cache server's
+//! connection driver run:
 //! * a declared length above [`MAX_FRAME_BYTES`] is refused **before any
 //!   allocation** (a hostile or corrupt peer cannot OOM the reader);
 //! * a length too small for the version+opcode header is a [`WireError::Runt`];
+//! * a foreign version byte or an unknown opcode is refused once the
+//!   frame is whole;
 //! * EOF cleanly between frames is [`WireError::Closed`], EOF mid-frame
 //!   is [`WireError::Truncated`] — callers treat both as "drop the
 //!   connection", never as data.
@@ -139,6 +143,13 @@ impl Frame {
         Frame { op, payload }
     }
 
+    /// Whether this frame is within [`MAX_FRAME_BYTES`], i.e. whether a
+    /// peer will accept it. A sender checks before writing: a peer
+    /// refuses an oversized frame after its prefix and hangs up.
+    pub(crate) fn fits(&self) -> bool {
+        !over_cap(self.payload.len() as u64 + 2)
+    }
+
     /// Serializes to the on-wire byte layout (length prefix included).
     pub fn encode(&self) -> Vec<u8> {
         let len = (self.payload.len() + 2) as u32;
@@ -214,9 +225,45 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Reads one frame off `r`, enforcing the robustness rules in the module
-/// docs. Blocks per the stream's own read timeout; a timeout surfaces as
-/// [`WireError::Io`].
+/// Whether a frame whose version + opcode + payload run `len` bytes
+/// exceeds [`MAX_FRAME_BYTES`].
+fn over_cap(len: u64) -> bool {
+    len > u64::from(MAX_FRAME_BYTES)
+}
+
+/// Takes the first frame off the front of `buf`, a stream's input as far
+/// as it has arrived, enforcing the robustness rules in the module docs.
+/// The length prefix is checked as soon as its four bytes are in, so an
+/// oversized or runt length is refused before any of the body is
+/// buffered; version and opcode are checked once the frame is whole.
+/// `Ok(None)` leaves a partial frame in `buf` for the next read.
+pub(crate) fn split_frame(buf: &mut Vec<u8>) -> Result<Option<Frame>, WireError> {
+    let Some(prefix) = buf.first_chunk::<4>() else {
+        return Ok(None);
+    };
+    let len = u32::from_be_bytes(*prefix);
+    if over_cap(len.into()) {
+        return Err(WireError::Oversized(len));
+    }
+    if len < 2 {
+        return Err(WireError::Runt(len));
+    }
+    let end = 4 + len as usize;
+    if buf.len() < end {
+        return Ok(None);
+    }
+    if buf[4] != PROTOCOL_VERSION {
+        return Err(WireError::Version(buf[4]));
+    }
+    let op = Op::from_u8(buf[5]).ok_or(WireError::UnknownOpcode(buf[5]))?;
+    let rest = buf.split_off(end);
+    let mut payload = std::mem::replace(buf, rest);
+    payload.drain(..6);
+    Ok(Some(Frame { op, payload }))
+}
+
+/// Reads one frame off `r` through `split_frame`. Blocks per the
+/// stream's own read timeout; a timeout surfaces as [`WireError::Io`].
 pub fn read_frame(r: &mut impl Read) -> Result<Frame, WireError> {
     // The length prefix is read byte-wise so EOF *before the first byte*
     // (the peer hung up between frames: `Closed`) is distinguishable
@@ -238,27 +285,17 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, WireError> {
             Err(e) => return Err(WireError::Io(e)),
         }
     }
-    let len = u32::from_be_bytes(len_buf);
-    if len > MAX_FRAME_BYTES {
-        return Err(WireError::Oversized(len));
-    }
-    if len < 2 {
-        return Err(WireError::Runt(len));
-    }
-    let mut body = vec![0u8; len as usize];
-    match r.read_exact(&mut body) {
+    let mut buf = len_buf.to_vec();
+    // The prefix alone: refused here, or a body of at least two bytes
+    // to come.
+    split_frame(&mut buf)?;
+    buf.resize(4 + u32::from_be_bytes(len_buf) as usize, 0);
+    match r.read_exact(&mut buf[4..]) {
         Ok(()) => {}
         Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Err(WireError::Truncated),
         Err(e) => return Err(WireError::Io(e)),
     }
-    if body[0] != PROTOCOL_VERSION {
-        return Err(WireError::Version(body[0]));
-    }
-    let op = Op::from_u8(body[1]).ok_or(WireError::UnknownOpcode(body[1]))?;
-    Ok(Frame {
-        op,
-        payload: body.split_off(2),
-    })
+    Ok(split_frame(&mut buf)?.expect("the whole frame is buffered"))
 }
 
 /// Writes one frame to `w` and flushes it.

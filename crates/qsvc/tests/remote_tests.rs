@@ -553,3 +553,130 @@ fn second_client_waits_for_the_first(max_conns: usize) {
     b.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     assert_eq!(wire::read_frame(&mut b).unwrap().op, Op::Pong);
 }
+
+// ---------------------------------------------------------------------------
+// Framing on the server's connection loop
+// ---------------------------------------------------------------------------
+
+#[test]
+fn requests_are_framed_across_reads_and_within_one() {
+    let server = memory_server();
+    let addr = server.local_addr();
+    let circuit = sample_circuit();
+    let key = key_for(&circuit, "rule_based", 50);
+    fast_client(&addr.to_string()).put(&key, "v1", run_for(&circuit));
+
+    // A GET written one byte per write (no coalescing) is still one
+    // request, answered once it is whole.
+    let mut conn = TcpStream::connect(addr).unwrap();
+    conn.set_nodelay(true).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    for byte in Frame::new(Op::Get, wire::encode_key(&key, "v1")).encode() {
+        conn.write_all(&[byte]).unwrap();
+    }
+    assert_eq!(wire::read_frame(&mut conn).unwrap().op, Op::Hit);
+
+    // Two PINGs in a single write get two PONGs; a GET and a PING in one
+    // write are answered in order.
+    let ping = Frame::empty(Op::Ping).encode();
+    conn.write_all(&[ping.clone(), ping.clone()].concat())
+        .unwrap();
+    assert_eq!(wire::read_frame(&mut conn).unwrap().op, Op::Pong);
+    assert_eq!(wire::read_frame(&mut conn).unwrap().op, Op::Pong);
+    let get = Frame::new(Op::Get, wire::encode_key(&key, "v1")).encode();
+    conn.write_all(&[get, ping].concat()).unwrap();
+    assert_eq!(wire::read_frame(&mut conn).unwrap().op, Op::Hit);
+    assert_eq!(wire::read_frame(&mut conn).unwrap().op, Op::Pong);
+}
+
+/// The read timeout bounds a whole frame, not one `read`: a peer that
+/// drips a frame a byte at a time, each byte well inside the timeout,
+/// is still cut off.
+#[test]
+fn a_slow_drip_peer_is_cut_off() {
+    let server = CacheServer::serve(
+        "127.0.0.1:0",
+        Arc::new(MemoryStore::new(64, 2)),
+        CacheServerConfig {
+            read_timeout: Duration::from_millis(300),
+            ..CacheServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+    conn.set_nodelay(true).unwrap();
+    let mut reader = conn.try_clone().unwrap();
+    reader
+        .set_read_timeout(Some(Duration::from_secs(3)))
+        .unwrap();
+    let started = Instant::now();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let watcher = std::thread::spawn(move || {
+        // EOF or a reset means the server closed; a timeout means it did not.
+        let outcome = reader.read(&mut [0u8; 1]).map_err(|e| e.kind());
+        tx.send((started.elapsed(), outcome)).unwrap();
+    });
+
+    // The prefix declares 64 bytes; then one byte every 100 ms.
+    conn.write_all(&64u32.to_be_bytes()).unwrap();
+    let (elapsed, outcome) = loop {
+        if let Ok(closed) = rx.recv_timeout(Duration::from_millis(100)) {
+            break closed;
+        }
+        let _ = conn.write_all(&[PROTOCOL_VERSION]);
+    };
+    watcher.join().unwrap();
+    assert!(
+        matches!(outcome, Ok(0) | Err(std::io::ErrorKind::ConnectionReset)),
+        "the server must close the dripping connection, got {outcome:?} after {elapsed:?}"
+    );
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "closed only after {elapsed:?}"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Entries too large for one frame
+// ---------------------------------------------------------------------------
+
+/// An entry whose PUT frame is just over [`MAX_FRAME_BYTES`] is dropped
+/// unsent and counted, without touching the breaker: the next small
+/// entry is stored and hits at once.
+#[test]
+fn an_oversized_entry_never_crosses_the_wire() {
+    let server = memory_server();
+    let client = fast_client(&server.local_addr().to_string());
+
+    // Ten-digit wire indices make each `cx` line 33 bytes of entry JSON
+    // (`cx q[1000000000],q[1000000001];` plus an escaped newline).
+    let mut wide = Circuit::new(u32::MAX);
+    for i in 0..(MAX_FRAME_BYTES / 33 + 4096) {
+        let q = 1_000_000_000 + 2 * (i % 4096);
+        wide.cnot(q, q + 1);
+    }
+    let big_key = key_for(&wide, "rule_based", 50);
+    let big = run_for(&wide);
+    drop(wide);
+    let frame_len = qsvc::encode_entry(&big_key, "v1", &big).len() as u64 + 2;
+    let cap = u64::from(MAX_FRAME_BYTES);
+    assert!(
+        frame_len > cap && frame_len < cap + (1 << 20),
+        "the PUT frame must be just over the cap: {frame_len} bytes"
+    );
+    client.put(&big_key, "v1", big);
+
+    let circuit = sample_circuit();
+    let key = key_for(&circuit, "rule_based", 50);
+    client.put(&key, "v1", run_for(&circuit));
+    assert!(
+        client.get(&key, "v1").is_some(),
+        "the small entry hits: the oversized one did not trip the breaker"
+    );
+    assert_eq!(server.store().len(), 1, "only the small entry arrived");
+    assert_eq!(
+        client.stats().tiers[0].errors,
+        1,
+        "the dropped write is counted"
+    );
+}

@@ -699,7 +699,7 @@ fn cmd_cached(s: Settings) -> ExitCode {
         dir = cache_dir.display(),
         entries = entries
     );
-    // Serve until the process is killed; the acceptor thread owns the work.
+    // Serve until the process is killed; the server's threads own the work.
     loop {
         std::thread::park();
     }
