@@ -118,19 +118,31 @@ pub trait RoundObserver: Sync {
 /// fingerprint + oracle identity; angle-abstracted when the oracle
 /// declares `angle_independent`). The contract the engine relies on:
 /// `lookup` returns exactly what the configured oracle's `optimize` would
-/// return for this segment — including *non-improving* outputs, which
-/// must be cached too or repeated misses re-pay the oracle on every
-/// sweep iteration.
+/// return for this segment — [`CachedSegment::Unchanged`] when that
+/// output is the segment itself, [`CachedSegment::Rewrite`] with the
+/// output otherwise. *Non-improving* outputs must be cached too, or
+/// repeated misses re-pay the oracle on every sweep iteration; the
+/// unchanged answer, the common one, needs no gates stored or copied.
 ///
 /// Called from inside the round's `parmap`, so implementations must be
 /// cheap and thread-safe.
 pub trait SegmentCacheHook<U>: Sync {
-    /// Returns the cached oracle output for `segment`, or `None` to fall
+    /// Returns the cached oracle answer for `segment`, or `None` to fall
     /// through to the oracle.
-    fn lookup(&self, segment: &[U], num_qubits: u32) -> Option<Vec<U>>;
+    fn lookup(&self, segment: &[U], num_qubits: u32) -> Option<CachedSegment<U>>;
 
     /// Records the oracle's output for `segment` after a miss.
     fn record(&self, segment: &[U], num_qubits: u32, optimized: &[U]);
+}
+
+/// A [`SegmentCacheHook`] hit: what the oracle answers for the segment.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum CachedSegment<U> {
+    /// The oracle's output, which differs from the segment.
+    Rewrite(Vec<U>),
+    /// The oracle returns the segment unchanged: the engine drops the
+    /// finger (Algorithm 3 line 12) without copying or costing anything.
+    Unchanged,
 }
 
 /// The POPQC driver (Algorithm 2) over an arbitrary unit sequence: the
@@ -290,7 +302,11 @@ where
         let opt = match cache.and_then(|c| c.lookup(&segment, num_qubits)) {
             Some(hit) => {
                 self.seg_hits.fetch_add(1, Relaxed);
-                hit
+                match hit {
+                    CachedSegment::Rewrite(gates) => gates,
+                    // Nothing to do here: drop the finger (Algorithm 3 line 12).
+                    CachedSegment::Unchanged => return (Vec::new(), Vec::new()),
+                }
             }
             None => {
                 let t0 = Instant::now();

@@ -58,8 +58,8 @@ pub mod index_tree;
 pub mod sparse;
 
 pub use engine::{
-    optimize_circuit, verify_local_optimality, Engine, PopqcConfig, PopqcStats, RoundObserver,
-    RoundRecord, SegmentCacheHook,
+    optimize_circuit, verify_local_optimality, CachedSegment, Engine, PopqcConfig, PopqcStats,
+    RoundObserver, RoundRecord, SegmentCacheHook,
 };
 pub use index_tree::IndexTree;
 pub use sparse::SparseCircuit;

@@ -1,8 +1,8 @@
 //! Engine-level tests: the POPQC driver against the paper's guarantees.
 
 use popqc_core::{
-    optimize_circuit, verify_local_optimality, Engine, PopqcConfig, RoundObserver, RoundRecord,
-    SparseCircuit,
+    optimize_circuit, verify_local_optimality, CachedSegment, Engine, PopqcConfig, RoundObserver,
+    RoundRecord, SparseCircuit,
 };
 use qcir::{Angle, Circuit, Gate, LayeredCircuit};
 use qoracle::{
@@ -273,30 +273,49 @@ fn engine_generic_over_plain_data() {
 
 /// A transparent memoizing [`SegmentCacheHook`] keyed by the exact segment:
 /// the simplest cache that satisfies the hook contract ("lookup returns
-/// exactly what the oracle would").
-type MemoMap = std::collections::HashMap<(u32, Vec<Gate>), Vec<Gate>>;
+/// exactly what the oracle would"), answering `Unchanged` for segments the
+/// oracle left alone and counting those answers.
+type MemoMap = std::collections::HashMap<(u32, Vec<Gate>), CachedSegment<Gate>>;
 
 struct MemoCache {
     map: std::sync::Mutex<MemoMap>,
+    unchanged_hits: std::sync::atomic::AtomicU64,
 }
 
 impl MemoCache {
     fn new() -> MemoCache {
         MemoCache {
             map: std::sync::Mutex::new(std::collections::HashMap::new()),
+            unchanged_hits: std::sync::atomic::AtomicU64::new(0),
         }
+    }
+
+    /// `Unchanged` answers since the last call.
+    fn unchanged_hits(&self) -> u64 {
+        self.unchanged_hits
+            .swap(0, std::sync::atomic::Ordering::Relaxed)
     }
 }
 
 impl popqc_core::SegmentCacheHook<Gate> for MemoCache {
-    fn lookup(&self, segment: &[Gate], num_qubits: u32) -> Option<Vec<Gate>> {
+    fn lookup(&self, segment: &[Gate], num_qubits: u32) -> Option<CachedSegment<Gate>> {
         let map = self.map.lock().unwrap();
-        map.get(&(num_qubits, segment.to_vec())).cloned()
+        let hit = map.get(&(num_qubits, segment.to_vec())).cloned();
+        if hit == Some(CachedSegment::Unchanged) {
+            self.unchanged_hits
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+        hit
     }
 
     fn record(&self, segment: &[Gate], num_qubits: u32, optimized: &[Gate]) {
+        let answer = if optimized == segment {
+            CachedSegment::Unchanged
+        } else {
+            CachedSegment::Rewrite(optimized.to_vec())
+        };
         let mut map = self.map.lock().unwrap();
-        map.insert((num_qubits, segment.to_vec()), optimized.to_vec());
+        map.insert((num_qubits, segment.to_vec()), answer);
     }
 }
 
@@ -326,6 +345,8 @@ fn segment_cache_hook_replaces_oracle_calls_without_changing_output() {
         cold_stats.oracle_calls + cold_stats.seg_cache_hits,
         plain_stats.oracle_calls
     );
+    assert_eq!(cold_stats.accepted, plain_stats.accepted);
+    cache.unchanged_hits(); // count the warm run's alone
 
     // Warm re-run: every segment repeats, so every lookup hits and the
     // oracle is never consulted — yet the output is byte-identical.
@@ -341,4 +362,16 @@ fn segment_cache_hook_replaces_oracle_calls_without_changing_output() {
     );
     // Hits on improving rewrites still count as accepted.
     assert_eq!(warm_stats.accepted, plain_stats.accepted);
+    // Most segments are left alone by the oracle: those hits answer
+    // `Unchanged`, and every other hit is a rewrite.
+    let unchanged = cache.unchanged_hits();
+    assert!(
+        unchanged > 0 && unchanged < warm_stats.seg_cache_hits,
+        "{unchanged} unchanged of {} hits",
+        warm_stats.seg_cache_hits
+    );
+    assert_eq!(
+        warm_stats.oracle_calls + warm_stats.seg_cache_hits,
+        plain_stats.oracle_calls
+    );
 }

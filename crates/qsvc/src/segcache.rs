@@ -45,10 +45,19 @@
 //! Non-improving outputs are cached too (negative caching): the engine
 //! re-examines boundary segments every run, and without negative entries
 //! a warm sweep would re-pay the oracle for every "nothing to do here"
-//! answer.
+//! answer. The commonest of them, "the oracle returned its input", is
+//! stored as [`SegEntry::Unchanged`], which holds no gates, and answered
+//! as [`CachedSegment::Unchanged`], on which the engine drops the finger
+//! without copying the segment. Exact keys store it when the output
+//! equals the segment; abstract keys when the derived template maps every
+//! position to itself ([`SegTemplate::is_identity`]). The latter is
+//! decided on the template's structure, never on angle values: a template
+//! that swaps two equal angles, or negates an `RZ(π)`, reproduces its
+//! input on those angles only, and stays a template.
 
 use crate::cache::ShardedLruCache;
 use crate::metrics;
+use popqc_core::CachedSegment;
 use qcir::{fingerprint_gates_abstract, Angle, Fingerprint, Gate};
 use qoracle::SegmentOracle;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -73,8 +82,9 @@ pub struct SegKey {
     ///
     /// [`Circuit::fingerprint`]: qcir::Circuit::fingerprint
     pub fingerprint: Fingerprint,
-    /// The registry id the rewrite was derived under.
-    pub oracle_id: String,
+    /// The registry id the rewrite was derived under, shared by every key
+    /// one [`JobSegmentCache`] builds.
+    pub oracle_id: Arc<str>,
 }
 
 /// One gate of a [`SegTemplate`].
@@ -127,16 +137,53 @@ impl SegTemplate {
             })
             .collect()
     }
+
+    /// Whether the template maps every position of `segment` to itself:
+    /// each `Fixed` gate is the input gate and each `Rot` is the k-th
+    /// rotation's own slot, not negated, on its own wire. Decided on
+    /// structure alone, so it holds for every angle assignment of the
+    /// skeleton — a swap of two equal angles or a negated `RZ(π)` is not
+    /// an identity even though it reproduces its input.
+    pub fn is_identity(&self, segment: &[Gate]) -> bool {
+        if self.gates.len() != segment.len() {
+            return false;
+        }
+        let mut k = 0;
+        let positions_fixed = self
+            .gates
+            .iter()
+            .zip(segment)
+            .all(|(tg, g)| match (tg, *g) {
+                (TemplateGate::Fixed(f), g) => *f == g && !matches!(g, Gate::Rz(..)),
+                (
+                    &TemplateGate::Rot {
+                        qubit,
+                        slot,
+                        negated,
+                    },
+                    Gate::Rz(q, _),
+                ) => {
+                    k += 1;
+                    !negated && slot == k - 1 && qubit == q
+                }
+                (TemplateGate::Rot { .. }, _) => false,
+            });
+        positions_fixed && k == self.slots
+    }
 }
 
-/// A cached segment rewrite: concrete gates under an exact-angle key, or
-/// a template under an angle-abstracted key.
+/// A cached segment answer: concrete gates under an exact-angle key, a
+/// template under an angle-abstracted key, or "unchanged" under either.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SegEntry {
     /// The oracle's output verbatim (exact-angle keying).
     Exact(Vec<Gate>),
     /// An angle-abstracted rewrite (see [`SegTemplate`]).
     Template(SegTemplate),
+    /// The oracle returns its input: under an exact key, the output equals
+    /// the segment; under an abstract key, the template is an identity
+    /// ([`SegTemplate::is_identity`]). Holds no gates.
+    Unchanged,
 }
 
 /// The rotation angles of `segment`, in order — a template's slot space.
@@ -323,7 +370,7 @@ impl SegmentCacheLayer {
     ) -> JobSegmentCache<'a> {
         JobSegmentCache {
             layer: self,
-            oracle_id,
+            oracle_id: Arc::from(oracle_id),
             oracle,
             angle_abstract: oracle.angle_independent(),
             trace,
@@ -350,7 +397,8 @@ impl SegmentCacheLayer {
 /// oracle call, bound to the job's oracle id and capability.
 pub struct JobSegmentCache<'a> {
     layer: &'a SegmentCacheLayer,
-    oracle_id: &'a str,
+    /// Built once per job; every key shares it.
+    oracle_id: Arc<str>,
     oracle: &'a (dyn SegmentOracle<Gate> + Send + Sync),
     angle_abstract: bool,
     /// The job's trace (disabled for untraced jobs); each segment
@@ -363,7 +411,7 @@ impl JobSegmentCache<'_> {
     fn key(&self, fingerprint: Fingerprint) -> SegKey {
         SegKey {
             fingerprint,
-            oracle_id: self.oracle_id.to_string(),
+            oracle_id: Arc::clone(&self.oracle_id),
         }
     }
 
@@ -375,15 +423,25 @@ impl JobSegmentCache<'_> {
         self.key(qcir::fingerprint_gates(num_qubits, segment))
     }
 
-    fn lookup_inner(&self, segment: &[Gate], num_qubits: u32) -> Option<Vec<Gate>> {
+    fn lookup_inner(&self, segment: &[Gate], num_qubits: u32) -> Option<CachedSegment<Gate>> {
         if self.angle_abstract {
             // Template probe first: one abstract entry covers every angle
             // assignment of this skeleton.
             if let Some(entry) = self.layer.get(&self.abstract_key(segment, num_qubits)) {
-                if let SegEntry::Template(t) = entry.as_ref() {
-                    if let Some(gates) = t.materialize(&rotation_angles(segment)) {
-                        return Some(gates);
+                match entry.as_ref() {
+                    SegEntry::Unchanged => return Some(CachedSegment::Unchanged),
+                    SegEntry::Template(t) => {
+                        if let Some(gates) = t.materialize(&rotation_angles(segment)) {
+                            // A non-identity template can still reproduce
+                            // its input on particular angles.
+                            return Some(if gates == segment {
+                                CachedSegment::Unchanged
+                            } else {
+                                CachedSegment::Rewrite(gates)
+                            });
+                        }
                     }
+                    SegEntry::Exact(_) => {}
                 }
             }
             // Fall through to the exact domain: segments whose template
@@ -391,14 +449,15 @@ impl JobSegmentCache<'_> {
         }
         let entry = self.layer.get(&self.exact_key(segment, num_qubits))?;
         match entry.as_ref() {
-            SegEntry::Exact(gates) => Some(gates.clone()),
+            SegEntry::Exact(gates) => Some(CachedSegment::Rewrite(gates.clone())),
+            SegEntry::Unchanged => Some(CachedSegment::Unchanged),
             SegEntry::Template(_) => None,
         }
     }
 }
 
 impl popqc_core::SegmentCacheHook<Gate> for JobSegmentCache<'_> {
-    fn lookup(&self, segment: &[Gate], num_qubits: u32) -> Option<Vec<Gate>> {
+    fn lookup(&self, segment: &[Gate], num_qubits: u32) -> Option<CachedSegment<Gate>> {
         if !self.layer.enabled() {
             return None;
         }
@@ -433,19 +492,25 @@ impl popqc_core::SegmentCacheHook<Gate> for JobSegmentCache<'_> {
         }
         if self.angle_abstract {
             if let Some(template) = derive_template(self.oracle, segment, num_qubits, optimized) {
-                self.layer.record_put(
-                    self.abstract_key(segment, num_qubits),
-                    SegEntry::Template(template),
-                );
+                let entry = if template.is_identity(segment) {
+                    SegEntry::Unchanged
+                } else {
+                    SegEntry::Template(template)
+                };
+                self.layer
+                    .record_put(self.abstract_key(segment, num_qubits), entry);
                 return;
             }
             // Derivation failed (or the capability claim did not hold up
             // on this segment): demote to the exact domain.
         }
-        self.layer.record_put(
-            self.exact_key(segment, num_qubits),
-            SegEntry::Exact(optimized.to_vec()),
-        );
+        let entry = if optimized == segment {
+            SegEntry::Unchanged
+        } else {
+            SegEntry::Exact(optimized.to_vec())
+        };
+        self.layer
+            .record_put(self.exact_key(segment, num_qubits), entry);
     }
 }
 
@@ -528,13 +593,13 @@ mod tests {
         assert!(hook.lookup(&seg, 3).is_none());
         let out = oracle.optimize(&seg, 3);
         hook.record(&seg, 3, &out);
-        assert_eq!(hook.lookup(&seg, 3).as_deref(), Some(&out[..]));
+        assert_eq!(hook.lookup(&seg, 3), Some(CachedSegment::Rewrite(out)));
 
         // Fresh angles, same skeleton: still a hit, and exactly what a
         // fresh oracle run would produce.
         let seg2 = with_angles(&seg, &[Angle::pi_frac(11, 13), Angle::pi_frac(2, 5)]);
         let hit = hook.lookup(&seg2, 3).expect("abstract key must hit");
-        assert_eq!(hit, oracle.optimize(&seg2, 3));
+        assert_eq!(hit, CachedSegment::Rewrite(oracle.optimize(&seg2, 3)));
 
         let s = layer.stats();
         assert_eq!((s.hits, s.misses, s.entries), (2, 1, 1));
@@ -550,7 +615,7 @@ mod tests {
 
         let out = oracle.optimize(&seg, 3);
         hook.record(&seg, 3, &out);
-        assert_eq!(hook.lookup(&seg, 3).as_deref(), Some(&out[..]));
+        assert_eq!(hook.lookup(&seg, 3), Some(CachedSegment::Rewrite(out)));
 
         // Different angles = different exact key: must miss, never serve
         // the old rewrite.
@@ -584,5 +649,289 @@ mod tests {
         let s = layer.stats();
         assert!(s.entries <= 2);
         assert!(s.evictions >= 3, "evictions: {}", s.evictions);
+    }
+
+    /// A seeded segment over 3 wires: `H`, `X`, `CNOT` and `RZ` with
+    /// angles from [`angle_pool`], Clifford multiples of π/2 included.
+    fn random_segment(seed: u64) -> Vec<Gate> {
+        let mut next = splitmix(seed);
+        let len = 2 + (next() % 14) as usize;
+        let mut c = Circuit::new(3);
+        for _ in 0..len {
+            let r = next();
+            let q = (r % 3) as u32;
+            match (r >> 8) % 5 {
+                0 => c.h(q),
+                1 => c.x(q),
+                2 => c.cnot(q, (q + 1 + (r >> 16) as u32 % 2) % 3),
+                _ => c.rz(q, angle_pool(r >> 24)),
+            };
+        }
+        c.gates
+    }
+
+    fn splitmix(seed: u64) -> impl FnMut() -> u64 {
+        let mut s = seed;
+        move || {
+            s = s.wrapping_add(0x9E3779B97F4A7C15);
+            let mut z = s;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+            z ^ (z >> 31)
+        }
+    }
+
+    fn angle_pool(r: u64) -> Angle {
+        match r % 8 {
+            0 => Angle::ZERO,
+            1 => Angle::PI,
+            2 => Angle::PI_2,
+            3 => Angle::PI_4,
+            4 => Angle::pi_frac(3, 2),
+            _ => Angle::pi_frac(1 + (r >> 3) as i64 % 31, 17),
+        }
+    }
+
+    /// `segment` with every rotation re-drawn from the pool.
+    fn reangled(segment: &[Gate], seed: u64) -> Vec<Gate> {
+        let mut next = splitmix(seed);
+        segment
+            .iter()
+            .map(|g| match *g {
+                Gate::Rz(q, _) => Gate::Rz(q, angle_pool(next())),
+                other => other,
+            })
+            .collect()
+    }
+
+    /// Looks `segment` up (recording a fresh oracle run on a miss, then
+    /// looking up again) and checks the answer against a fresh oracle
+    /// run: `Unchanged` exactly when the output is the segment, else that
+    /// output verbatim. Returns whether the answer was `Unchanged`.
+    fn assert_answer_matches_oracle(
+        hook: &JobSegmentCache<'_>,
+        oracle: &dyn SegmentOracle<Gate>,
+        segment: &[Gate],
+    ) -> bool {
+        let fresh = oracle.optimize(segment, 3);
+        let answer = hook.lookup(segment, 3).unwrap_or_else(|| {
+            hook.record(segment, 3, &fresh);
+            hook.lookup(segment, 3)
+                .expect("a recorded segment must hit")
+        });
+        match answer {
+            CachedSegment::Unchanged => {
+                assert_eq!(
+                    fresh, segment,
+                    "Unchanged for a segment the oracle rewrites"
+                );
+                true
+            }
+            CachedSegment::Rewrite(gates) => {
+                assert_eq!(gates, fresh, "cached rewrite differs from the oracle");
+                assert_ne!(
+                    gates, segment,
+                    "Rewrite for a segment the oracle leaves alone"
+                );
+                false
+            }
+        }
+    }
+
+    #[test]
+    fn hook_answers_equal_a_fresh_oracle_run_on_reangled_random_segments() {
+        let structural = StructuralOptimizer::new();
+        let rule_based = RuleBasedOptimizer::oracle();
+        let oracles: [(&str, &(dyn SegmentOracle<Gate> + Send + Sync)); 2] =
+            [("structural", &structural), ("rule_based", &rule_based)];
+        for (id, oracle) in oracles {
+            let layer = SegmentCacheLayer::new(4096, 4);
+            let hook = layer.for_job(id, oracle);
+            let (mut unchanged, mut rewritten) = (0, 0);
+            for seed in 0..300u64 {
+                let segment = random_segment(seed);
+                for round in 0..4u64 {
+                    let s = if round == 0 {
+                        segment.clone()
+                    } else {
+                        reangled(&segment, seed << 8 | round)
+                    };
+                    if assert_answer_matches_oracle(&hook, oracle, &s) {
+                        unchanged += 1;
+                    } else {
+                        rewritten += 1;
+                    }
+                }
+            }
+            // Both answers must occur, or the differential proves nothing.
+            assert!(unchanged > 100, "{id}: {unchanged} unchanged answers");
+            assert!(rewritten > 100, "{id}: {rewritten} rewrites");
+        }
+    }
+
+    /// An angle-independent oracle that moves angles between slots without
+    /// dropping any gate: the templates it yields are not identities, yet
+    /// reproduce their input on the right angles.
+    enum Twist {
+        /// Swaps the angles of the first two rotations.
+        SwapFirstTwo,
+        /// Negates the first rotation's angle.
+        NegateFirst,
+    }
+
+    impl SegmentOracle<Gate> for Twist {
+        fn optimize(&self, units: &[Gate], _num_qubits: u32) -> Vec<Gate> {
+            let mut out = units.to_vec();
+            let rz: Vec<usize> = (0..out.len())
+                .filter(|&i| matches!(out[i], Gate::Rz(..)))
+                .collect();
+            let angle = |g: Gate| match g {
+                Gate::Rz(_, a) => a,
+                _ => unreachable!(),
+            };
+            match (self, rz.as_slice()) {
+                (Twist::SwapFirstTwo, &[i, j, ..]) => {
+                    let (a, b) = (angle(out[i]), angle(out[j]));
+                    out[i] = Gate::Rz(out[i].qubits().0, b);
+                    out[j] = Gate::Rz(out[j].qubits().0, a);
+                }
+                (Twist::NegateFirst, &[i, ..]) => {
+                    out[i] = Gate::Rz(out[i].qubits().0, angle(out[i]).neg());
+                }
+                _ => {}
+            }
+            out
+        }
+
+        fn cost(&self, units: &[Gate]) -> u64 {
+            units.len() as u64
+        }
+
+        fn angle_independent(&self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn identity_is_decided_on_structure_not_angle_values() {
+        let structural = StructuralOptimizer::new();
+        let rule_based = RuleBasedOptimizer::oracle();
+        let a = Angle::PI_4;
+        let cases: [(&str, &(dyn SegmentOracle<Gate> + Send + Sync), Vec<Gate>); 7] = [
+            // Two equal angles in swapped slots.
+            (
+                "swap",
+                &Twist::SwapFirstTwo,
+                vec![Gate::Rz(0, a), Gate::H(1), Gate::Rz(0, a)],
+            ),
+            // RZ(π) and RZ(0) equal their own negations.
+            (
+                "negate",
+                &Twist::NegateFirst,
+                vec![Gate::Rz(0, Angle::PI), Gate::H(0)],
+            ),
+            (
+                "negate",
+                &Twist::NegateFirst,
+                vec![Gate::Rz(1, Angle::ZERO)],
+            ),
+            (
+                "structural",
+                &structural,
+                vec![Gate::Rz(0, Angle::ZERO), Gate::H(1)],
+            ),
+            (
+                "structural",
+                &structural,
+                vec![Gate::Rz(0, Angle::PI), Gate::X(0)],
+            ),
+            (
+                "rule_based",
+                &rule_based,
+                vec![Gate::Rz(0, Angle::ZERO), Gate::H(1)],
+            ),
+            (
+                "rule_based",
+                &rule_based,
+                vec![Gate::Rz(0, Angle::PI), Gate::H(0)],
+            ),
+        ];
+        for (id, oracle, segment) in cases {
+            let layer = SegmentCacheLayer::new(64, 1);
+            let hook = layer.for_job(id, oracle);
+            let out = oracle.optimize(&segment, 3);
+            hook.record(&segment, 3, &out);
+            assert_answer_matches_oracle(&hook, oracle, &segment);
+            for seed in 0..16 {
+                assert_answer_matches_oracle(&hook, oracle, &reangled(&segment, seed));
+            }
+            if out == segment && oracle.angle_independent() {
+                // A twisting template reproduces these angles only: it
+                // must stay a template, not become `Unchanged`.
+                let twists = matches!(id, "swap" | "negate");
+                let templates = layer
+                    .cache
+                    .as_ref()
+                    .unwrap()
+                    .sum_values(|e| u64::from(matches!(e, SegEntry::Template(_))));
+                assert_eq!(templates, u64::from(twists), "{id}: {segment:?}");
+            }
+        }
+
+        // The structure check itself, on hand-built templates.
+        let seg = [Gate::Rz(0, a), Gate::H(0), Gate::Rz(1, a)];
+        let rot = |qubit, slot, negated| TemplateGate::Rot {
+            qubit,
+            slot,
+            negated,
+        };
+        let template = |gates| SegTemplate { gates, slots: 2 };
+        let fixed_h = TemplateGate::Fixed(Gate::H(0));
+        assert!(
+            template(vec![rot(0, 0, false), fixed_h.clone(), rot(1, 1, false)]).is_identity(&seg)
+        );
+        assert!(
+            !template(vec![rot(0, 1, false), fixed_h.clone(), rot(1, 0, false)]).is_identity(&seg)
+        );
+        assert!(
+            !template(vec![rot(0, 0, true), fixed_h.clone(), rot(1, 1, false)]).is_identity(&seg)
+        );
+        assert!(
+            !template(vec![rot(1, 0, false), fixed_h.clone(), rot(0, 1, false)]).is_identity(&seg)
+        );
+        assert!(!template(vec![
+            TemplateGate::Fixed(seg[0]),
+            fixed_h.clone(),
+            rot(1, 1, false)
+        ])
+        .is_identity(&seg));
+        assert!(!template(vec![rot(0, 0, false), fixed_h]).is_identity(&seg));
+    }
+
+    #[test]
+    fn unchanged_rule_based_outputs_store_no_gates() {
+        let oracle = RuleBasedOptimizer::oracle();
+        let layer = SegmentCacheLayer::new(4096, 4);
+        let hook = layer.for_job("rule_based", &oracle);
+        let mut recorded = std::collections::HashSet::new();
+        for seed in 0..1000u64 {
+            let segment = random_segment(seed);
+            if oracle.optimize(&segment, 3) == segment {
+                hook.record(&segment, 3, &segment);
+                recorded.insert(segment);
+            }
+        }
+        assert!(
+            recorded.len() > 50,
+            "only {} unchanged segments",
+            recorded.len()
+        );
+        assert_eq!(layer.stats().entries, recorded.len());
+        let cache = layer.cache.as_ref().unwrap();
+        let storing = cache.sum_values(|e| u64::from(!matches!(e, SegEntry::Unchanged)));
+        assert_eq!(storing, 0, "an unchanged answer stored gates");
+        for segment in &recorded {
+            assert_eq!(hook.lookup(segment, 3), Some(CachedSegment::Unchanged));
+        }
     }
 }
