@@ -54,7 +54,7 @@ use popqc_core::PopqcConfig;
 use qapi::ApiError;
 use qcir::qasm;
 use qnet::NetStats;
-use qsvc::report::{batch_report, cache_report, job_status, stats_report};
+use qsvc::report::{batch_report, job_status, stats_report};
 use qsvc::service::{JobHandle, JobRequest, OptimizationService};
 use serde_json::json;
 use std::collections::BTreeMap;
@@ -417,7 +417,7 @@ impl AppState {
     }
 
     fn handle_cache_get(&self) -> Response {
-        Response::json(200, &cache_report(&self.svc.store().stats()).to_json())
+        Response::json(200, &self.svc.store().stats().to_json())
     }
 
     fn handle_cache_clear(&self) -> Response {

@@ -20,9 +20,10 @@
 //!   as `Arc<dyn ResultStore>`: [`MemoryStore`] (the [`ShardedLruCache`]
 //!   LRU, the default), [`DiskStore`] (one versioned file per entry; warm
 //!   starts survive restarts), [`TieredStore`] (memory in front of disk,
-//!   write-through + promote-on-hit), [`RemoteStore`] (a shared
+//!   write-through + promote-on-hit) and [`RemoteStore`] (a shared
 //!   `popqc cached` server over the [`wire`] protocol, so replica fleets
-//!   warm one another), and [`NullStore`] (benchmark baseline). Results
+//!   warm one another), composed from the CLI's flags by
+//!   [`compose_store`]. Results
 //!   are keyed by [`JobKey`] = (structural circuit
 //!   fingerprint, registry oracle id, engine config); identical
 //!   resubmissions cost zero oracle calls, and mixed-oracle traffic
@@ -90,14 +91,13 @@ pub mod wire;
 pub use cache::{CacheStats, ShardedLruCache, CACHE_SHARDS};
 pub use remote::{CacheServer, CacheServerConfig, RemoteConfig, RemoteStore};
 pub use segcache::{
-    JobSegmentCache, SegCacheStats, SegEntry, SegKey, SegTemplate, SegmentCacheLayer, TemplateGate,
+    JobSegmentCache, SegEntry, SegKey, SegTemplate, SegmentCacheLayer, TemplateGate,
 };
 pub use service::{
     BatchHandle, BatchResult, DynOracle, JobHandle, JobKey, JobRequest, JobResult,
     OptimizationService, OracleRegistry, ServiceConfig, ServiceError, ServiceStats,
 };
 pub use store::{
-    build_store, decode_entry, decode_entry_owned, encode_entry, CachedRun, DiskStore,
-    EntryRejection, MemoryStore, NullStore, ResultStore, StoreStats, StoreTier, TierStats,
-    TieredStore,
+    build_store, compose_store, decode_entry, decode_entry_owned, encode_entry, CachedRun,
+    DiskStore, EntryRejection, MemoryStore, ResultStore, StoreTier, TieredStore,
 };

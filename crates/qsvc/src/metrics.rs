@@ -6,11 +6,10 @@
 //! Counter updates happen at the same points as the `ServiceStats`
 //! atomics in `service.rs`, so a Prometheus scrape and `GET /v1/stats`
 //! agree. The store entry/byte gauges are the exception: they are
-//! *synced at scrape time* from [`StoreStats`] via [`sync_store_gauges`]
+//! *synced at scrape time* from the store's report via [`sync_store_gauges`]
 //! (the store already maintains its own gauges; mirroring them on every
 //! put would just duplicate that bookkeeping on the hot path).
 
-use crate::store::StoreStats;
 use std::sync::Arc;
 
 fn cache_hits_vec() -> &'static qobs::CounterVec {
@@ -267,7 +266,7 @@ pub(crate) fn cached_bytes() -> &'static qobs::Gauge {
 /// Copies the store's own entry/byte gauges into the Prometheus ones —
 /// call right before rendering a scrape so the series reflect the store
 /// *now* without per-put mirroring.
-pub fn sync_store_gauges(stats: &StoreStats) {
+pub fn sync_store_gauges(stats: &qapi::CacheReport) {
     for tier in &stats.tiers {
         store_entries_vec()
             .with(&[&tier.tier])

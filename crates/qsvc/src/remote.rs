@@ -41,7 +41,7 @@
 
 use crate::metrics;
 use crate::service::JobKey;
-use crate::store::{self, CachedRun, ResultStore, StoreStats, TierStats};
+use crate::store::{self, CachedRun, ResultStore};
 use crate::wire::{self, Frame, Op, WireError};
 use qnet::{Action, Driver, DriverFactory, NetConfig, NetServer};
 use std::collections::HashMap;
@@ -92,8 +92,8 @@ impl RemoteConfig {
 /// [`ResultStore`] backend that proxies every operation to a
 /// `popqc cached` server — see the module docs for the degradation
 /// contract. Usually composed as the back of a [`crate::TieredStore`]
-/// (`--cache-tier tiered --cache-addr …`) so repeat hits stay at RAM
-/// speed and only first-touch lookups pay a round trip.
+/// (`--cache-addr …` with a nonzero `--cache-capacity`) so repeat hits
+/// stay at RAM speed and only first-touch lookups pay a round trip.
 pub struct RemoteStore {
     cfg: RemoteConfig,
     /// Resolved once at construction; `127.0.0.1:0`-style test servers
@@ -372,23 +372,19 @@ impl ResultStore for RemoteStore {
         self.server_report().map_or(0, |r| r.entries as usize)
     }
 
-    fn stats(&self) -> StoreStats {
-        let server = self.server_report();
-        StoreStats {
-            backend: "remote".to_string(),
-            tiers: vec![TierStats {
-                tier: "remote".to_string(),
-                entries: server.as_ref().map_or(0, |r| r.entries),
-                hits: self.hits.load(Relaxed),
-                misses: self.misses.load(Relaxed),
-                evictions: server.as_ref().map_or(0, |r| r.evictions),
-                bytes: server.as_ref().map_or(0, |r| r.bytes),
-                errors: self.errors.load(Relaxed),
-            }],
-        }
+    fn stats(&self) -> qapi::CacheReport {
+        let server = self.server_report().unwrap_or_default();
+        let tier = qapi::CacheTierReport {
+            tier: "remote".to_string(),
+            entries: server.entries,
+            hits: self.hits.load(Relaxed),
+            misses: self.misses.load(Relaxed),
+            evictions: server.evictions,
+            bytes: server.bytes,
+            errors: self.errors.load(Relaxed),
+        };
+        store::store_report("remote", vec![tier])
     }
-
-    fn flush(&self) {}
 }
 
 // ---------------------------------------------------------------------------
@@ -456,6 +452,7 @@ impl CacheServer {
         store: Arc<dyn ResultStore>,
         cfg: CacheServerConfig,
     ) -> io::Result<CacheServer> {
+        sync_server_gauges(&store.stats());
         let served = Arc::new(Served {
             store,
             versions: Mutex::new(HashMap::new()),
@@ -511,9 +508,7 @@ impl Driver for WireDriver {
                 let served = Arc::clone(&self.0);
                 out.push(Action::Dispatch(Box::new(move || {
                     metrics::cached_requests(frame.op.name()).inc();
-                    let resp = dispatch(&frame, &served);
-                    sync_server_gauges(&served.store);
-                    (resp.encode(), true)
+                    (dispatch(&frame, &served).encode(), true)
                 })));
             }
             Err(violation) => {
@@ -528,13 +523,13 @@ impl Driver for WireDriver {
     }
 }
 
-/// Mirrors the served store's entry/byte gauges into the server-side
-/// metrics after every request (atomic loads — cheap next to a network
-/// round trip).
-fn sync_server_gauges(store: &Arc<dyn ResultStore>) {
-    let stats = store.stats();
-    metrics::cached_entries().set(stats.entries().min(i64::MAX as u64) as i64);
-    metrics::cached_bytes().set(stats.bytes().min(i64::MAX as u64) as i64);
+/// Mirrors a report of the served store into the server-side entry/byte
+/// gauges. Reading a memory tier's bytes walks every resident entry, so
+/// this runs where a report is built anyway (start-up and `STATS`), not
+/// after every frame.
+fn sync_server_gauges(report: &qapi::CacheReport) {
+    metrics::cached_entries().set(report.entries.min(i64::MAX as u64) as i64);
+    metrics::cached_bytes().set(report.bytes.min(i64::MAX as u64) as i64);
 }
 
 /// The GET path of [`dispatch`]: version gate, then the backing store,
@@ -665,7 +660,8 @@ fn dispatch(frame: &Frame, served: &Served) -> Frame {
             Frame::new(Op::Count, store.clear().to_be_bytes().to_vec())
         }
         Op::Stats => {
-            let report = crate::report::cache_report(&store.stats());
+            let report = store.stats();
+            sync_server_gauges(&report);
             Frame::new(
                 Op::Report,
                 serde_json::to_string(&report.to_json())

@@ -3,40 +3,12 @@
 //! This module owns NO schema of its own any more: every field that
 //! crosses the process boundary is declared once in `popqc-api`, and the
 //! functions here only translate [`JobResult`] / [`BatchResult`] /
-//! [`ServiceStats`] into those DTOs. The HTTP frontend and the `popqc`
+//! [`ServiceStats`] into those DTOs (a store already reports itself as a
+//! [`qapi::CacheReport`]). The HTTP frontend and the `popqc`
 //! CLI both call these same adapters, so the two surfaces emit
 //! byte-identical documents for the same job.
 
 use crate::service::{BatchResult, JobResult, ServiceStats};
-use crate::store::StoreStats;
-
-/// One tier of a [`StoreStats`] as the shared wire fragment.
-fn tier_report(t: &crate::store::TierStats) -> qapi::CacheTierReport {
-    qapi::CacheTierReport {
-        tier: t.tier.clone(),
-        entries: t.entries,
-        hits: t.hits,
-        misses: t.misses,
-        evictions: t.evictions,
-        bytes: t.bytes,
-        errors: t.errors,
-    }
-}
-
-/// The store's per-tier counters as the `GET /v1/cache` document (and the
-/// `popqc cache stats` output) — one adapter for both, so the admin
-/// surfaces cannot drift.
-pub fn cache_report(store: &StoreStats) -> qapi::CacheReport {
-    qapi::CacheReport {
-        backend: store.backend.clone(),
-        entries: store.entries(),
-        hits: store.hits(),
-        misses: store.misses(),
-        evictions: store.evictions(),
-        bytes: store.bytes(),
-        tiers: store.tiers.iter().map(tier_report).collect(),
-    }
-}
 
 /// The per-job stats fragment for `r`, without `label`/`qasm` (contexts
 /// attach those: [`batch_report`] sets the label, [`job_status`] attaches
@@ -144,18 +116,6 @@ fn executor_report(e: &qexec::ExecStats) -> qapi::ExecutorReport {
     }
 }
 
-/// The segment-cache counters as the shared wire fragment.
-fn segment_cache_report(s: &crate::segcache::SegCacheStats) -> qapi::SegmentCacheReport {
-    qapi::SegmentCacheReport {
-        enabled: s.enabled,
-        capacity: s.capacity as u64,
-        entries: s.entries as u64,
-        hits: s.hits,
-        misses: s.misses,
-        evictions: s.evictions,
-    }
-}
-
 /// The service's cumulative counters as the shared [`qapi::StatsReport`]
 /// DTO. `GET /v1/stats` and the CLI report both derive from this one
 /// function, so their fields can never drift.
@@ -175,11 +135,11 @@ pub fn stats_report(
         coalesced: stats.coalesced,
         failed: stats.failed,
         oracle_calls_issued: stats.oracle_calls_issued,
-        cache_entries: stats.cache.entries as u64,
-        cache_evictions: stats.cache.evictions,
+        cache_entries: stats.store.entries,
+        cache_evictions: stats.store.evictions,
         cache_backend: stats.store.backend.clone(),
-        cache_tiers: stats.store.tiers.iter().map(tier_report).collect(),
-        segment_cache: segment_cache_report(&stats.seg_cache),
+        cache_tiers: stats.store.tiers.clone(),
+        segment_cache: stats.seg_cache,
         executor: executor_report(&stats.executor),
         jobs_tracked: None,
         frontend: None,

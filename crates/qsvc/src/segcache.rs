@@ -264,37 +264,6 @@ pub fn derive_template(
     Some(template)
 }
 
-/// Point-in-time segment-cache counters, as surfaced by
-/// `ServiceStats::seg_cache` and `GET /v1/stats`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SegCacheStats {
-    /// Whether the cache is on (`capacity > 0`).
-    pub enabled: bool,
-    /// Configured entry budget.
-    pub capacity: usize,
-    /// Entries currently resident.
-    pub entries: usize,
-    /// Logical lookups served from the cache (one per replaced oracle
-    /// call).
-    pub hits: u64,
-    /// Logical lookups that fell through to the oracle.
-    pub misses: u64,
-    /// Entries evicted to make room.
-    pub evictions: u64,
-}
-
-impl SegCacheStats {
-    /// Hits over lookups, `0.0` when idle.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// The service-owned segment cache: a bounded [`ShardedLruCache`] of
 /// segment entries plus logical hit/miss accounting (one count per engine
 /// lookup, independent of how many raw probes the abstract/exact fallback
@@ -333,12 +302,13 @@ impl SegmentCacheLayer {
     }
 
     /// Point-in-time counters (logical hits/misses, storage
-    /// entries/evictions).
-    pub fn stats(&self) -> SegCacheStats {
-        SegCacheStats {
+    /// entries/evictions), as `ServiceStats::seg_cache` and
+    /// `GET /v1/stats` carry them.
+    pub fn stats(&self) -> qapi::SegmentCacheReport {
+        qapi::SegmentCacheReport {
             enabled: self.enabled(),
-            capacity: self.capacity,
-            entries: self.cache.as_ref().map_or(0, ShardedLruCache::len),
+            capacity: self.capacity as u64,
+            entries: self.cache.as_ref().map_or(0, ShardedLruCache::len) as u64,
             hits: self.hits.load(Relaxed),
             misses: self.misses.load(Relaxed),
             evictions: self.evictions.load(Relaxed),
@@ -926,7 +896,7 @@ mod tests {
             "only {} unchanged segments",
             recorded.len()
         );
-        assert_eq!(layer.stats().entries, recorded.len());
+        assert_eq!(layer.stats().entries, recorded.len() as u64);
         let cache = layer.cache.as_ref().unwrap();
         let storing = cache.sum_values(|e| u64::from(!matches!(e, SegEntry::Unchanged)));
         assert_eq!(storing, 0, "an unchanged answer stored gates");

@@ -11,7 +11,7 @@
 //!        │ store probe                        ▼   the shared qexec pool)
 //!        ▼                                 Engine::run
 //!  Arc<dyn ResultStore> ◀──── put ────────────┘
-//!   (memory │ disk │ tiered │ null)
+//!   (memory front │ disk or remote back │ both │ neither)
 //!        │
 //!        └────────▶ JobHandle::wait
 //! ```
@@ -53,10 +53,10 @@
 //!   [`JobResult::error`] set, coalesced waiters are re-enqueued as
 //!   independent retries, and the worker thread survives.
 
-use crate::cache::{CacheStats, CACHE_SHARDS};
+use crate::cache::CACHE_SHARDS;
 use crate::metrics;
-use crate::segcache::{SegCacheStats, SegmentCacheLayer};
-use crate::store::{CachedRun, MemoryStore, ResultStore, StoreStats};
+use crate::segcache::SegmentCacheLayer;
+use crate::store::{CachedRun, MemoryStore, ResultStore};
 use popqc_core::{Engine, PopqcConfig, PopqcStats, RoundObserver, RoundRecord};
 use qcir::{Circuit, Fingerprint, Gate};
 use qoracle::{GateCount, RuleBasedOptimizer, SearchOptimizer, SegmentOracle, StructuralOptimizer};
@@ -601,15 +601,13 @@ pub struct ServiceStats {
     pub failed: u64,
     /// Oracle calls issued by cache-missing jobs.
     pub oracle_calls_issued: u64,
-    /// Store-layer counters aggregated across tiers (logical hits and
-    /// misses; entries in the authoritative tier). Kept for callers that
-    /// predate tiering — `store` has the per-tier breakdown.
-    pub cache: CacheStats,
-    /// Per-tier store counters (backend name + one entry per tier).
-    pub store: StoreStats,
+    /// The result store's report: backend name, aggregates (logical
+    /// hits and misses, entries in the authoritative tier) and one entry
+    /// per tier.
+    pub store: qapi::CacheReport,
     /// Segment-cache counters (see [`crate::segcache`]); all-zero with
     /// `enabled: false` when [`ServiceConfig::seg_cache_capacity`] is 0.
-    pub seg_cache: SegCacheStats,
+    pub seg_cache: qapi::SegmentCacheReport,
     /// Executor counters (process-wide `popqc-exec` pool the engine's
     /// parallel rounds run on). Process-global and
     /// monotonic — NOT per-service or per-job; diff two snapshots with
@@ -1152,7 +1150,7 @@ impl OptimizationService {
     }
 
     /// [`new`](Self::new) over an explicit [`ResultStore`] backend — the
-    /// pluggable seam. Swapping memory / disk / tiered / null (or any
+    /// pluggable seam. Swapping memory / disk / tiered / remote (or any
     /// future backend) changes nothing but this argument; the scheduling,
     /// coalescing, and accounting layers above see only the trait.
     pub fn with_store(
@@ -1450,7 +1448,6 @@ impl OptimizationService {
 
     /// Point-in-time service counters.
     pub fn stats(&self) -> ServiceStats {
-        let store = self.inner.store.stats();
         ServiceStats {
             submitted: self.inner.submitted.load(Relaxed),
             completed: self.inner.completed.load(Relaxed),
@@ -1458,13 +1455,7 @@ impl OptimizationService {
             coalesced: self.inner.coalesced.load(Relaxed),
             failed: self.inner.failed.load(Relaxed),
             oracle_calls_issued: self.inner.oracle_calls_issued.load(Relaxed),
-            cache: CacheStats {
-                hits: store.hits(),
-                misses: store.misses(),
-                evictions: store.evictions(),
-                entries: store.entries() as usize,
-            },
-            store,
+            store: self.inner.store.stats(),
             seg_cache: self.inner.segcache.stats(),
             executor: qexec::stats(),
             uptime_seconds: self.inner.started.elapsed().as_secs_f64(),
@@ -1524,8 +1515,5 @@ impl Drop for OptimizationService {
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
-        // Every queued job has completed; give buffering backends their
-        // durability point before the store is dropped.
-        self.inner.store.flush();
     }
 }

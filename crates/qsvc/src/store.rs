@@ -8,7 +8,8 @@
 //!
 //! * [`MemoryStore`] — the process-local sharded LRU
 //!   ([`ShardedLruCache`]) behind the trait; what every deployment used
-//!   before this seam existed, and still the default.
+//!   before this seam existed, and still the default. At capacity 0 it
+//!   remembers nothing and reports itself as the `null` store.
 //! * [`DiskStore`] — one file per entry under a cache directory, so warm
 //!   starts survive restarts. Entries carry a versioned header (store
 //!   format version + the oracle's [`version`](qoracle::SegmentOracle::version)
@@ -20,12 +21,11 @@
 //!   on get.
 //! * [`crate::remote::RemoteStore`] — a `popqc cached` server over TCP,
 //!   so N replicas share one warm tier (see the `remote` module).
-//! * [`NullStore`] — always misses; isolates raw engine throughput in
-//!   benchmarks.
 //!
-//! [`StoreTier`] + [`build_store`] are the one construction seam the CLI
-//! and tests share: swapping `--cache-tier memory|disk|tiered|remote`
-//! changes nothing outside this function.
+//! [`compose_store`] is the one composition rule the CLI and tests share:
+//! a memory front of `--cache-capacity` entries (none at 0) over a disk
+//! back (`--cache-dir`), a remote back (`--cache-addr`) or no back at
+//! all. [`build_store`] names the same shapes by [`StoreTier`].
 //!
 //! ## On-disk layout (format version 1)
 //!
@@ -70,6 +70,7 @@ use crate::cache::ShardedLruCache;
 use crate::metrics;
 use crate::service::JobKey;
 use popqc_core::PopqcStats;
+use qapi::{CacheReport, CacheTierReport};
 use qcir::{qasm, Circuit, Gate};
 use serde_json::{json, Value};
 use std::path::{Path, PathBuf};
@@ -102,71 +103,20 @@ impl CachedRun {
     }
 }
 
-/// Point-in-time counters for one tier of a store.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct TierStats {
-    /// Tier name (`memory`, `disk`, `remote`, `null`).
-    pub tier: String,
-    /// Entries currently resident in this tier.
-    pub entries: u64,
-    /// Lookups this tier answered.
-    pub hits: u64,
-    /// Lookups this tier could not answer.
-    pub misses: u64,
-    /// Entries this tier evicted to make room.
-    pub evictions: u64,
-    /// Approximate resident bytes (exact file bytes for the disk tier).
-    pub bytes: u64,
-    /// Operations this tier degraded instead of completing (the remote
-    /// tier's unreachable-server count; local tiers never error).
-    pub errors: u64,
-}
-
-/// A store's full report: the backend name plus one [`TierStats`] per
-/// tier, front first. Single-tier stores report exactly one tier.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct StoreStats {
-    /// Backend name (`memory`, `disk`, `tiered`, `null`).
-    pub backend: String,
-    /// Per-tier counters, front tier first.
-    pub tiers: Vec<TierStats>,
-}
-
-impl StoreStats {
-    fn single(backend: &str, tier: TierStats) -> StoreStats {
-        StoreStats {
-            backend: backend.to_string(),
-            tiers: vec![tier],
-        }
-    }
-
-    /// Logical hits: a lookup that any tier answered.
-    pub fn hits(&self) -> u64 {
-        self.tiers.iter().map(|t| t.hits).sum()
-    }
-
-    /// Logical misses: lookups no tier answered. Front-tier misses that a
-    /// later tier absorbed are not logical misses, so this reads the
-    /// *last* tier (every logical miss reaches it).
-    pub fn misses(&self) -> u64 {
-        self.tiers.last().map_or(0, |t| t.misses)
-    }
-
-    /// Entries in the authoritative (last) tier. With write-through
-    /// tiering the front tier holds a subset of the back, so the back
-    /// count is the store's population.
-    pub fn entries(&self) -> u64 {
-        self.tiers.last().map_or(0, |t| t.entries)
-    }
-
-    /// Evictions summed across tiers.
-    pub fn evictions(&self) -> u64 {
-        self.tiers.iter().map(|t| t.evictions).sum()
-    }
-
-    /// Resident bytes summed across tiers.
-    pub fn bytes(&self) -> u64 {
-        self.tiers.iter().map(|t| t.bytes).sum()
+/// A store's report from its tiers, front first: the one place the
+/// aggregates are computed. Hits, evictions and bytes are summed across
+/// tiers. Misses and entries come from the last tier: every logical miss
+/// reaches it, and write-through keeps every entry there.
+pub(crate) fn store_report(backend: &str, tiers: Vec<CacheTierReport>) -> CacheReport {
+    let last = tiers.last().cloned().unwrap_or_default();
+    CacheReport {
+        backend: backend.to_string(),
+        entries: last.entries,
+        hits: tiers.iter().map(|t| t.hits).sum(),
+        misses: last.misses,
+        evictions: tiers.iter().map(|t| t.evictions).sum(),
+        bytes: tiers.iter().map(|t| t.bytes).sum(),
+        tiers,
     }
 }
 
@@ -202,14 +152,9 @@ pub trait ResultStore: Send + Sync {
         self.len() == 0
     }
 
-    /// Point-in-time per-tier counters.
-    fn stats(&self) -> StoreStats;
-
-    /// Blocks until previously written entries are durable. In-memory
-    /// tiers are trivially durable-for-their-lifetime; [`DiskStore`]
-    /// writes each entry with rename-into-place at `put` time, so this is
-    /// a no-op hook kept for backends with real write buffers.
-    fn flush(&self);
+    /// Point-in-time counters: the backend name, the aggregates and one
+    /// entry per tier, front first.
+    fn stats(&self) -> CacheReport;
 }
 
 // ---------------------------------------------------------------------------
@@ -218,12 +163,15 @@ pub trait ResultStore: Send + Sync {
 
 /// The process-local tier: [`ShardedLruCache`] behind the trait.
 ///
-/// Capacity `0` is the null-cache edge: every lookup misses and puts are
-/// dropped (see [`ShardedLruCache::new`] for the exact rounding rules).
+/// Capacity `0` is the null store: every lookup misses, puts are dropped
+/// and the report names backend and tier `null` (see
+/// [`ShardedLruCache::new`] for the exact rounding rules).
 /// `oracle_version` is ignored — within one process the registry binds
 /// each oracle id to exactly one version for the store's whole lifetime.
 pub struct MemoryStore {
     cache: ShardedLruCache<JobKey, CachedRun>,
+    /// `memory`, or `null` at capacity 0.
+    tier: &'static str,
     /// Latency histograms, resolved once at construction so the serving
     /// path never touches the metric registry.
     get_timer: Arc<qobs::Histogram>,
@@ -235,6 +183,7 @@ impl MemoryStore {
     pub fn new(capacity: usize, shards: usize) -> MemoryStore {
         MemoryStore {
             cache: ShardedLruCache::new(capacity, shards),
+            tier: if capacity == 0 { "null" } else { "memory" },
             get_timer: metrics::store_get_duration("memory"),
             put_timer: metrics::store_put_duration("memory"),
         }
@@ -264,23 +213,19 @@ impl ResultStore for MemoryStore {
         self.cache.len()
     }
 
-    fn stats(&self) -> StoreStats {
+    fn stats(&self) -> CacheReport {
         let c = self.cache.stats();
-        StoreStats::single(
-            "memory",
-            TierStats {
-                tier: "memory".to_string(),
-                entries: c.entries as u64,
-                hits: c.hits,
-                misses: c.misses,
-                evictions: c.evictions,
-                bytes: self.cache.sum_values(CachedRun::approx_bytes),
-                errors: 0,
-            },
-        )
+        let tier = CacheTierReport {
+            tier: self.tier.to_string(),
+            entries: c.entries as u64,
+            hits: c.hits,
+            misses: c.misses,
+            evictions: c.evictions,
+            bytes: self.cache.sum_values(CachedRun::approx_bytes),
+            errors: 0,
+        };
+        store_report(self.tier, vec![tier])
     }
-
-    fn flush(&self) {}
 }
 
 // ---------------------------------------------------------------------------
@@ -467,7 +412,16 @@ pub fn decode_entry(
     oracle_version: &str,
     text: &str,
 ) -> Result<CachedRun, EntryRejection> {
-    let doc: Value = serde_json::from_str(text).map_err(|_| EntryRejection::Corrupt)?;
+    let doc = serde_json::from_str(text).map_err(|_| EntryRejection::Corrupt)?;
+    decode_doc(key, oracle_version, &doc)
+}
+
+/// [`decode_entry`] on an already parsed document.
+fn decode_doc(
+    key: &JobKey,
+    oracle_version: &str,
+    doc: &Value,
+) -> Result<CachedRun, EntryRejection> {
     let num = |field: &str| doc.get(field).and_then(Value::as_u64);
     // A parseable document with the wrong format version is *stale*,
     // not corrupt — whatever wrote it knew what it was doing.
@@ -519,8 +473,9 @@ pub fn decode_entry(
 /// Parses an entry document that *carries its own key* — the cache
 /// server's PUT path, where no expected key exists yet. Extracts the
 /// `(key, oracle_version)` from the header fields, then runs the same
-/// full validation as [`decode_entry`], so a malformed or inconsistent
-/// document is refused before it can be persisted for other replicas.
+/// full validation as [`decode_entry`] on the same parsed document, so a
+/// malformed or inconsistent document is refused before it can be
+/// persisted for other replicas.
 pub fn decode_entry_owned(text: &str) -> Result<(JobKey, String, CachedRun), EntryRejection> {
     let doc: Value = serde_json::from_str(text).map_err(|_| EntryRejection::Corrupt)?;
     let field = |name: &str| doc.get(name).and_then(Value::as_str);
@@ -545,7 +500,7 @@ pub fn decode_entry_owned(text: &str) -> Result<(JobKey, String, CachedRun), Ent
     let oracle_version = field("oracle_version")
         .ok_or(EntryRejection::Corrupt)?
         .to_string();
-    let run = decode_entry(&key, &oracle_version, text)?;
+    let run = decode_doc(&key, &oracle_version, &doc)?;
     Ok((key, oracle_version, run))
 }
 
@@ -674,25 +629,21 @@ impl ResultStore for DiskStore {
         self.entries.load(Relaxed) as usize
     }
 
-    fn stats(&self) -> StoreStats {
-        StoreStats::single(
-            "disk",
-            TierStats {
-                tier: "disk".to_string(),
-                entries: self.entries.load(Relaxed),
-                hits: self.hits.load(Relaxed),
-                misses: self.misses.load(Relaxed),
-                // Stale entries discarded on read are this tier's eviction
-                // analogue; quarantined files are counted separately but
-                // also no longer serve hits.
-                evictions: self.invalidated.load(Relaxed) + self.quarantined.load(Relaxed),
-                bytes: self.bytes.load(Relaxed),
-                errors: 0,
-            },
-        )
+    fn stats(&self) -> CacheReport {
+        let tier = CacheTierReport {
+            tier: "disk".to_string(),
+            entries: self.entries.load(Relaxed),
+            hits: self.hits.load(Relaxed),
+            misses: self.misses.load(Relaxed),
+            // Stale entries discarded on read are this tier's eviction
+            // analogue; quarantined files are counted separately but
+            // also no longer serve hits.
+            evictions: self.invalidated.load(Relaxed) + self.quarantined.load(Relaxed),
+            bytes: self.bytes.load(Relaxed),
+            errors: 0,
+        };
+        store_report("disk", vec![tier])
     }
-
-    fn flush(&self) {}
 }
 
 impl DiskStore {
@@ -784,139 +735,71 @@ impl ResultStore for TieredStore {
         self.back.len()
     }
 
-    fn stats(&self) -> StoreStats {
+    fn stats(&self) -> CacheReport {
         let mut tiers = self.front.stats().tiers;
         tiers.extend(self.back.stats().tiers);
-        StoreStats {
-            backend: "tiered".to_string(),
-            tiers,
-        }
+        store_report("tiered", tiers)
     }
-
-    fn flush(&self) {
-        self.front.flush();
-        self.back.flush();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// NullStore
-// ---------------------------------------------------------------------------
-
-/// The store that never remembers: every get misses, every put is
-/// dropped. Benchmarks use it to measure raw engine throughput with the
-/// memoization layer provably out of the picture.
-#[derive(Default)]
-pub struct NullStore {
-    misses: AtomicU64,
-}
-
-impl NullStore {
-    /// A fresh null store.
-    pub fn new() -> NullStore {
-        NullStore::default()
-    }
-}
-
-impl ResultStore for NullStore {
-    fn get(&self, _key: &JobKey, _oracle_version: &str) -> Option<Arc<CachedRun>> {
-        self.misses.fetch_add(1, Relaxed);
-        None
-    }
-
-    fn put(&self, _key: &JobKey, _oracle_version: &str, _value: Arc<CachedRun>) {}
-
-    fn remove(&self, _key: &JobKey) -> bool {
-        false
-    }
-
-    fn clear(&self) -> u64 {
-        0
-    }
-
-    fn len(&self) -> usize {
-        0
-    }
-
-    fn stats(&self) -> StoreStats {
-        StoreStats::single(
-            "null",
-            TierStats {
-                tier: "null".to_string(),
-                misses: self.misses.load(Relaxed),
-                ..TierStats::default()
-            },
-        )
-    }
-
-    fn flush(&self) {}
 }
 
 // ---------------------------------------------------------------------------
 // Construction seam
 // ---------------------------------------------------------------------------
 
-/// The backend selector the CLI's `--cache-tier` flag names. Everything
-/// downstream of [`build_store`] is `Arc<dyn ResultStore>`, so adding a
-/// tier here is the *only* code change a new backend needs outside its
-/// own implementation.
+/// The one composition rule for a result store: a [`MemoryStore`] front
+/// of `capacity` entries over a [`DiskStore`] at `cache_dir`, a
+/// [`RemoteStore`](crate::remote::RemoteStore) at `cache_addr`, or no
+/// back at all. A zero capacity means no front, so a back alone is
+/// served bare and no back at all is the `null` store. Both back flags
+/// together is the one refusal.
+pub fn compose_store(
+    cache_dir: Option<&Path>,
+    cache_addr: Option<&str>,
+    capacity: usize,
+    shards: usize,
+) -> Result<Arc<dyn ResultStore>, String> {
+    let back: Arc<dyn ResultStore> = match (cache_dir, cache_addr) {
+        (Some(_), Some(_)) => {
+            return Err("a store takes exactly one back tier: \
+                        --cache-dir (disk) or --cache-addr (remote), not both"
+                .to_string())
+        }
+        (Some(dir), None) => Arc::new(
+            DiskStore::open(dir)
+                .map_err(|e| format!("cannot open cache dir {}: {e}", dir.display()))?,
+        ),
+        (None, Some(addr)) => Arc::new(crate::remote::RemoteStore::new(
+            crate::remote::RemoteConfig::new(addr),
+        )?),
+        (None, None) => return Ok(Arc::new(MemoryStore::new(capacity, shards))),
+    };
+    Ok(match capacity {
+        0 => back,
+        _ => Arc::new(TieredStore::new(
+            Arc::new(MemoryStore::new(capacity, shards)),
+            back,
+        )),
+    })
+}
+
+/// The store shapes [`build_store`] names, each one case of
+/// [`compose_store`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StoreTier {
-    /// Process-local LRU only (the default; no persistence).
+    /// Process-local LRU only (no persistence).
     Memory,
     /// Disk only: every probe and write goes to the cache directory.
     Disk,
     /// Memory in front of disk (`--cache-dir`) or of a remote cache
     /// server (`--cache-addr`): RAM-speed hits, shared/persistent truth.
     Tiered,
-    /// A shared `popqc cached` server over TCP (`--cache-addr`): N
-    /// replicas behave as one warm cache. Degrades to local misses when
-    /// the server is unreachable — never an error, never a wrong result.
+    /// A shared `popqc cached` server over TCP (`--cache-addr`) alone.
     Remote,
-    /// No caching at all (benchmark baseline).
-    Null,
 }
 
-impl StoreTier {
-    /// Every tier name `--cache-tier` accepts, in documentation order.
-    pub const NAMES: [&'static str; 5] = ["memory", "disk", "tiered", "remote", "null"];
-}
-
-impl std::str::FromStr for StoreTier {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<StoreTier, String> {
-        match s {
-            "memory" => Ok(StoreTier::Memory),
-            "disk" => Ok(StoreTier::Disk),
-            "tiered" => Ok(StoreTier::Tiered),
-            "remote" => Ok(StoreTier::Remote),
-            "null" => Ok(StoreTier::Null),
-            other => Err(format!(
-                "unknown cache tier `{other}` (expected one of: {})",
-                StoreTier::NAMES.join(", ")
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for StoreTier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            StoreTier::Memory => "memory",
-            StoreTier::Disk => "disk",
-            StoreTier::Tiered => "tiered",
-            StoreTier::Remote => "remote",
-            StoreTier::Null => "null",
-        })
-    }
-}
-
-/// Builds the store a service (or the `popqc cache` admin commands) will
-/// own. `cache_dir` is required for the disk-backed tiers and
-/// `cache_addr` for the remote ones; `tiered` takes exactly one of the
-/// two as its back tier (disk when given a directory, remote when given
-/// an address). `capacity` and `shards` size the memory tier where one
+/// [`compose_store`] for a named shape: `Disk` and `Tiered` need
+/// `cache_dir` (or, for `Tiered`, `cache_addr`), `Remote` needs
+/// `cache_addr`. `capacity` and `shards` size the memory tier where one
 /// exists.
 pub fn build_store(
     tier: StoreTier,
@@ -925,37 +808,20 @@ pub fn build_store(
     capacity: usize,
     shards: usize,
 ) -> Result<Arc<dyn ResultStore>, String> {
-    let disk = |dir: &Path| -> Result<Arc<DiskStore>, String> {
-        DiskStore::open(dir)
-            .map(Arc::new)
-            .map_err(|e| format!("cannot open cache dir {}: {e}", dir.display()))
-    };
-    let remote = |addr: &str| -> Result<Arc<crate::remote::RemoteStore>, String> {
-        crate::remote::RemoteStore::new(crate::remote::RemoteConfig::new(addr)).map(Arc::new)
-    };
-    let need_dir = || format!("cache tier `{tier}` requires --cache-dir");
-    let need_addr = || format!("cache tier `{tier}` requires --cache-addr");
-    Ok(match tier {
-        StoreTier::Memory => Arc::new(MemoryStore::new(capacity, shards)),
-        StoreTier::Null => Arc::new(NullStore::new()),
-        StoreTier::Disk => disk(cache_dir.ok_or_else(need_dir)?)?,
-        StoreTier::Remote => remote(cache_addr.ok_or_else(need_addr)?)?,
-        StoreTier::Tiered => {
-            let back: Arc<dyn ResultStore> = match (cache_dir, cache_addr) {
-                (Some(_), Some(_)) => {
-                    return Err(format!(
-                        "cache tier `{tier}` takes exactly one back tier: \
-                         --cache-dir (disk) or --cache-addr (remote), not both"
-                    ))
-                }
-                (Some(dir), None) => disk(dir)?,
-                (None, Some(addr)) => remote(addr)?,
-                (None, None) => return Err(need_dir()),
-            };
-            Arc::new(TieredStore::new(
-                Arc::new(MemoryStore::new(capacity, shards)),
-                back,
-            ))
+    let need = |flag: &str| format!("{tier:?} store requires {flag}");
+    match tier {
+        StoreTier::Memory => compose_store(None, None, capacity, shards),
+        StoreTier::Disk => {
+            let dir = cache_dir.ok_or_else(|| need("--cache-dir"))?;
+            compose_store(Some(dir), None, 0, shards)
         }
-    })
+        StoreTier::Remote => {
+            let addr = cache_addr.ok_or_else(|| need("--cache-addr"))?;
+            compose_store(None, Some(addr), 0, shards)
+        }
+        StoreTier::Tiered if cache_dir.is_none() && cache_addr.is_none() => {
+            Err(need("--cache-dir"))
+        }
+        StoreTier::Tiered => compose_store(cache_dir, cache_addr, capacity, shards),
+    }
 }

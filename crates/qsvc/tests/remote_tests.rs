@@ -236,10 +236,10 @@ fn remote_store_round_trips_through_a_live_server() {
     assert_eq!(stats.backend, "remote");
     assert_eq!(stats.tiers.len(), 1);
     assert_eq!(stats.tiers[0].tier, "remote");
-    assert_eq!(stats.hits(), 1);
-    assert_eq!(stats.misses(), 1);
+    assert_eq!(stats.hits, 1);
+    assert_eq!(stats.misses, 1);
     assert_eq!(stats.tiers[0].errors, 0);
-    assert_eq!(stats.entries(), 1);
+    assert_eq!(stats.entries, 1);
     assert_eq!(client.len(), 1);
 
     assert!(client.remove(&key), "remove reports the entry existed");
@@ -431,7 +431,7 @@ fn second_replica_answers_from_the_shared_cache_with_zero_oracle_calls() {
 
     // Two independent "replicas": separate services, separate stores,
     // joined only by the cache server — exactly the
-    // `popqc serve --cache-tier tiered --cache-addr` composition.
+    // `popqc serve --cache-addr` composition.
     let replica = |addr: &str| {
         let store = build_store(StoreTier::Tiered, None, Some(addr), 64, 2).unwrap();
         OptimizationService::with_store(

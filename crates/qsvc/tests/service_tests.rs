@@ -136,7 +136,7 @@ fn eviction_forces_recomputation() {
         !svc.submit(a.clone(), &cfg).wait().cache_hit,
         "evicted entry must recompute"
     );
-    assert!(svc.stats().cache.evictions >= 1);
+    assert!(svc.stats().store.evictions >= 1);
 }
 
 #[test]

@@ -9,7 +9,7 @@ use popqc_core::{PopqcConfig, PopqcStats};
 use qcir::{Angle, Circuit, Gate};
 use qoracle::{RuleBasedOptimizer, SegmentOracle};
 use qsvc::{
-    build_store, CachedRun, DiskStore, JobKey, MemoryStore, NullStore, OptimizationService,
+    build_store, compose_store, CachedRun, DiskStore, JobKey, MemoryStore, OptimizationService,
     OracleRegistry, ResultStore, ServiceConfig, StoreTier, TieredStore,
 };
 use std::path::{Path, PathBuf};
@@ -92,7 +92,7 @@ fn quarantine_count(dir: &Path) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// MemoryStore / NullStore / seam
+// MemoryStore / seam
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -109,9 +109,9 @@ fn memory_store_round_trips_and_reports_one_tier() {
     let stats = store.stats();
     assert_eq!(stats.backend, "memory");
     assert_eq!(stats.tiers.len(), 1);
-    assert_eq!(stats.hits(), 1);
-    assert_eq!(stats.misses(), 1);
-    assert!(stats.bytes() > 0, "approximate bytes must be non-zero");
+    assert_eq!(stats.hits, 1);
+    assert_eq!(stats.misses, 1);
+    assert!(stats.bytes > 0, "approximate bytes must be non-zero");
 
     assert!(store.remove(&key));
     assert!(store.get(&key, "v1").is_none());
@@ -130,29 +130,71 @@ fn zero_capacity_memory_store_is_a_null_store() {
     assert_eq!(store.len(), 0);
 }
 
+/// The null store is a zero-capacity memory store, sharded or not: it
+/// reports itself as `null`, counts every lookup as a miss and holds nothing.
 #[test]
 fn null_store_never_hits() {
-    let store = NullStore::new();
-    let circuit = sample_circuit();
-    let key = key_for(&circuit, "rule_based", 50);
-    store.put(&key, "v1", run_for(&circuit));
-    assert!(store.get(&key, "v1").is_none());
-    assert_eq!(store.stats().misses(), 1);
-    assert_eq!(store.clear(), 0);
+    for shards in [0, 2] {
+        let store = MemoryStore::new(0, shards);
+        let circuit = sample_circuit();
+        let key = key_for(&circuit, "rule_based", 50);
+        store.put(&key, "v1", run_for(&circuit));
+        assert!(store.get(&key, "v1").is_none());
+        let stats = store.stats();
+        assert_eq!(
+            (stats.backend.as_str(), stats.tiers[0].tier.as_str()),
+            ("null", "null")
+        );
+        assert_eq!(stats.misses, 1);
+        assert_eq!((stats.hits, stats.entries, stats.bytes), (0, 0, 0));
+        assert_eq!(store.clear(), 0);
+    }
+}
+
+/// The composition rule, one row per flag combination: a memory front of
+/// `capacity` entries (none at 0) over a disk back (`dir`), a remote back
+/// (`addr`) or nothing; both backs is the one refusal.
+#[test]
+fn compose_store_follows_the_front_over_back_rule() {
+    let tmp = TempDir::new("compose");
+    // A resolvable address with no server behind it: the remote tier
+    // degrades to misses, which is all this table needs.
+    let addr = "127.0.0.1:1";
+    let dir = Some(tmp.path());
+    let table = [
+        (0, None, None, "null [null]"),
+        (8, None, None, "memory [memory]"),
+        (0, dir, None, "disk [disk]"),
+        (8, dir, None, "tiered [memory, disk]"),
+        (0, None, Some(addr), "remote [remote]"),
+        (8, None, Some(addr), "tiered [memory, remote]"),
+        (0, dir, Some(addr), "refused"),
+        (8, dir, Some(addr), "refused"),
+    ];
+    for (capacity, dir, addr, expected) in table {
+        let built = match compose_store(dir, addr, capacity, 2) {
+            Ok(store) => {
+                let stats = store.stats();
+                let tiers: Vec<&str> = stats.tiers.iter().map(|t| t.tier.as_str()).collect();
+                format!("{} [{}]", stats.backend, tiers.join(", "))
+            }
+            Err(err) => {
+                assert!(err.contains("exactly one back tier"), "{err}");
+                "refused".to_string()
+            }
+        };
+        assert_eq!(
+            built, expected,
+            "capacity {capacity}, dir {dir:?}, addr {addr:?}"
+        );
+    }
 }
 
 #[test]
-fn build_store_rejects_unknown_tier_and_missing_dir() {
-    let err = "diskette".parse::<StoreTier>().unwrap_err();
-    assert!(err.contains("unknown cache tier"), "got: {err}");
-    assert!(
-        err.contains("memory, disk, tiered, remote, null"),
-        "got: {err}"
-    );
-
+fn build_store_rejects_missing_and_doubled_back_tiers() {
     for tier in [StoreTier::Disk, StoreTier::Tiered] {
         let Err(err) = build_store(tier, None, None, 8, 2) else {
-            panic!("{tier}: building without a dir must fail");
+            panic!("{tier:?}: building without a dir must fail");
         };
         assert!(err.contains("requires --cache-dir"), "got: {err}");
     }
@@ -361,7 +403,7 @@ fn disk_store_clear_removes_entries_but_not_quarantine() {
         store.put(&key_for(c, "rule_based", 50), "v1", run_for(c));
     }
     assert_eq!(store.len(), 4);
-    assert!(store.stats().bytes() > 0);
+    assert!(store.stats().bytes > 0);
     assert_eq!(store.clear(), 4);
     assert_eq!(store.len(), 0);
     for c in &circuits {
@@ -417,8 +459,8 @@ fn disk_store_clear_concurrent_with_put_keeps_gauges_consistent() {
         "entry gauge diverged from the directory after clear raced puts"
     );
     assert_eq!(
-        store.stats().bytes(),
-        rescan.stats().bytes(),
+        store.stats().bytes,
+        rescan.stats().bytes,
         "byte gauge diverged from the directory after clear raced puts"
     );
 }
@@ -535,12 +577,12 @@ fn warm_restart_over_disk_store_issues_zero_oracle_calls() {
         let store = build_store(tier, Some(tmp.path()), None, 16, 2).unwrap();
         let svc = counting_service(&calls, store);
         let warm = svc.submit(circuit.clone(), &cfg).wait();
-        assert!(warm.cache_hit, "{tier}: restart must hit the disk tier");
+        assert!(warm.cache_hit, "{tier:?}: restart must hit the disk tier");
         assert_eq!(warm.circuit, first.circuit);
         assert_eq!(
             calls.load(Relaxed),
             calls_cold,
-            "{tier}: warm restart must issue zero oracle calls"
+            "{tier:?}: warm restart must issue zero oracle calls"
         );
         assert_eq!(svc.stats().oracle_calls_issued, 0);
         assert_eq!(svc.stats().cache_hits, 1);
@@ -610,13 +652,22 @@ fn service_stats_carry_the_per_tier_breakdown() {
     svc.submit(circuit.clone(), &cfg).wait();
     svc.submit(circuit, &cfg).wait();
 
-    let stats = svc.stats();
-    assert_eq!(stats.store.backend, "tiered");
-    assert_eq!(stats.store.tiers.len(), 2);
-    // The aggregate view stays coherent with the legacy cache counters.
-    assert_eq!(stats.cache.hits, stats.store.hits());
-    assert_eq!(stats.cache.entries as u64, stats.store.entries());
-    assert_eq!(stats.cache.hits, 1);
+    let store = svc.stats().store;
+    assert_eq!(store.backend, "tiered");
+    let names: Vec<&str> = store.tiers.iter().map(|t| t.tier.as_str()).collect();
+    assert_eq!(names, ["memory", "disk"]);
+    // The aggregates follow the per-tier counters: the second submission
+    // hit the memory front, and both tiers hold the one entry.
+    let [front, back] = &store.tiers[..] else {
+        unreachable!()
+    };
+    assert_eq!((front.hits, back.hits), (1, 0));
+    assert_eq!(store.hits, front.hits + back.hits);
+    assert_eq!(store.hits, 1);
+    assert_eq!((store.entries, back.entries, front.entries), (1, 1, 1));
+    assert_eq!(store.misses, back.misses);
+    assert_eq!(store.evictions, front.evictions + back.evictions);
+    assert_eq!(store.bytes, front.bytes + back.bytes);
 
     // clear_cache empties every tier and reports the distinct count.
     assert_eq!(svc.clear_cache(), 1);

@@ -101,6 +101,6 @@ fn main() {
     let stats = svc.stats();
     println!(
         "service: {} submitted, {} cache hits, {} oracle calls issued, {} cached entries",
-        stats.submitted, stats.cache_hits, stats.oracle_calls_issued, stats.cache.entries
+        stats.submitted, stats.cache_hits, stats.oracle_calls_issued, stats.store.entries
     );
 }

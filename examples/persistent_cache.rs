@@ -1,8 +1,8 @@
 //! The tiered result store across a service "restart": process one
 //! computes and persists, a second service over the same cache directory
 //! answers the identical jobs from the disk tier with zero oracle calls.
-//! This is the `popqc serve --cache-tier tiered --cache-dir …` behaviour,
-//! driven through the library seam.
+//! This is the `popqc serve --cache-dir …` behaviour, driven through the
+//! library seam.
 //!
 //! ```sh
 //! cargo run --release --example persistent_cache
@@ -20,10 +20,11 @@ fn main() {
         .collect();
     let cfg = PopqcConfig::with_omega(100);
 
-    // The one seam: every tier below is the same call with a different
-    // `StoreTier`, and nothing else in the program changes.
+    // The one seam: the CLI's `--cache-dir`, `--cache-addr` and
+    // `--cache-capacity` compose every store through this call, and
+    // nothing else in the program changes.
     let tiered = |dir: &std::path::Path| -> std::sync::Arc<dyn ResultStore> {
-        build_store(StoreTier::Tiered, Some(dir), None, 1024, 16).expect("build store")
+        compose_store(Some(dir), None, 1024, 16).expect("build store")
     };
 
     // "Process" one: cold batch, write-through to disk.

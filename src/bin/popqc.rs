@@ -25,12 +25,12 @@
 //! structurally-unchanged segment's rewrite without new oracle calls.
 //! The CLI default is 4096 entries; `0` disables it.
 //!
-//! `--cache-tier`/`--cache-dir`/`--cache-addr` pick the result-store
-//! backend (see `qsvc::store`): `tiered` or `disk` over a directory makes
-//! warm starts survive process restarts, `remote` (or `tiered` over
-//! `--cache-addr`) shares one `popqc cached` server across a replica
-//! fleet, and `popqc cache {stats,clear,warm}` administers a cache
-//! directory offline.
+//! `--cache-capacity`/`--cache-dir`/`--cache-addr` compose the result
+//! store (see `qsvc::store::compose_store`): a memory front of
+//! `--cache-capacity` entries (none at 0) over a directory, which makes
+//! warm starts survive process restarts, or over one `popqc cached`
+//! server shared across a replica fleet. `popqc cache
+//! {stats,clear,warm}` administers a cache directory offline.
 //!
 //! `cached` runs the shared cache server itself: it serves the
 //! `qsvc::wire` protocol over a disk-backed store at `--cache-dir`, so
@@ -58,7 +58,7 @@
 
 use popqc::http::EventedConfig;
 use popqc::prelude::*;
-use popqc::service::report::{batch_report, cache_report, job_status, service_report};
+use popqc::service::report::{batch_report, job_status, service_report};
 use popqc::service::CACHE_SHARDS;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -72,7 +72,6 @@ type Flag = (&'static str, &'static str);
 const ADDR: Flag = ("--addr", "HOST:PORT");
 const OUT: Flag = ("--out", "PATH");
 const CACHE_DIR: Flag = ("--cache-dir", "DIR");
-const CACHE_TIER: Flag = ("--cache-tier", "TIER");
 const CACHE_CAPACITY: Flag = ("--cache-capacity", "N");
 const MAX_CONNS: Flag = ("--max-conns", "N");
 const LOG_LEVEL: Flag = ("--log-level", "error|warn|info|debug");
@@ -86,8 +85,7 @@ const ENGINE: &[Flag] = &[
 /// The store group: the result store and the segment cache.
 #[rustfmt::skip]
 const STORE: &[Flag] = &[
-    CACHE_CAPACITY, ("--seg-cache-capacity", "N"), CACHE_TIER, CACHE_DIR,
-    ("--cache-addr", "HOST:PORT"),
+    CACHE_CAPACITY, ("--seg-cache-capacity", "N"), CACHE_DIR, ("--cache-addr", "HOST:PORT"),
 ];
 
 /// A subcommand: the words that name it, its operand (`""` for none, a
@@ -120,7 +118,7 @@ const COMMANDS: &[Command] = &[
     Command { name: "trace", operand: "<ID|last>", required: &[],
               groups: &[&[ADDR, ("--chrome", "")]], run: cmd_trace },
     Command { name: "cached", operand: "", required: &[CACHE_DIR],
-              groups: &[&[ADDR, CACHE_TIER, CACHE_CAPACITY, MAX_CONNS, LOG_LEVEL]], run: cmd_cached },
+              groups: &[&[ADDR, CACHE_CAPACITY, MAX_CONNS, LOG_LEVEL]], run: cmd_cached },
     Command { name: "cache stats", operand: "", required: &[CACHE_DIR],
               groups: &[], run: cmd_cache_stats },
     Command { name: "cache clear", operand: "", required: &[CACHE_DIR],
@@ -179,7 +177,6 @@ struct Settings {
     /// `None` keeps the registry's own default oracle.
     oracle: Option<String>,
     service: ServiceConfig,
-    tier: Option<StoreTier>,
     cache_dir: Option<PathBuf>,
     cache_addr: Option<String>,
     addr: Option<String>,
@@ -254,13 +251,11 @@ fn parse(args: &[String]) -> Result<(&'static Command, Settings), CliError> {
     if let Some(cap) = m.opt("--max-conns")? {
         (net.max_conns, cache_server.max_conns) = (cap, cap);
     }
-    let tier = m.0.get("--cache-tier").map(|name| name.parse());
     let s = Settings {
         operands,
         omega: m.opt("--omega")?.unwrap_or(200),
         oracle: m.opt("--oracle")?,
         service,
-        tier: tier.transpose().map_err(CliError::Fail)?,
         cache_dir: m.opt("--cache-dir")?,
         cache_addr: m.opt("--cache-addr")?,
         addr: m.opt("--addr")?,
@@ -328,8 +323,7 @@ fn main() -> ExitCode {
 /// Installs the log filter: the `--log-level` spec when given (a bare
 /// level or `target=level` overrides, see `qobs::set_log_filter`), else
 /// whatever `POPQC_LOG` says. An unknown level name is a diagnostic and
-/// exit 1 listing the accepted names — same refusal style as
-/// `--cache-tier`.
+/// exit 1 listing the accepted names.
 fn apply_log_filter(flag: Option<&str>) {
     match flag {
         Some(spec) => qobs::set_log_filter(spec),
@@ -338,41 +332,11 @@ fn apply_log_filter(flag: Option<&str>) {
     .unwrap_or_else(|e| fail(e));
 }
 
-/// Resolves `--cache-tier`/`--cache-dir`/`--cache-addr` into a built
-/// store. An explicit `--cache-dir` without a tier implies `tiered` over
-/// disk (the obvious intent: memory-speed hits backed by
-/// restart-surviving disk), and a bare `--cache-addr` likewise implies
-/// `tiered` over remote. Every misconfiguration is a diagnostic and exit
-/// 1, never a panic or a silent ignore: a persistent tier without a
-/// directory, a remote tier without an address, and a directory or
-/// address paired with a tier that cannot use it (the user asked for
-/// something they would not get).
-fn build_cli_store(s: &Settings) -> std::sync::Arc<dyn ResultStore> {
-    let (dir, addr) = (s.cache_dir.as_deref(), s.cache_addr.as_deref());
-    let tier = match s.tier {
-        Some(tier) => tier,
-        None if dir.is_some() || addr.is_some() => StoreTier::Tiered,
-        None => StoreTier::Memory,
-    };
-    if dir.is_some() && !matches!(tier, StoreTier::Disk | StoreTier::Tiered) {
-        fail(format!(
-            "cache tier `{tier}` does not persist to --cache-dir (use `disk` or `tiered`, \
-             or drop --cache-dir)"
-        ));
-    }
-    if addr.is_some() && !matches!(tier, StoreTier::Remote | StoreTier::Tiered) {
-        fail(format!(
-            "cache tier `{tier}` does not talk to a cache server (use `remote` or `tiered`, \
-             or drop --cache-addr)"
-        ));
-    }
-    build_store(tier, dir, addr, s.service.cache_capacity, CACHE_SHARDS).unwrap_or_else(|e| fail(e))
-}
-
 /// The service the engine and store groups describe: the built-in
 /// registry with `--oracle` as its default, over the store
-/// [`build_cli_store`] resolves. Unknown oracle ids fail with the
-/// available list.
+/// [`compose_store`] builds from `--cache-capacity`, `--cache-dir` and
+/// `--cache-addr`. Unknown oracle ids, and both back flags at once, fail
+/// with a diagnostic.
 fn build_service(s: &Settings) -> OptimizationService {
     let mut registry = OracleRegistry::builtin();
     if let Some(id) = &s.oracle {
@@ -380,7 +344,10 @@ fn build_service(s: &Settings) -> OptimizationService {
             .set_default(id)
             .unwrap_or_else(|e| fail(format!("{e}; see `popqc oracles`")));
     }
-    OptimizationService::with_store(registry, s.service.clone(), build_cli_store(s))
+    let (dir, addr) = (s.cache_dir.as_deref(), s.cache_addr.as_deref());
+    let store = compose_store(dir, addr, s.service.cache_capacity, CACHE_SHARDS)
+        .unwrap_or_else(|e| fail(e));
+    OptimizationService::with_store(registry, s.service.clone(), store)
 }
 
 fn cmd_families(_: Settings) -> ExitCode {
@@ -450,8 +417,8 @@ fn cmd_serve(s: Settings) -> ExitCode {
     // One dynamically dispatched service over the whole registry: every
     // oracle stays selectable per request, `--oracle` only picks the
     // default for requests that name none. The result store is the one
-    // seam `--cache-tier` swaps; nothing else changes between memory,
-    // disk, and tiered deployments.
+    // seam the cache flags compose; nothing else changes between memory,
+    // disk, remote and tiered deployments.
     let svc = build_service(&s);
     let backend = svc.store().stats().backend;
     let (workers, threads_per_job) = (svc.workers(), svc.threads_per_job());
@@ -663,27 +630,20 @@ fn print_span_tree(spans: &[popqc::api::TraceSpan], parent: u64, depth: usize) {
 }
 
 /// `popqc cached` — the shared fleet cache server. Serves the
-/// `qsvc::wire` protocol over a disk-backed store at `--cache-dir`
-/// (`tiered` by default, so hot entries answer from memory; `disk`
-/// serves straight from the files). Replicas point `--cache-addr` here;
-/// the tagged entry encoding lets this process refuse stale writes from
-/// replicas running an older store format or oracle version.
+/// `qsvc::wire` protocol over a disk-backed store at `--cache-dir`, with
+/// a memory front of `--cache-capacity` entries so hot entries answer
+/// from memory (`--cache-capacity 0` serves straight from the files).
+/// Replicas point `--cache-addr` here; the tagged entry encoding lets
+/// this process refuse stale writes from replicas running an older store
+/// format or oracle version.
 fn cmd_cached(s: Settings) -> ExitCode {
     apply_log_filter(s.log_level.as_deref());
-    // The server *is* the authoritative tier, so it must persist: only
-    // disk-backed tiers make sense here (serving `remote` would chain
-    // cache servers, and `memory` would silently drop the fleet's
-    // warmth on restart).
-    let tier = s.tier.unwrap_or(StoreTier::Tiered);
-    if !matches!(tier, StoreTier::Disk | StoreTier::Tiered) {
-        fail(format!(
-            "cache tier `{tier}` cannot back a cache server (use `disk` or `tiered`)"
-        ));
-    }
+    // The server *is* the authoritative tier, so it always persists: the
+    // required `--cache-dir` is its back, and it takes no `--cache-addr`.
     let cache_dir = s.cache_dir.as_deref().expect("--cache-dir is required");
     let capacity = s.service.cache_capacity;
-    let store = build_store(tier, Some(cache_dir), None, capacity, CACHE_SHARDS)
-        .unwrap_or_else(|e| fail(e));
+    let store =
+        compose_store(Some(cache_dir), None, capacity, CACHE_SHARDS).unwrap_or_else(|e| fail(e));
     let backend = store.stats().backend;
     let entries = store.len();
     let addr = s.addr.as_deref().unwrap_or("127.0.0.1:7979");
@@ -717,7 +677,7 @@ fn open_disk_store(s: &Settings) -> DiskStore {
 }
 
 fn cmd_cache_stats(s: Settings) -> ExitCode {
-    let report = cache_report(&open_disk_store(&s).stats());
+    let report = open_disk_store(&s).stats();
     // Human-readable summary on stderr; stdout stays the machine-parsable
     // JSON document (scripts pipe it), same split as the log lines.
     eprintln!(
@@ -758,10 +718,10 @@ fn cmd_cache_clear(s: Settings) -> ExitCode {
 fn cmd_cache_warm(mut s: Settings) -> ExitCode {
     let files = collect_qasm_files(&s.operands);
     let circuits = read_circuits(&files);
-    // Warm straight into the persistent tier: disk-only, so every entry
-    // lands in the directory (a memory front would only help this
+    // Warm straight into the persistent tier: no memory front, so every
+    // entry lands in the directory (a front would only help this
     // short-lived process).
-    s.tier = Some(StoreTier::Disk);
+    s.service.cache_capacity = 0;
     let svc = build_service(&s);
     let batch = svc
         .submit_batch(circuits, &PopqcConfig::with_omega(s.omega))
@@ -779,7 +739,7 @@ fn cmd_cache_warm(mut s: Settings) -> ExitCode {
         batch.oracle_calls_issued(),
         batch.cache_hits(),
     );
-    let doc = cache_report(&svc.store().stats()).to_json();
+    let doc = svc.store().stats().to_json();
     println!(
         "{}",
         serde_json::to_string_pretty(&doc).expect("serialize cache report")
@@ -850,8 +810,8 @@ fn cmd_optimize(s: Settings) -> ExitCode {
 
     // One dynamically dispatched service; the oracle is a per-request
     // registry id, with `--oracle` applied as the default, and the result
-    // store chosen by `--cache-tier`/`--cache-dir` (a disk or tiered
-    // store makes `--repeat`-style warm passes survive across runs).
+    // store composed from the cache flags (a `--cache-dir` back makes
+    // `--repeat`-style warm passes survive across runs).
     let svc = build_service(&s);
     let cfg = PopqcConfig::with_omega(s.omega);
     let mut passes = Vec::new();
@@ -976,15 +936,13 @@ mod tests {
     }
 
     const SERVICE_FLAGS: &str = "--omega 7 --oracle search --workers 3 --threads-per-job 2 \
-        --cache-capacity 11 --seg-cache-capacity 12 --cache-tier tiered --cache-dir d \
-        --cache-addr c:2";
+        --cache-capacity 11 --seg-cache-capacity 12 --cache-dir d --cache-addr c:2";
 
     fn assert_service_flags_landed(s: &Settings) {
         let c = &s.service;
         assert_eq!((s.omega, s.oracle.as_deref()), (7, Some("search")));
         assert_eq!((c.workers, c.threads_per_job), (3, 2));
         assert_eq!((c.cache_capacity, c.seg_cache_capacity), (11, 12));
-        assert_eq!(s.tier, Some(StoreTier::Tiered));
         assert_eq!(s.cache_dir, Some("d".into()));
         assert_eq!(s.cache_addr.as_deref(), Some("c:2"));
     }
@@ -1008,7 +966,8 @@ mod tests {
     #[test]
     fn shapes_no_table_accepts_are_usage_errors() {
         let lines = "|cache|serve --frontend evented|serve extra|optimize a --chrome|optimize \
-            --omega 9|optimize a --omega 0|serve --conn-threads 0|trace|trace a b|oracles extra";
+            --omega 9|optimize a --omega 0|serve --conn-threads 0|trace|trace a b|oracles extra\
+            |serve --cache-tier tiered";
         for text in lines.split('|') {
             assert_eq!(parse_line(text).err(), Some(CliError::Usage), "{text}");
         }
@@ -1037,15 +996,13 @@ mod tests {
         assert_eq!(s.log_level.as_deref(), Some("debug"));
 
         let c = parse_every_flag(
-            "cached --cache-dir d --addr h:1 --cache-tier disk --cache-capacity 11 \
-             --max-conns 6 --log-level debug",
+            "cached --cache-dir d --addr h:1 --cache-capacity 11 --max-conns 6 --log-level debug",
         );
         assert_eq!(
             (c.addr.as_deref(), c.log_level.as_deref()),
             (Some("h:1"), Some("debug"))
         );
         assert_eq!(c.cache_dir, Some("d".into()));
-        assert_eq!(c.tier, Some(StoreTier::Disk));
         assert_eq!(
             (c.service.cache_capacity, c.cache_server.max_conns),
             (11, 6)

@@ -67,8 +67,8 @@ pub mod prelude {
         SegmentOracle,
     };
     pub use qsvc::{
-        build_store, BatchHandle, BatchResult, CacheServer, CacheServerConfig, DiskStore,
-        JobHandle, JobKey, JobRequest, JobResult, MemoryStore, NullStore, OptimizationService,
+        build_store, compose_store, BatchHandle, BatchResult, CacheServer, CacheServerConfig,
+        DiskStore, JobHandle, JobKey, JobRequest, JobResult, MemoryStore, OptimizationService,
         OracleRegistry, RemoteConfig, RemoteStore, ResultStore, ServiceConfig, ServiceError,
         ServiceStats, StoreTier, TieredStore,
     };

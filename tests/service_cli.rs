@@ -368,16 +368,17 @@ fn cli_rejects_unknown_oracle_with_available_list() {
 #[test]
 fn cli_serve_rejects_the_frontend_flag_as_usage_error() {
     for frontend in ["threads", "evented"] {
-        // The bad tier makes a `serve` that still accepted the flag exit 1
-        // instead of serving, so this test fails rather than hangs.
+        // The zero connection cap makes a `serve` that still accepted the
+        // flag exit 1 instead of serving, so this test fails rather than
+        // hangs.
         let args = [
             "serve",
             "--addr",
             "127.0.0.1:0",
             "--frontend",
             frontend,
-            "--cache-tier",
-            "floppy",
+            "--max-conns",
+            "0",
         ];
         let out = run(&args);
         assert_eq!(
@@ -394,68 +395,72 @@ fn cli_serve_rejects_the_frontend_flag_as_usage_error() {
 }
 
 // ---------------------------------------------------------------------------
-// Result-store persistence (`--cache-tier` / `--cache-dir` / `popqc cache`)
+// Result-store persistence (`--cache-dir` / `--cache-addr` / `popqc cache`)
 // ---------------------------------------------------------------------------
 
+/// The store is composed from `--cache-capacity`, `--cache-dir` and
+/// `--cache-addr` alone: naming a tier is a usage error (exit 2) on every
+/// subcommand that builds a store, and both back flags at once is the one
+/// refusal (exit 1, with a diagnostic).
 #[test]
-fn cli_unknown_cache_tier_exits_1_with_diagnostic() {
+fn cli_cache_tier_is_a_usage_error_and_two_backs_are_refused() {
     let tmp = std::env::temp_dir().join(format!("popqc-badtier-test-{}", std::process::id()));
     std::fs::create_dir_all(&tmp).unwrap();
     let _cleanup = Cleanup(&tmp);
     let a = tmp.join("a.qasm");
     std::fs::write(&a, "OPENQASM 2.0;\nqreg q[1];\nh q[0];\n").unwrap();
+    let cache = tmp.join("cache");
+    let (a, cache) = (a.to_str().unwrap(), cache.to_str().unwrap());
 
-    for subcommand in [
-        vec!["optimize", a.to_str().unwrap(), "--cache-tier", "floppy"],
-        vec!["serve", "--addr", "127.0.0.1:0", "--cache-tier", "floppy"],
+    // `--max-conns 0` makes a server that still accepted the flag exit 1
+    // instead of serving, so this test fails rather than hangs.
+    for args in [
+        vec!["optimize", a, "--cache-tier", "tiered"],
+        vec![
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--max-conns",
+            "0",
+            "--cache-tier",
+            "tiered",
+        ],
+        vec![
+            "cached",
+            "--cache-dir",
+            cache,
+            "--max-conns",
+            "0",
+            "--cache-tier",
+            "disk",
+        ],
     ] {
-        let out = run(&subcommand);
-        assert_eq!(
-            out.status.code(),
-            Some(1),
-            "{subcommand:?}: expected exit 1, got {:?}",
-            out.status
-        );
-        let stderr = String::from_utf8_lossy(&out.stderr);
+        let out = run(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: got {:?}", out.status);
         assert!(
-            stderr.contains("unknown cache tier `floppy`")
-                && stderr.contains("memory, disk, tiered, remote, null"),
-            "{subcommand:?}: diagnostic must name the tier and the valid set, got: {stderr}"
+            String::from_utf8_lossy(&out.stderr).contains("usage:"),
+            "{args:?}: must print the usage text"
         );
     }
 
-    // A persistent tier without a directory is the same class of error.
-    let out = run(&["optimize", a.to_str().unwrap(), "--cache-tier", "disk"]);
+    let out = run(&[
+        "optimize",
+        a,
+        "--cache-dir",
+        cache,
+        "--cache-addr",
+        "127.0.0.1:1",
+    ]);
     assert_eq!(out.status.code(), Some(1));
     assert!(
-        String::from_utf8_lossy(&out.stderr).contains("requires --cache-dir"),
-        "must explain the missing directory"
+        String::from_utf8_lossy(&out.stderr).contains("exactly one back tier"),
+        "must refuse a disk and a remote back at once"
     );
-
-    // ...as is a directory paired with a tier that cannot persist into it
-    // (silently ignoring --cache-dir would fake the persistence the user
-    // asked for).
-    let cache = tmp.join("cache");
-    for tier in ["memory", "null"] {
-        let out = run(&[
-            "optimize",
-            a.to_str().unwrap(),
-            "--cache-tier",
-            tier,
-            "--cache-dir",
-            cache.to_str().unwrap(),
-        ]);
-        assert_eq!(out.status.code(), Some(1), "{tier} + --cache-dir");
-        assert!(
-            String::from_utf8_lossy(&out.stderr).contains("does not persist to --cache-dir"),
-            "{tier}: must refuse the unused directory"
-        );
-    }
 }
 
-/// `--log-level` follows the same refusal contract as `--cache-tier`: an
-/// unknown level exits 1 and the diagnostic names both the bad value and
-/// the valid set, on every subcommand that accepts the flag.
+/// `--log-level` refuses a bad value the way every flag value is refused:
+/// an unknown level exits 1 and the diagnostic names both the bad value
+/// and the valid set, on every subcommand that accepts the flag.
 #[test]
 fn cli_unknown_log_level_exits_1_with_diagnostic() {
     let tmp = std::env::temp_dir().join(format!("popqc-badlog-test-{}", std::process::id()));
@@ -529,8 +534,6 @@ fn cli_cache_dir_persists_across_two_processes() {
             "64",
             "--workers",
             "2",
-            "--cache-tier",
-            "tiered",
             "--cache-dir",
             cache_dir.to_str().unwrap(),
             "--report",
@@ -675,7 +678,7 @@ fn cli_cache_warm_stats_clear_cycle() {
 }
 
 /// The PR's acceptance property, end to end over real processes: a
-/// `popqc serve --cache-tier tiered --cache-dir …` process is killed and
+/// `popqc serve --cache-dir …` process is killed and
 /// restarted, and the repeated POST answers from the disk tier with
 /// `cache_hit == true` and zero new oracle calls.
 #[test]
@@ -699,8 +702,6 @@ fn cli_serve_killed_and_restarted_answers_from_the_disk_tier() {
                 "1",
                 "--omega",
                 "64",
-                "--cache-tier",
-                "tiered",
                 "--cache-dir",
                 cache_dir.to_str().unwrap(),
             ])
@@ -775,8 +776,8 @@ fn cli_serve_killed_and_restarted_answers_from_the_disk_tier() {
 }
 
 /// The remote-tier acceptance property, end to end over real processes:
-/// a `popqc cached` server plus two `popqc serve --cache-tier remote`
-/// replicas. A circuit optimized on replica A is a `cache_hit: true`
+/// a `popqc cached` server plus two remote-only `popqc serve` replicas
+/// (`--cache-addr` with `--cache-capacity 0`). A circuit optimized on replica A is a `cache_hit: true`
 /// answer on replica B with zero oracle calls ever issued by B; killing
 /// the cache server degrades both replicas to local misses (still 200,
 /// never an error).
@@ -836,10 +837,10 @@ fn cli_replica_fleet_shares_one_cache_server_and_survives_its_death() {
                 "1",
                 "--omega",
                 "64",
-                "--cache-tier",
-                "remote",
                 "--cache-addr",
                 &cache_addr,
+                "--cache-capacity",
+                "0",
             ])
             .stderr(std::process::Stdio::piped())
             .spawn()
