@@ -1,7 +1,10 @@
-//! Structural circuit fingerprints.
+//! Structural circuit fingerprints, in two families.
 //!
+//! **Persisted** — [`fingerprint_gates`], [`Circuit::fingerprint`],
+//! [`LayeredCircuit::fingerprint`] and the [`FingerprintHasher`] under them.
 //! The batch-optimization service memoizes results keyed by the input
-//! circuit's structure, so it needs a hash that is:
+//! circuit's structure, in stores that outlive the process and cross the
+//! wire, so this hash is:
 //!
 //! * **deterministic across processes and platforms** — `std`'s default
 //!   hasher randomizes per-process and documents no stable algorithm, so a
@@ -17,7 +20,19 @@
 //! independently-keyed 64-bit mixing lanes (SplitMix64 finalizer over a
 //! running state, one lane per key). Each absorbed word is mixed
 //! immediately, so the state never telescopes the way plain polynomial
-//! hashes do on adversarial swaps.
+//! hashes do on adversarial swaps. Its values are pinned
+//! (`known_value_is_stable_across_builds`): changing them orphans every
+//! stored entry.
+//!
+//! **In-process** — [`segment_key_exact`] and [`fingerprint_gates_abstract`],
+//! the segment cache's keys. They are just as wide and just as exact (the
+//! abstract one erases rotation angles and nothing else), but they are
+//! computed and compared inside one process and never stored or sent, so
+//! their values are no contract (a test pin may move with a deliberate
+//! change of encoding) and they are built for speed instead: one
+//! word pair per gate, one folded 64×64→128 multiply per pair and lane.
+//! A segment-cache miss hashes its segment twice, so this is most of
+//! what a miss costs beyond the oracle call itself.
 
 use crate::circuit::Circuit;
 use crate::gate::Gate;
@@ -141,47 +156,155 @@ pub fn fingerprint_gates(num_qubits: u32, gates: &[Gate]) -> Fingerprint {
     h.finish()
 }
 
-/// Domain-separation tag for the angle-abstracted fingerprint: absorbed
-/// as the very first word, where [`fingerprint_gates`] absorbs the qubit
-/// count, so the abstract and exact key spaces never share an input
-/// stream (the mode-tag precedent set by `LayeredCircuit::fingerprint`).
-const ABSTRACT_DOMAIN_TAG: u64 = 0x5345474142535452; // "SEGABSTR"
+/// One 64-bit lane of the in-process segment hasher: each gate's word
+/// pair goes through one 64×64→128 multiply whose halves are XORed (the
+/// multiply does not wait on the state, so consecutive gates pipeline),
+/// and the state absorbs that product through a bijection, so a product
+/// that differs can never be cancelled by equal pairs after it.
+struct SegLane {
+    state: u64,
+    /// Keys XORed into the two words of a pair. Both have the top bit set
+    /// and every absorbed word is below 2⁶³, so no input can make a
+    /// multiplicand zero (which would erase the pair).
+    k0: u64,
+    k1: u64,
+    /// Odd, so the state update is a bijection.
+    mul: u64,
+}
 
-/// The angle-abstracted companion of [`fingerprint_gates`]: sensitive to
-/// width, gate order, gate kinds, and operand wires, but NOT to rotation
-/// angle values — every `RZ(q, θ)` is absorbed as its tag and wire alone,
-/// all rotations being one class to an oracle that by definition treats
-/// them alike.
+impl SegLane {
+    #[inline(always)]
+    fn absorb(&mut self, a: u64, b: u64) {
+        let p = (a ^ self.k0) as u128 * (b ^ self.k1) as u128;
+        let folded = p as u64 ^ (p >> 64) as u64;
+        // Added, not XORed, into the state: the compiler cannot then fold
+        // the two halves into the state one at a time, which would put a
+        // second operation on the chain from one gate to the next.
+        self.state = self
+            .state
+            .wrapping_add(folded)
+            .rotate_left(23)
+            .wrapping_mul(self.mul);
+    }
+}
+
+/// The in-process segment hasher: two independently keyed [`SegLane`]s
+/// over one stream of word pairs, the first of which is the header
+/// `(domain << 32 | width, gate count)`.
+struct SegmentHasher {
+    lo: SegLane,
+    hi: SegLane,
+}
+
+/// Domain tags of the two in-process key families (`"SEGX"`, `"SEGA"`):
+/// both kinds of segment-cache entry share one table, so an exact and an
+/// abstract key never share an input stream.
+const EXACT_SEGMENT_DOMAIN: u64 = 0x5345_4758;
+const ABSTRACT_SEGMENT_DOMAIN: u64 = 0x5345_4741;
+
+/// Gate tags of the pair encoding, the tag sitting above a 32-bit wire.
+const TAG_H: u64 = 1 << 32;
+const TAG_X: u64 = 2 << 32;
+const TAG_RZ: u64 = 3 << 32;
+const TAG_CNOT: u64 = 4 << 32;
+
+impl SegmentHasher {
+    #[inline(always)]
+    fn new(domain: u64, num_qubits: u32, len: usize) -> SegmentHasher {
+        // Arbitrary fixed keys (digits of π, e, √2 and the golden ratio,
+        // and SplitMix64's multipliers); every k0/k1 has its top bit set.
+        let mut h = SegmentHasher {
+            lo: SegLane {
+                state: 0x243F_6A88_85A3_08D3,
+                k0: 0xB7E1_5162_8AED_2A6A,
+                k1: 0x9E37_79B9_7F4A_7C15,
+                mul: 0x6A09_E667_F3BC_C909,
+            },
+            hi: SegLane {
+                state: 0x1319_8A2E_0370_7344,
+                k0: 0xA409_3822_299F_31D0,
+                k1: 0xBF58_476D_1CE4_E5B9,
+                mul: 0x94D0_49BB_1331_11EB,
+            },
+        };
+        h.pair(domain << 32 | num_qubits as u64, len as u64);
+        h
+    }
+
+    #[inline(always)]
+    fn pair(&mut self, a: u64, b: u64) {
+        self.lo.absorb(a, b);
+        self.hi.absorb(a, b);
+    }
+
+    /// The gate's pair without its angle: `H`, `X` and `RZ` as
+    /// `tag << 32 | wire` and a zero, `CNOT` as `tag << 32 | control` and
+    /// its target. All of a gate for the abstract key; the exact key adds
+    /// an `RZ`'s angle.
+    #[inline(always)]
+    fn skeleton_pair(&mut self, g: &Gate) {
+        match *g {
+            Gate::H(q) => self.pair(TAG_H | q as u64, 0),
+            Gate::X(q) => self.pair(TAG_X | q as u64, 0),
+            Gate::Rz(q, _) => self.pair(TAG_RZ | q as u64, 0),
+            Gate::Cnot(c, t) => self.pair(TAG_CNOT | c as u64, t as u64),
+        }
+    }
+
+    fn finish(&self) -> Fingerprint {
+        Fingerprint(((self.hi.state as u128) << 64) | self.lo.state as u128)
+    }
+}
+
+/// The exact in-process segment key: equal for two `(width, gates)`
+/// inputs iff they are equal (up to 128-bit collision odds), like
+/// [`fingerprint_gates`], at a fraction of its cost.
+///
+/// Each gate is one word pair: `tag << 32 | wire` and a zero for `H` and
+/// `X`, `tag << 32 | control` and the target for `CNOT`, and for `RZ`
+/// `tag << 32 | wire` and the angle's numerator, then a second pair of the
+/// denominator and a zero. The tag says how many pairs follow, so the
+/// stream decodes one way only. The segment cache keys exact entries with
+/// it; like [`fingerprint_gates_abstract`], its values are computed and
+/// compared inside one process and never stored or sent, so the encoding
+/// may change between builds.
+pub fn segment_key_exact(num_qubits: u32, gates: &[Gate]) -> Fingerprint {
+    let mut h = SegmentHasher::new(EXACT_SEGMENT_DOMAIN, num_qubits, gates.len());
+    for g in gates {
+        match *g {
+            Gate::Rz(q, a) => {
+                // A canonical angle has `0 ≤ num < 2·den ≤ 2⁶³`, so both
+                // words stay below 2⁶³ too.
+                h.pair(TAG_RZ | q as u64, a.numerator() as u64);
+                h.pair(a.denominator() as u64, 0);
+            }
+            _ => h.skeleton_pair(g),
+        }
+    }
+    h.finish()
+}
+
+/// The angle-abstracted in-process segment key: sensitive to width, gate
+/// order, gate kinds, and operand wires, but NOT to rotation angle values
+/// — every `RZ(q, θ)` is absorbed as its tag and wire alone, all rotations
+/// being one class to an oracle that by definition treats them alike.
 ///
 /// Two gate sequences collide under this fingerprint iff one is the other
 /// with rotation angles substituted (up to 128-bit hash collision odds).
 /// The segment cache uses it to key oracle results that are valid for a
-/// whole structural equivalence class; the leading domain tag keeps the
-/// abstract key space disjoint from [`fingerprint_gates`]'s exact-angle
-/// one, so the two kinds of cache entry can share a table safely.
+/// whole structural equivalence class; its domain tag keeps the abstract
+/// key space disjoint from [`segment_key_exact`]'s, so the two kinds of
+/// cache entry can share a table safely.
 ///
-/// A one-qubit gate is one absorbed word, `tag << 32 | wire`, with
-/// [`FingerprintHasher::write_gate`]'s tags; a CNOT is `4 << 32 | control`
-/// and then its target. A tag-4 word is always followed by exactly one
-/// operand word, so the stream decodes one way only. These keys are
-/// computed and compared inside one process (the in-memory segment cache)
-/// and never stored or sent, so this encoding may change between builds —
-/// unlike [`fingerprint_gates`], whose values are persisted store keys.
+/// The encoding is [`segment_key_exact`]'s with one pair per `RZ`, its
+/// angle word zero. These keys are computed and compared inside one
+/// process (the in-memory segment cache) and never stored or sent, so
+/// this encoding may change between builds — unlike
+/// [`fingerprint_gates`], whose values are persisted store keys.
 pub fn fingerprint_gates_abstract(num_qubits: u32, gates: &[Gate]) -> Fingerprint {
-    let mut h = FingerprintHasher::new();
-    h.write_u64(ABSTRACT_DOMAIN_TAG);
-    h.write_u64(num_qubits as u64);
-    h.write_u64(gates.len() as u64);
+    let mut h = SegmentHasher::new(ABSTRACT_SEGMENT_DOMAIN, num_qubits, gates.len());
     for g in gates {
-        match *g {
-            Gate::H(q) => h.write_u64(1 << 32 | q as u64),
-            Gate::X(q) => h.write_u64(2 << 32 | q as u64),
-            Gate::Rz(q, _) => h.write_u64(3 << 32 | q as u64),
-            Gate::Cnot(c, t) => {
-                h.write_u64(4 << 32 | c as u64);
-                h.write_u64(t as u64);
-            }
-        }
+        h.skeleton_pair(g);
     }
     h.finish()
 }
@@ -344,22 +467,78 @@ mod tests {
 
     #[test]
     fn abstract_and_exact_domains_are_disjoint() {
-        // The domain tag keeps an abstract key from ever equalling the
-        // exact key of the same (or any sampled) gate sequence, so both
-        // kinds of entry can share one cache table.
+        // The domain tags keep an abstract segment key from ever equalling
+        // the exact segment key of the same (or any sampled) gate sequence,
+        // so both kinds of entry can share one cache table.
         let seqs: Vec<Vec<Gate>> = vec![
             Vec::new(),
             sample().gates,
             vec![Gate::H(0)],
             vec![Gate::Rz(0, Angle::PI_4)],
+            vec![Gate::Rz(0, Angle::ZERO)],
             vec![Gate::Cnot(0, 1), Gate::Cnot(0, 1)],
         ];
         for a in &seqs {
             for b in &seqs {
                 assert_ne!(
                     fingerprint_gates_abstract(3, a),
-                    fingerprint_gates(3, b),
+                    segment_key_exact(3, b),
                     "abstract({a:?}) collided with exact({b:?})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn exact_segment_key_separates_single_gate_edits() {
+        let base = sample();
+        let key = |c: &Circuit| segment_key_exact(c.num_qubits, &c.gates);
+        let fp = key(&base);
+        assert_eq!(fp, key(&sample()));
+        for i in 0..base.len() {
+            let mut edited = base.clone();
+            edited.gates.remove(i);
+            assert_ne!(key(&edited), fp, "removal at {i} collided");
+        }
+        let mut angle = base.clone();
+        angle.gates[2] = Gate::Rz(1, Angle::PI_2);
+        assert_ne!(key(&angle), fp);
+        // Numerator and denominator sit in different pairs: π/3 is (1, 3)
+        // and 3π/2 is (3, 2).
+        let mut a = Circuit::new(1);
+        a.rz(0, Angle::pi_frac(1, 3));
+        let mut b = Circuit::new(1);
+        b.rz(0, Angle::pi_frac(3, 2));
+        assert_ne!(key(&a), key(&b));
+        assert_ne!(key(&Circuit::new(3)), key(&Circuit::new(4)));
+    }
+
+    #[test]
+    fn segment_keys_see_swaps_at_every_distance() {
+        // Gate order matters at every distance. A state update linear in
+        // the products (XOR and a rotation alone) would keep the key when
+        // two gates 64 apart swap.
+        let gates: Vec<Gate> = (0..130u32)
+            .map(|i| match i % 3 {
+                0 => Gate::H(i % 7),
+                1 => Gate::Cnot(i % 5, 5 + i % 2),
+                _ => Gate::Rz(i % 7, Angle::pi_frac(1, 1 << (1 + i % 9))),
+            })
+            .collect();
+        for d in 1..gates.len() {
+            let mut swapped = gates.clone();
+            swapped.swap(0, d);
+            if swapped == gates {
+                continue;
+            }
+            assert_ne!(segment_key_exact(7, &gates), segment_key_exact(7, &swapped));
+            let (a, b) = (gates[0], gates[d]);
+            if std::mem::discriminant(&a) != std::mem::discriminant(&b) || a.qubits() != b.qubits()
+            {
+                assert_ne!(
+                    fingerprint_gates_abstract(7, &gates),
+                    fingerprint_gates_abstract(7, &swapped),
+                    "swap at distance {d}"
                 );
             }
         }
@@ -375,11 +554,11 @@ mod tests {
         // the empty sequence pins the domain tag, width and length prefix.
         assert_eq!(
             fingerprint_gates_abstract(3, &sample().gates).to_hex(),
-            "e5eb29415a64a57173b6cdb332078620"
+            "c821057b9b510ef44f46c8d5f04c2fc0"
         );
         assert_eq!(
             fingerprint_gates_abstract(1, &[]).to_hex(),
-            "0b2cf9df0b2c18ec96a80fc1113e0865"
+            "a113c048a1aab5df94ec40c05180a6c6"
         );
     }
 

@@ -22,12 +22,22 @@
 //!   derived template then serves every angle assignment of the same
 //!   skeleton — the whole parameter sweep.
 //! * **Everything else** (honest default) keys by the exact-angle
-//!   fingerprint and stores the concrete output gates. Still useful —
-//!   segments repeat verbatim across rounds and across structurally
-//!   overlapping submissions — but angle changes miss, as they must.
+//!   fingerprint ([`segment_key_exact`]) and stores the concrete output
+//!   gates. Still useful — segments repeat verbatim across rounds and
+//!   across structurally overlapping submissions — but angle changes
+//!   miss, as they must.
 //!
-//! The two key domains are disjoint by construction (the abstract hasher
-//! prepends a domain tag), so both entry kinds share one table.
+//! Both are `qcir`'s *in-process* keys, not the persisted
+//! [`qcir::fingerprint_gates`] the result store uses: segment keys never
+//! leave the process, and a miss hashes its segment twice (in `lookup`
+//! and `record`), so they trade cross-build stability for speed: one
+//! folded multiply per gate and lane. They are as wide (128 bits) and as
+//! exact as the persisted one, which matters because a hit is never
+//! checked against the segment. The two key domains are disjoint by
+//! construction (each hasher starts from its own domain tag), so both
+//! entry kinds share one table. A [`SegKey`] hashes as its fingerprint's
+//! low 64 bits alone, so picking a shard and probing its map reads one
+//! word.
 //!
 //! # Template soundness
 //!
@@ -58,8 +68,9 @@
 use crate::cache::ShardedLruCache;
 use crate::metrics;
 use popqc_core::CachedSegment;
-use qcir::{fingerprint_gates_abstract, Angle, Fingerprint, Gate};
+use qcir::{fingerprint_gates_abstract, segment_key_exact, Angle, Fingerprint, Gate};
 use qoracle::SegmentOracle;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
@@ -74,17 +85,24 @@ pub const MARKER_BASE: i64 = 1 << 30;
 /// A segment-cache key: the segment's fingerprint (exact or
 /// angle-abstracted — the domains are disjoint) plus the registry oracle
 /// id, so two oracles never share rewrites even on identical segments.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SegKey {
-    /// Fingerprint over `(num_qubits, gates)` — exact
-    /// ([`Circuit::fingerprint`]-style) or abstract, per the oracle's
-    /// capability.
-    ///
-    /// [`Circuit::fingerprint`]: qcir::Circuit::fingerprint
+    /// In-process key over `(num_qubits, gates)` — exact
+    /// ([`segment_key_exact`]) or angle-abstracted
+    /// ([`fingerprint_gates_abstract`]), per the oracle's capability.
     pub fingerprint: Fingerprint,
     /// The registry id the rewrite was derived under, shared by every key
     /// one [`JobSegmentCache`] builds.
     pub oracle_id: Arc<str>,
+}
+
+/// Hashes the fingerprint's low 64 bits alone: they are already a
+/// uniform hash, and keys that differ only in `oracle_id` (which `Eq`
+/// still compares) just share a bucket.
+impl Hash for SegKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.fingerprint.0 as u64);
+    }
 }
 
 /// One gate of a [`SegTemplate`].
@@ -390,7 +408,7 @@ impl JobSegmentCache<'_> {
     }
 
     fn exact_key(&self, segment: &[Gate], num_qubits: u32) -> SegKey {
-        self.key(qcir::fingerprint_gates(num_qubits, segment))
+        self.key(segment_key_exact(num_qubits, segment))
     }
 
     fn lookup_inner(&self, segment: &[Gate], num_qubits: u32) -> Option<CachedSegment<Gate>> {

@@ -4,6 +4,11 @@
 //! near-zero marginal oracle calls, ≥90% segment hit rate — while
 //! producing byte-identical output to a cache-disabled service and
 //! remaining semantically equivalent to the input.
+//!
+//! A second test runs the `serve-cold` shape — distinct circuits, each
+//! optimized once by the exact-keyed `rule_based` oracle — and checks that
+//! the cache only ever stands in for oracle calls: same bytes out, and per
+//! job every hit replaces exactly one call of the cache-off run.
 
 use popqc::prelude::*;
 
@@ -96,4 +101,59 @@ fn parameter_sweep_is_served_from_the_segment_cache() {
     let cold_stats = cold.stats();
     assert!(!cold_stats.seg_cache.enabled);
     assert_eq!(cold_stats.seg_cache.hits + cold_stats.seg_cache.misses, 0);
+}
+
+#[test]
+fn distinct_circuits_get_the_cache_off_outputs_and_call_counts() {
+    let cfg = PopqcConfig::with_omega(200);
+    let mut circuits = vec![
+        Family::Sqrt.generate(11, 3),
+        Family::Hhl.generate(5, 3),
+        Family::BoolSat.generate(8, 3),
+        Family::Bwt.generate(6, 3),
+        Family::Bwt.generate(6, 4),
+    ];
+    // A resubmission with one gate appended shares every segment but the
+    // last with its original, across jobs.
+    let mut appended = circuits[0].clone();
+    appended.h(0);
+    circuits.push(appended);
+
+    let run = |svc: &OptimizationService| -> Vec<_> {
+        circuits
+            .iter()
+            .map(|c| {
+                let result = svc
+                    .submit_as("rule_based", c.clone(), &cfg)
+                    .expect("rule_based oracle is registered")
+                    .wait();
+                assert!(result.error.is_none(), "job failed: {:?}", result.error);
+                assert!(!result.cache_hit, "the corpus holds no duplicates");
+                result
+            })
+            .collect()
+    };
+    let cached = run(&service(4096));
+    let cold = run(&service(0));
+
+    for (i, (hot, cold)) in cached.iter().zip(&cold).enumerate() {
+        assert_eq!(
+            popqc::ir::qasm::to_qasm(&hot.circuit),
+            popqc::ir::qasm::to_qasm(&cold.circuit),
+            "job {i}: the segment cache changed the output"
+        );
+        assert_eq!(cold.stats.seg_cache_hits, 0);
+        assert_eq!(
+            hot.stats.oracle_calls + hot.stats.seg_cache_hits,
+            cold.stats.oracle_calls,
+            "job {i}: every segment evaluation is one call or one hit"
+        );
+    }
+    let hits: u64 = cached.iter().map(|r| r.stats.seg_cache_hits).sum();
+    assert!(hits > 0, "no segment was ever served from the cache");
+    let appended_hits = cached.last().expect("non-empty").stats.seg_cache_hits;
+    assert!(
+        appended_hits > 0,
+        "the appended resubmission found none of its original's segments"
+    );
 }
