@@ -114,9 +114,10 @@ pub trait RoundObserver: Sync {
 /// an oracle call and `oracle_calls` honestly approaches zero on warm
 /// parameter sweeps.
 ///
-/// Implementations own their keying policy (the service keys by segment
-/// fingerprint + oracle identity; angle-abstracted when the oracle
-/// declares `angle_independent`). The contract the engine relies on:
+/// Implementations own their keying policy (the service keys by
+/// angle-abstracted segment fingerprint + oracle identity, and so serves
+/// only oracles that declare `angle_independent`). The contract the
+/// engine relies on:
 /// `lookup` returns exactly what the configured oracle's `optimize` would
 /// return for this segment — [`CachedSegment::Unchanged`] when that
 /// output is the segment itself, [`CachedSegment::Rewrite`] with the

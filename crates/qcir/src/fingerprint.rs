@@ -24,15 +24,15 @@
 //! (`known_value_is_stable_across_builds`): changing them orphans every
 //! stored entry.
 //!
-//! **In-process** — [`segment_key_exact`] and [`fingerprint_gates_abstract`],
-//! the segment cache's keys. They are just as wide and just as exact (the
-//! abstract one erases rotation angles and nothing else), but they are
-//! computed and compared inside one process and never stored or sent, so
-//! their values are no contract (a test pin may move with a deliberate
-//! change of encoding) and they are built for speed instead: one
-//! word pair per gate, one folded 64×64→128 multiply per pair and lane.
-//! A segment-cache miss hashes its segment twice, so this is most of
-//! what a miss costs beyond the oracle call itself.
+//! **In-process** — [`fingerprint_gates_abstract`], the segment cache's
+//! one key. It is just as wide and just as exact, rotation angles aside
+//! (it erases them and nothing else), but it is computed and compared
+//! inside one process and never stored or sent, so its values are no
+//! contract (a test pin may move with a deliberate change of encoding)
+//! and it is built for speed instead: one word pair per gate, one folded
+//! 64×64→128 multiply per pair and lane. A segment-cache miss hashes its
+//! segment twice, so this is most of what a miss costs beyond the oracle
+//! call itself.
 
 use crate::circuit::Circuit;
 use crate::gate::Gate;
@@ -190,16 +190,14 @@ impl SegLane {
 
 /// The in-process segment hasher: two independently keyed [`SegLane`]s
 /// over one stream of word pairs, the first of which is the header
-/// `(domain << 32 | width, gate count)`.
+/// `("SEGA" << 32 | width, gate count)`.
 struct SegmentHasher {
     lo: SegLane,
     hi: SegLane,
 }
 
-/// Domain tags of the two in-process key families (`"SEGX"`, `"SEGA"`):
-/// both kinds of segment-cache entry share one table, so an exact and an
-/// abstract key never share an input stream.
-const EXACT_SEGMENT_DOMAIN: u64 = 0x5345_4758;
+/// The header's domain tag (`"SEGA"`), part of every abstract key's
+/// pinned value.
 const ABSTRACT_SEGMENT_DOMAIN: u64 = 0x5345_4741;
 
 /// Gate tags of the pair encoding, the tag sitting above a 32-bit wire.
@@ -210,7 +208,7 @@ const TAG_CNOT: u64 = 4 << 32;
 
 impl SegmentHasher {
     #[inline(always)]
-    fn new(domain: u64, num_qubits: u32, len: usize) -> SegmentHasher {
+    fn new(num_qubits: u32, len: usize) -> SegmentHasher {
         // Arbitrary fixed keys (digits of π, e, √2 and the golden ratio,
         // and SplitMix64's multipliers); every k0/k1 has its top bit set.
         let mut h = SegmentHasher {
@@ -227,7 +225,10 @@ impl SegmentHasher {
                 mul: 0x94D0_49BB_1331_11EB,
             },
         };
-        h.pair(domain << 32 | num_qubits as u64, len as u64);
+        h.pair(
+            ABSTRACT_SEGMENT_DOMAIN << 32 | num_qubits as u64,
+            len as u64,
+        );
         h
     }
 
@@ -237,51 +238,9 @@ impl SegmentHasher {
         self.hi.absorb(a, b);
     }
 
-    /// The gate's pair without its angle: `H`, `X` and `RZ` as
-    /// `tag << 32 | wire` and a zero, `CNOT` as `tag << 32 | control` and
-    /// its target. All of a gate for the abstract key; the exact key adds
-    /// an `RZ`'s angle.
-    #[inline(always)]
-    fn skeleton_pair(&mut self, g: &Gate) {
-        match *g {
-            Gate::H(q) => self.pair(TAG_H | q as u64, 0),
-            Gate::X(q) => self.pair(TAG_X | q as u64, 0),
-            Gate::Rz(q, _) => self.pair(TAG_RZ | q as u64, 0),
-            Gate::Cnot(c, t) => self.pair(TAG_CNOT | c as u64, t as u64),
-        }
-    }
-
     fn finish(&self) -> Fingerprint {
         Fingerprint(((self.hi.state as u128) << 64) | self.lo.state as u128)
     }
-}
-
-/// The exact in-process segment key: equal for two `(width, gates)`
-/// inputs iff they are equal (up to 128-bit collision odds), like
-/// [`fingerprint_gates`], at a fraction of its cost.
-///
-/// Each gate is one word pair: `tag << 32 | wire` and a zero for `H` and
-/// `X`, `tag << 32 | control` and the target for `CNOT`, and for `RZ`
-/// `tag << 32 | wire` and the angle's numerator, then a second pair of the
-/// denominator and a zero. The tag says how many pairs follow, so the
-/// stream decodes one way only. The segment cache keys exact entries with
-/// it; like [`fingerprint_gates_abstract`], its values are computed and
-/// compared inside one process and never stored or sent, so the encoding
-/// may change between builds.
-pub fn segment_key_exact(num_qubits: u32, gates: &[Gate]) -> Fingerprint {
-    let mut h = SegmentHasher::new(EXACT_SEGMENT_DOMAIN, num_qubits, gates.len());
-    for g in gates {
-        match *g {
-            Gate::Rz(q, a) => {
-                // A canonical angle has `0 ≤ num < 2·den ≤ 2⁶³`, so both
-                // words stay below 2⁶³ too.
-                h.pair(TAG_RZ | q as u64, a.numerator() as u64);
-                h.pair(a.denominator() as u64, 0);
-            }
-            _ => h.skeleton_pair(g),
-        }
-    }
-    h.finish()
 }
 
 /// The angle-abstracted in-process segment key: sensitive to width, gate
@@ -292,19 +251,23 @@ pub fn segment_key_exact(num_qubits: u32, gates: &[Gate]) -> Fingerprint {
 /// Two gate sequences collide under this fingerprint iff one is the other
 /// with rotation angles substituted (up to 128-bit hash collision odds).
 /// The segment cache uses it to key oracle results that are valid for a
-/// whole structural equivalence class; its domain tag keeps the abstract
-/// key space disjoint from [`segment_key_exact`]'s, so the two kinds of
-/// cache entry can share a table safely.
+/// whole structural equivalence class.
 ///
-/// The encoding is [`segment_key_exact`]'s with one pair per `RZ`, its
-/// angle word zero. These keys are computed and compared inside one
-/// process (the in-memory segment cache) and never stored or sent, so
-/// this encoding may change between builds — unlike
+/// Each gate is one word pair: `tag << 32 | wire` and a zero for `H`, `X`
+/// and `RZ`, `tag << 32 | control` and the target for `CNOT`, so the
+/// stream decodes one way only. These keys are computed and compared
+/// inside one process (the in-memory segment cache) and never stored or
+/// sent, so this encoding may change between builds — unlike
 /// [`fingerprint_gates`], whose values are persisted store keys.
 pub fn fingerprint_gates_abstract(num_qubits: u32, gates: &[Gate]) -> Fingerprint {
-    let mut h = SegmentHasher::new(ABSTRACT_SEGMENT_DOMAIN, num_qubits, gates.len());
+    let mut h = SegmentHasher::new(num_qubits, gates.len());
     for g in gates {
-        h.skeleton_pair(g);
+        match *g {
+            Gate::H(q) => h.pair(TAG_H | q as u64, 0),
+            Gate::X(q) => h.pair(TAG_X | q as u64, 0),
+            Gate::Rz(q, _) => h.pair(TAG_RZ | q as u64, 0),
+            Gate::Cnot(c, t) => h.pair(TAG_CNOT | c as u64, t as u64),
+        }
     }
     h.finish()
 }
@@ -467,9 +430,10 @@ mod tests {
 
     #[test]
     fn abstract_and_exact_domains_are_disjoint() {
-        // The domain tags keep an abstract segment key from ever equalling
-        // the exact segment key of the same (or any sampled) gate sequence,
-        // so both kinds of entry can share one cache table.
+        // The abstract key's hasher and header never reproduce the
+        // persisted fingerprint of the same (or any sampled) gate
+        // sequence: one key erases angles, the other is a store key, and
+        // neither may stand in for the other.
         let seqs: Vec<Vec<Gate>> = vec![
             Vec::new(),
             sample().gates,
@@ -482,35 +446,11 @@ mod tests {
             for b in &seqs {
                 assert_ne!(
                     fingerprint_gates_abstract(3, a),
-                    segment_key_exact(3, b),
-                    "abstract({a:?}) collided with exact({b:?})"
+                    fingerprint_gates(3, b),
+                    "abstract({a:?}) collided with fingerprint({b:?})"
                 );
             }
         }
-    }
-
-    #[test]
-    fn exact_segment_key_separates_single_gate_edits() {
-        let base = sample();
-        let key = |c: &Circuit| segment_key_exact(c.num_qubits, &c.gates);
-        let fp = key(&base);
-        assert_eq!(fp, key(&sample()));
-        for i in 0..base.len() {
-            let mut edited = base.clone();
-            edited.gates.remove(i);
-            assert_ne!(key(&edited), fp, "removal at {i} collided");
-        }
-        let mut angle = base.clone();
-        angle.gates[2] = Gate::Rz(1, Angle::PI_2);
-        assert_ne!(key(&angle), fp);
-        // Numerator and denominator sit in different pairs: π/3 is (1, 3)
-        // and 3π/2 is (3, 2).
-        let mut a = Circuit::new(1);
-        a.rz(0, Angle::pi_frac(1, 3));
-        let mut b = Circuit::new(1);
-        b.rz(0, Angle::pi_frac(3, 2));
-        assert_ne!(key(&a), key(&b));
-        assert_ne!(key(&Circuit::new(3)), key(&Circuit::new(4)));
     }
 
     #[test]
@@ -525,22 +465,20 @@ mod tests {
                 _ => Gate::Rz(i % 7, Angle::pi_frac(1, 1 << (1 + i % 9))),
             })
             .collect();
+        let key = fingerprint_gates_abstract(7, &gates);
         for d in 1..gates.len() {
             let mut swapped = gates.clone();
             swapped.swap(0, d);
+            // `gates[0]` is `H(0)`: the swap keeps the skeleton only where
+            // it swaps two equal gates.
             if swapped == gates {
                 continue;
             }
-            assert_ne!(segment_key_exact(7, &gates), segment_key_exact(7, &swapped));
-            let (a, b) = (gates[0], gates[d]);
-            if std::mem::discriminant(&a) != std::mem::discriminant(&b) || a.qubits() != b.qubits()
-            {
-                assert_ne!(
-                    fingerprint_gates_abstract(7, &gates),
-                    fingerprint_gates_abstract(7, &swapped),
-                    "swap at distance {d}"
-                );
-            }
+            assert_ne!(
+                key,
+                fingerprint_gates_abstract(7, &swapped),
+                "swap at distance {d}"
+            );
         }
     }
 

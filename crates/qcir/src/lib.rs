@@ -28,8 +28,7 @@ pub mod qasm;
 pub use angle::Angle;
 pub use circuit::Circuit;
 pub use fingerprint::{
-    fingerprint_gates, fingerprint_gates_abstract, segment_key_exact, Fingerprint,
-    FingerprintHasher,
+    fingerprint_gates, fingerprint_gates_abstract, Fingerprint, FingerprintHasher,
 };
 pub use gate::{Gate, Qubit};
 pub use layers::{Layer, LayeredCircuit};

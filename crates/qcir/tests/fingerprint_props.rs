@@ -1,17 +1,15 @@
-//! Property-based tests for the segment cache's two in-process keys — the
-//! keying functions its soundness rests on, since a hit is never checked
-//! against the segment. Three properties matter:
+//! Property-based tests for the segment cache's in-process key — the
+//! keying function its soundness rests on, since a hit is never checked
+//! against the segment. Two properties matter:
 //!
-//! 1. **Exact, nothing more**: the exact key ([`segment_key_exact`]) is
-//!    equal iff width and gate sequence, exact angles included, are equal;
-//!    each targeted one-gate edit moves it.
-//! 2. **Angle erasure, nothing more**: the abstract fingerprint is equal
+//! 1. **Angle erasure, nothing more**: the abstract fingerprint is equal
 //!    iff structure and operands match under arbitrary angle
 //!    substitution — substituting every rotation angle never changes the
 //!    key, while any structural edit (kind, wire, order, width, length)
 //!    does.
-//! 3. **Domain disjointness**: an abstract key never collides with an
-//!    exact one, so both entry kinds can share one cache table.
+//! 2. **Domain disjointness**: an abstract key never equals a persisted
+//!    store fingerprint ([`fingerprint_gates`]), so neither can stand in
+//!    for the other.
 //!
 //! A gate is absorbed as a word pair whose first word carries the tag and
 //! the (control) wire, so one exhaustive case below checks that the
@@ -20,7 +18,7 @@
 
 use benchgen::Family;
 use proptest::prelude::*;
-use qcir::fingerprint::{fingerprint_gates_abstract, segment_key_exact};
+use qcir::fingerprint::{fingerprint_gates, fingerprint_gates_abstract};
 use qcir::{Angle, Gate};
 use std::collections::HashMap;
 
@@ -109,7 +107,9 @@ proptest! {
     fn structural_edits_change_the_abstract_key(
         gates in prop::collection::vec(arb_gate(), 1..40),
         edit_at in 0usize..64,
+        wires in (0u32..WIDTH, 1u32..WIDTH),
     ) {
+        let key = fingerprint_gates_abstract(WIDTH, &gates);
         let i = edit_at % gates.len();
         let mut edited = gates.clone();
         // A guaranteed-structural edit: flip the gate kind at `i`.
@@ -119,17 +119,34 @@ proptest! {
             Gate::Rz(q, _) => Gate::H(q),
             Gate::Cnot(c, t) => Gate::Cnot(t, c),
         };
-        prop_assert_ne!(
-            fingerprint_gates_abstract(WIDTH, &gates),
-            fingerprint_gates_abstract(WIDTH, &edited)
-        );
+        prop_assert_ne!(key, fingerprint_gates_abstract(WIDTH, &edited));
         // Dropping a gate is structural too.
         let mut shorter = gates.clone();
         shorter.remove(i);
+        prop_assert_ne!(key, fingerprint_gates_abstract(WIDTH, &shorter));
+        // So is moving a gate to another wire.
+        let (q, r) = (wires.0, (wires.0 + wires.1) % WIDTH);
+        let mut on_q = gates.clone();
+        on_q.insert(i, Gate::H(q));
+        let mut on_r = on_q.clone();
+        on_r[i] = Gate::H(r);
         prop_assert_ne!(
-            fingerprint_gates_abstract(WIDTH, &gates),
-            fingerprint_gates_abstract(WIDTH, &shorter)
+            fingerprint_gates_abstract(WIDTH, &on_q),
+            fingerprint_gates_abstract(WIDTH, &on_r)
         );
+        // An adjacent swap of two gates with different skeletons.
+        let differ = |j: usize| skeleton(WIDTH, &gates[j..=j]) != skeleton(WIDTH, &gates[j + 1..=j + 1]);
+        if let Some(j) = (0..gates.len() - 1).find(|&j| differ(j)) {
+            let mut swapped = gates.clone();
+            swapped.swap(j, j + 1);
+            prop_assert_ne!(key, fingerprint_gates_abstract(WIDTH, &swapped));
+        }
+        // Append, truncate and width.
+        let mut longer = gates.clone();
+        longer.push(Gate::H(q));
+        prop_assert_ne!(key, fingerprint_gates_abstract(WIDTH, &longer));
+        prop_assert_ne!(key, fingerprint_gates_abstract(WIDTH, &gates[..gates.len() - 1]));
+        prop_assert_ne!(key, fingerprint_gates_abstract(WIDTH + 1, &gates));
     }
 
     #[test]
@@ -139,85 +156,14 @@ proptest! {
     ) {
         prop_assert_ne!(
             fingerprint_gates_abstract(WIDTH, &a),
-            segment_key_exact(WIDTH, &b),
-            "abstract and exact key spaces must stay disjoint"
+            fingerprint_gates(WIDTH, &b),
+            "abstract keys and persisted fingerprints must stay disjoint"
         );
-        // Including each sequence against its own exact key.
+        // Including each sequence against its own persisted fingerprint.
         prop_assert_ne!(
             fingerprint_gates_abstract(WIDTH, &a),
-            segment_key_exact(WIDTH, &a)
+            fingerprint_gates(WIDTH, &a)
         );
-    }
-
-    #[test]
-    fn exact_keys_agree_iff_inputs_agree(
-        a in arb_gates(),
-        b in arb_gates(),
-        widths in (0u32..2, 0u32..2),
-    ) {
-        let (wa, wb) = (WIDTH + widths.0, WIDTH + widths.1);
-        prop_assert_eq!(
-            segment_key_exact(wa, &a) == segment_key_exact(wb, &b),
-            (wa, &a) == (wb, &b)
-        );
-        prop_assert_eq!(segment_key_exact(wa, &a), segment_key_exact(wa, &a.clone()));
-    }
-
-    #[test]
-    fn targeted_edits_change_the_exact_key(
-        gates in arb_gates(),
-        at in 0usize..64,
-        wires in (0u32..WIDTH, 1u32..WIDTH),
-        angle in (0i64..(1 << 15), 1u32..16),
-    ) {
-        let (q, r) = (wires.0, (wires.0 + wires.1) % WIDTH);
-        // An odd numerator over a power-of-two denominator is canonical as
-        // written, so each angle edit below moves exactly one of the two.
-        let (num, den) = (2 * angle.0 + 1, 1i64 << angle.1);
-        let num = num % (2 * den);
-        let edits = [
-            (Gate::H(q), Gate::X(q)),
-            (Gate::H(q), Gate::H(r)),
-            (Gate::Cnot(q, r), Gate::Cnot(r, q)),
-            (
-                Gate::Rz(q, Angle::pi_frac(num, den)),
-                Gate::Rz(q, Angle::pi_frac((num + 2) % (2 * den), den)),
-            ),
-            (
-                Gate::Rz(q, Angle::pi_frac(num, den)),
-                Gate::Rz(q, Angle::pi_frac(num, 2 * den)),
-            ),
-        ];
-        let i = at % (gates.len() + 1);
-        for (before, after) in edits {
-            let mut base = gates.clone();
-            base.insert(i, before);
-            let mut edited = base.clone();
-            edited[i] = after;
-            prop_assert_ne!(
-                segment_key_exact(WIDTH, &base),
-                segment_key_exact(WIDTH, &edited),
-                "{:?} -> {:?} at {} kept the key",
-                before,
-                after,
-                i
-            );
-        }
-        let key = segment_key_exact(WIDTH, &gates);
-        // An adjacent swap of two different gates.
-        if let Some(j) = (0..gates.len().saturating_sub(1)).find(|&j| gates[j] != gates[j + 1]) {
-            let mut swapped = gates.clone();
-            swapped.swap(j, j + 1);
-            prop_assert_ne!(key, segment_key_exact(WIDTH, &swapped));
-        }
-        // Append, truncate and width.
-        let mut longer = gates.clone();
-        longer.push(Gate::H(q));
-        prop_assert_ne!(key, segment_key_exact(WIDTH, &longer));
-        if !gates.is_empty() {
-            prop_assert_ne!(key, segment_key_exact(WIDTH, &gates[..gates.len() - 1]));
-        }
-        prop_assert_ne!(key, segment_key_exact(WIDTH + 1, &gates));
     }
 
     #[test]
@@ -273,36 +219,24 @@ fn one_word_encoding_is_uniquely_decodable() {
 fn every_distinct_window_of_generated_circuits_gets_its_own_key() {
     // Real segments overlap heavily: the windows of one circuit at
     // stride 1 share all but one gate with their neighbours, which is
-    // where a weak mix would first show. Every window is hashed in both
-    // domains; a key seen before must come from an equal window (exact)
-    // or an equal skeleton (abstract), and never from a different one.
+    // where a weak mix would first show. A key seen before must come from
+    // a window with an equal skeleton, never from a different one.
     const WINDOW: usize = 400;
     for (family, qubits) in [(Family::Vqe, 12), (Family::Sqrt, 12)] {
         let c = family.generate(qubits, 7);
         assert!(c.gates.len() > 2 * WINDOW, "{family:?} too short");
-        let mut exact = HashMap::new();
-        let mut abstract_keys = HashMap::new();
+        let mut keys = HashMap::new();
         for (at, w) in c.gates.windows(WINDOW).enumerate() {
-            let key = segment_key_exact(c.num_qubits, w);
+            let key = fingerprint_gates_abstract(c.num_qubits, w);
             // Two lanes, not one lane written twice.
             assert_ne!(key.0 as u64, (key.0 >> 64) as u64);
-            let first = *exact.entry(key).or_insert(at);
-            assert_eq!(
-                &c.gates[first..first + WINDOW],
-                w,
-                "{family:?}: windows {first} and {at} share an exact key"
-            );
-            let first = *abstract_keys
-                .entry(fingerprint_gates_abstract(c.num_qubits, w))
-                .or_insert(at);
+            let first = *keys.entry(key).or_insert(at);
             assert_eq!(
                 skeleton(c.num_qubits, &c.gates[first..first + WINDOW]),
                 skeleton(c.num_qubits, w),
                 "{family:?}: windows {first} and {at} share an abstract key"
             );
         }
-        // Both domains saw more than one distinct input.
-        assert!(abstract_keys.len() > 1, "{family:?}: windows all alike");
-        assert!(exact.len() >= abstract_keys.len());
+        assert!(keys.len() > 1, "{family:?}: windows all alike");
     }
 }

@@ -79,7 +79,9 @@ pub trait SegmentOracle<U>: Sync {
     /// the output is the same gate skeleton with the input's angles
     /// carried through positionally. The segment cache uses this
     /// capability to key segments by their angle-abstracted fingerprint
-    /// and replay one derived rewrite across a whole parameter sweep.
+    /// and replay one derived rewrite across a whole parameter sweep;
+    /// `false` means the segment cache never serves this oracle (its
+    /// jobs run with no cache hook at all).
     ///
     /// Honest-by-default `false` — declaring it wrongly would let the
     /// cache serve a rewrite derived under one angle assignment for a

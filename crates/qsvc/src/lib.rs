@@ -32,10 +32,10 @@
 //!   (see [`ServiceStats::coalesced`]).
 //! * [`segcache`] — the same memoization one level down: a bounded
 //!   [`SegmentCacheLayer`] of per-*segment* rewrites consulted inside the
-//!   engine's hot path, keyed angle-abstractly for oracles that declare
-//!   `angle_independent()` so parameterized (VQE/QAOA-style) resubmissions
-//!   reuse every structurally-unchanged segment's rewrite with near-zero
-//!   marginal oracle calls. Off by default
+//!   engine's hot path, keyed angle-abstractly and serving only oracles
+//!   that declare `angle_independent()`, so parameterized (VQE/QAOA-style)
+//!   resubmissions reuse every structurally-unchanged segment's rewrite
+//!   with near-zero marginal oracle calls. Off by default
 //!   ([`ServiceConfig::seg_cache_capacity`] `= 0`); the CLI enables it.
 //! * [`ServiceError`] — the closed failure taxonomy (unknown oracle,
 //!   duplicate registration, oracle crash); no panic or stringly error

@@ -238,14 +238,8 @@ impl OracleRegistry {
     }
 
     /// Resolves an optional request id (`None` = the default) to the
-    /// registry id plus the oracle itself.
-    pub fn resolve(&self, id: Option<&str>) -> Result<(String, DynOracle), ServiceError> {
-        self.resolve_versioned(id)
-            .map(|(id, _version, oracle)| (id, oracle))
-    }
-
-    /// [`resolve`](Self::resolve) plus the oracle's persistence version
-    /// tag — what the store layer stamps disk entries with.
+    /// registry id, the oracle's persistence version tag (what the store
+    /// layer stamps disk entries with) and the oracle itself.
     pub fn resolve_versioned(
         &self,
         id: Option<&str>,
@@ -383,9 +377,10 @@ pub struct ServiceConfig {
     /// Total result-cache entries before LRU eviction.
     pub cache_capacity: usize,
     /// Total *segment*-cache entries before LRU eviction (see
-    /// [`crate::segcache`]). `0` disables the segment cache entirely —
-    /// the library default, so embedding services opt in; the `popqc`
-    /// CLI enables it by default (`--seg-cache-capacity`).
+    /// [`crate::segcache`]); only jobs on angle-independent oracles use
+    /// them. `0` disables the segment cache entirely — the library
+    /// default, so embedding services opt in; the `popqc` CLI enables it
+    /// by default (`--seg-cache-capacity`).
     pub seg_cache_capacity: usize,
 }
 
@@ -984,15 +979,19 @@ impl Inner {
             trace: trace.clone(),
             engine_span: engine_span_id,
         };
-        // The segment-cache hook wraps the RAW oracle: template derivation
-        // re-invokes it on marker segments, and those derivation calls
-        // must not land in the per-call latency histogram.
-        let seg_hook = self.segcache.for_job_traced(
-            &job.key.oracle_id,
-            job.oracle.as_ref(),
-            trace.clone(),
-            engine_span_id,
-        );
+        // Only a job the segment cache serves (it has capacity and the
+        // oracle is angle-independent) gets a hook; every other job runs
+        // with none. The hook wraps the RAW oracle: template derivation re-invokes it
+        // on marker segments, and those derivation calls must not land in
+        // the per-call latency histogram.
+        let seg_hook = self.segcache.serves(job.oracle.as_ref()).then(|| {
+            self.segcache.for_job_traced(
+                &job.key.oracle_id,
+                job.oracle.as_ref(),
+                trace.clone(),
+                engine_span_id,
+            )
+        });
         // Re-anchor the ambient context under the engine span so the
         // engine's parallel-op spans (recorded by qexec on this driving
         // thread) nest correctly.
@@ -1009,7 +1008,7 @@ impl Inner {
                 qexec::with_width(self.threads_per_job, || {
                     Engine {
                         observer: Some(&observer),
-                        cache: Some(&seg_hook),
+                        cache: seg_hook.as_ref().map(|h| h as _),
                         ..Engine::new(&timed_oracle, job.key.config.clone())
                     }
                     .run(job.circuit.gates.clone(), job.circuit.num_qubits)
@@ -1213,26 +1212,13 @@ impl OptimizationService {
     /// [`OracleRegistry::single`]. The oracle's [`SegmentOracle::name`]
     /// becomes the registry (and cache-key) id, so two oracles with the
     /// same name MUST behave identically; for custom-parameterized oracles
-    /// use [`single_with_id`](Self::single_with_id).
+    /// build the registry with [`OracleRegistry::single_with_id`] and use
+    /// [`new`](Self::new).
     pub fn single(
         oracle: impl SegmentOracle<Gate> + Send + 'static,
         config: ServiceConfig,
     ) -> OptimizationService {
         OptimizationService::new(OracleRegistry::single(oracle), config)
-    }
-
-    /// [`single`](Self::single) with an explicit registry id.
-    pub fn single_with_id(
-        oracle: impl SegmentOracle<Gate> + Send + 'static,
-        id: impl Into<String>,
-        config: ServiceConfig,
-    ) -> OptimizationService {
-        OptimizationService::new(OracleRegistry::single_with_id(oracle, id), config)
-    }
-
-    /// A single-oracle service with the default [`ServiceConfig`].
-    pub fn with_defaults(oracle: impl SegmentOracle<Gate> + Send + 'static) -> OptimizationService {
-        OptimizationService::single(oracle, ServiceConfig::default())
     }
 
     /// The oracle registry this service dispatches over.
@@ -1256,7 +1242,7 @@ impl OptimizationService {
         circuit: &Circuit,
         cfg: &PopqcConfig,
     ) -> Result<JobKey, ServiceError> {
-        let (oracle_id, _) = self.registry.resolve(Some(oracle))?;
+        let (oracle_id, _, _) = self.registry.resolve_versioned(Some(oracle))?;
         Ok(JobKey {
             fingerprint: circuit.fingerprint(),
             oracle_id,
@@ -1389,35 +1375,6 @@ impl OptimizationService {
             handles,
             submitted_at,
         }
-    }
-
-    /// Submits a homogeneous batch under a named oracle.
-    pub fn submit_batch_as(
-        &self,
-        oracle: &str,
-        circuits: impl IntoIterator<Item = Circuit>,
-        cfg: &PopqcConfig,
-    ) -> Result<BatchHandle, ServiceError> {
-        // Resolve once up front: an unknown oracle must refuse the whole
-        // batch before any job is enqueued.
-        let (oracle_id, version, resolved) = self.registry.resolve_versioned(Some(oracle))?;
-        let submitted_at = Instant::now();
-        let handles = circuits
-            .into_iter()
-            .map(|c| {
-                self.submit_resolved(
-                    oracle_id.clone(),
-                    version.clone(),
-                    Arc::clone(&resolved),
-                    c,
-                    cfg,
-                )
-            })
-            .collect();
-        Ok(BatchHandle {
-            handles,
-            submitted_at,
-        })
     }
 
     /// Submits a mixed batch: each [`JobRequest`] selects its own oracle

@@ -20,10 +20,11 @@
 //!
 //! `--seg-cache-capacity` sizes the engine-level segment cache (see
 //! `qsvc::segcache`): per-*segment* rewrites are memoized inside the
-//! engine hot path, keyed angle-abstractly for angle-independent oracles
-//! (`structural`) so parameterized resubmissions reuse every
+//! engine hot path, keyed angle-abstractly, for angle-independent oracles
+//! (`structural`) only, so parameterized resubmissions reuse every
 //! structurally-unchanged segment's rewrite without new oracle calls.
-//! The CLI default is 4096 entries; `0` disables it.
+//! Jobs on any other oracle never consult it. The CLI default is 4096
+//! entries; `0` disables it.
 //!
 //! `--cache-capacity`/`--cache-dir`/`--cache-addr` compose the result
 //! store (see `qsvc::store::compose_store`): a memory front of
