@@ -17,8 +17,15 @@
 //!   ([`ApiError::http_status`]). Transport-level conditions outside the
 //!   API taxonomy (unknown route, wrong method, oversized payload) share
 //!   the same wire shape via [`transport_error_json`].
-//! * **Explicit wire format** — (de)serialization is hand-written over the
-//!   workspace's `serde_json` [`Value`] tree; every DTO round-trips
+//! * **Explicit wire format** — every DTO's JSON codec is generated from
+//!   one field table (`wire_table!`), written once per DTO: `to_json`
+//!   writes the fields in table order and `from_json` builds the struct
+//!   from the same list, so the two cannot drift apart. Each kind of wire
+//!   value (integer, status, number, boolean, string, optional, list,
+//!   nested DTO, span attributes) is encoded by one private `Wire` impl
+//!   over the workspace's `serde_json` [`Value`] tree. Only [`ApiError`]
+//!   and the two request DTOs, whose decoders carry request-specific
+//!   checks, are hand-written. Every DTO round-trips
 //!   (`to_json` → text → `from_json`) and the exact field layout is pinned
 //!   by snapshot tests in `tests/snapshots/`.
 //!
@@ -28,6 +35,7 @@
 
 #![deny(missing_docs)]
 
+use codec::Wire;
 use serde_json::{json, Value};
 
 /// The wire-format version every v1 document carries and decoders require.
@@ -36,6 +44,89 @@ pub const API_VERSION: &str = "v1";
 /// The build version reported by `GET /v1/version` (the workspace package
 /// version of the binary serving the API).
 pub const BUILD_VERSION: &str = env!("CARGO_PKG_VERSION");
+
+// ---------------------------------------------------------------------------
+// The wire codec: one field table per DTO
+// ---------------------------------------------------------------------------
+
+/// Generates a DTO's `to_json`/`from_json` from its one field table.
+///
+/// `to_json` writes the fields in table order; `from_json` builds the
+/// struct literal from the same list, so a table that leaves out a field
+/// does not compile. A `document` writes `api_version` first and checks
+/// it on decode; a `fragment` does neither. Each field is written by its
+/// type's [`Wire`] impl (an `Option` is omitted when `None`), unless it
+/// is marked `as null` (an `Option` written as `null`) or `as fragment`
+/// (a nested document written without its `api_version`).
+macro_rules! wire_table {
+    ($ty:ident: $kind:ident { $($field:ident $(as $how:ident)?),+ $(,)? }) => {
+        impl $ty {
+            /// Serializes to the v1 wire shape.
+            pub fn to_json(&self) -> Value {
+                let mut pairs = Vec::with_capacity(1 + [$(stringify!($field)),+].len());
+                wire_table!(@stamp $kind pairs);
+                codec::Table::put_fields(self, &mut pairs);
+                Value::Object(pairs)
+            }
+
+            /// Decodes what [`to_json`](Self::to_json) writes.
+            pub fn from_json(v: &Value) -> Result<$ty, ApiError> {
+                wire_table!(@check $kind v);
+                codec::Table::take_fields(v)
+            }
+        }
+
+        impl codec::Table for $ty {
+            fn put_fields(&self, pairs: &mut Vec<(String, Value)>) {
+                $(wire_table!(@put self pairs $field $($how)?);)+
+            }
+
+            fn take_fields(v: &Value) -> Result<$ty, ApiError> {
+                Ok($ty {
+                    $($field: wire_table!(@take v $field $($how)?),)+
+                })
+            }
+        }
+
+        impl Wire for $ty {
+            fn encode(&self) -> Value {
+                self.to_json()
+            }
+
+            fn decode(v: Option<&Value>, key: &str) -> Result<$ty, ApiError> {
+                $ty::from_json(v.ok_or_else(|| codec::missing("object", key))?)
+            }
+        }
+    };
+    (@stamp document $pairs:ident) => {
+        $pairs.push(("api_version".to_string(), Value::from(API_VERSION)))
+    };
+    (@stamp fragment $pairs:ident) => {};
+    (@check document $v:ident) => {
+        codec::check_version($v)?
+    };
+    (@check fragment $v:ident) => {};
+    (@put $s:ident $pairs:ident $field:ident) => {
+        $s.$field.put(stringify!($field), $pairs)
+    };
+    (@put $s:ident $pairs:ident $field:ident null) => {
+        $pairs.push((stringify!($field).to_string(), $s.$field.encode()))
+    };
+    (@put $s:ident $pairs:ident $field:ident fragment) => {{
+        let mut inner = Vec::new();
+        codec::Table::put_fields(&$s.$field, &mut inner);
+        $pairs.push((stringify!($field).to_string(), Value::Object(inner)))
+    }};
+    (@take $v:ident $field:ident $(null)?) => {
+        Wire::decode($v.get(stringify!($field)), stringify!($field))?
+    };
+    (@take $v:ident $field:ident fragment) => {
+        codec::Table::take_fields(
+            $v.get(stringify!($field))
+                .ok_or_else(|| codec::missing("object", stringify!($field)))?,
+        )?
+    };
+}
 
 // ---------------------------------------------------------------------------
 // Error taxonomy
@@ -148,12 +239,12 @@ impl ApiError {
     /// Transport-level kinds (which are outside the closed taxonomy)
     /// decode as [`ApiError::Internal`] so clients never lose the message.
     pub fn from_json(v: &Value) -> Result<ApiError, ApiError> {
-        de::check_version(v)?;
+        codec::check_version(v)?;
         let err = v
             .get("error")
-            .ok_or_else(|| de::malformed("error document: missing `error` object"))?;
-        let kind = de::req_str(err, "kind")?;
-        let message = de::req_str(err, "message")?;
+            .ok_or_else(|| codec::malformed("error document: missing `error` object"))?;
+        let kind = codec::req_str(err, "kind")?;
+        let message = codec::req_str(err, "message")?;
         Ok(match kind.as_str() {
             "invalid_qasm" => ApiError::InvalidQasm(message),
             "unknown_oracle" => ApiError::UnknownOracle(message),
@@ -206,37 +297,9 @@ impl VersionInfo {
             build_version: BUILD_VERSION.to_string(),
         }
     }
-
-    /// Serializes to the v1 wire shape.
-    pub fn to_json(&self) -> Value {
-        json!({
-            "api_version": API_VERSION,
-            "build_version": self.build_version.as_str(),
-        })
-    }
-
-    /// Decodes a document produced by [`to_json`](Self::to_json).
-    pub fn from_json(v: &Value) -> Result<VersionInfo, ApiError> {
-        de::check_version(v)?;
-        Ok(VersionInfo {
-            build_version: de::req_str(v, "build_version")?,
-        })
-    }
-
-    /// Serializes as a nested fragment (no `api_version` — the enclosing
-    /// document carries it).
-    pub fn to_json_fragment(&self) -> Value {
-        json!({ "build_version": self.build_version.as_str() })
-    }
-
-    /// Decodes a fragment produced by
-    /// [`to_json_fragment`](Self::to_json_fragment).
-    pub fn from_json_fragment(v: &Value) -> Result<VersionInfo, ApiError> {
-        Ok(VersionInfo {
-            build_version: de::req_str(v, "build_version")?,
-        })
-    }
 }
+
+wire_table!(VersionInfo: document { build_version });
 
 /// One registered oracle, as listed by `GET /v1/oracles`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -249,6 +312,8 @@ pub struct OracleInfo {
     pub default: bool,
 }
 
+wire_table!(OracleInfo: fragment { id, description, default });
+
 /// `GET /v1/oracles`: the oracle registry contents.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OracleList {
@@ -256,40 +321,7 @@ pub struct OracleList {
     pub oracles: Vec<OracleInfo>,
 }
 
-impl OracleList {
-    /// Serializes to the v1 wire shape.
-    pub fn to_json(&self) -> Value {
-        json!({
-            "api_version": API_VERSION,
-            "oracles": self
-                .oracles
-                .iter()
-                .map(|o| {
-                    json!({
-                        "id": o.id.as_str(),
-                        "description": o.description.as_str(),
-                        "default": o.default,
-                    })
-                })
-                .collect::<Vec<Value>>(),
-        })
-    }
-
-    /// Decodes a document produced by [`to_json`](Self::to_json).
-    pub fn from_json(v: &Value) -> Result<OracleList, ApiError> {
-        de::check_version(v)?;
-        let raw = de::req_array(v, "oracles")?;
-        let mut oracles = Vec::with_capacity(raw.len());
-        for o in raw {
-            oracles.push(OracleInfo {
-                id: de::req_str(o, "id")?,
-                description: de::req_str(o, "description")?,
-                default: de::req_bool(o, "default")?,
-            });
-        }
-        Ok(OracleList { oracles })
-    }
-}
+wire_table!(OracleList: document { oracles });
 
 // ---------------------------------------------------------------------------
 // Optimize (single job)
@@ -327,23 +359,22 @@ impl OptimizeRequest {
 
     /// Serializes to the v1 wire shape.
     pub fn to_json(&self) -> Value {
-        let mut pairs = vec![("qasm".to_string(), json!(self.qasm.as_str()))];
-        de::push_opt_str(&mut pairs, "oracle", &self.oracle);
-        if let Some(omega) = self.omega {
-            pairs.push(("omega".to_string(), json!(omega)));
-        }
-        de::push_opt_str(&mut pairs, "label", &self.label);
-        pairs.push(("wait".to_string(), json!(self.wait)));
+        let mut pairs = Vec::new();
+        self.qasm.put("qasm", &mut pairs);
+        self.oracle.put("oracle", &mut pairs);
+        self.omega.put("omega", &mut pairs);
+        self.label.put("label", &mut pairs);
+        self.wait.put("wait", &mut pairs);
         Value::Object(pairs)
     }
 
     /// Decodes a JSON-body optimize request; failures are
     /// [`ApiError::InvalidConfig`].
     pub fn from_json(v: &Value) -> Result<OptimizeRequest, ApiError> {
-        de::request_shape(v)?;
-        let qasm = de::req_str(v, "qasm")
+        codec::request_shape(v)?;
+        let qasm = codec::req_str(v, "qasm")
             .map_err(|_| ApiError::InvalidConfig("missing `qasm` string".into()))?;
-        let omega = de::opt_u64(v, "omega")?;
+        let omega = codec::opt_u64(v, "omega")?;
         let wait = match v.get("wait") {
             None => true,
             Some(w) => w.as_bool().ok_or_else(|| {
@@ -352,9 +383,9 @@ impl OptimizeRequest {
         };
         Ok(OptimizeRequest {
             qasm,
-            oracle: de::opt_str(v, "oracle")?,
+            oracle: codec::opt_str(v, "oracle")?,
             omega,
-            label: de::opt_str(v, "label")?,
+            label: codec::opt_str(v, "label")?,
             wait,
         })
     }
@@ -400,52 +431,10 @@ pub struct JobReport {
     pub qasm: Option<String>,
 }
 
-impl JobReport {
-    /// Serializes to the v1 wire shape.
-    pub fn to_json(&self) -> Value {
-        let mut pairs = Vec::with_capacity(15);
-        de::push_opt_str(&mut pairs, "label", &self.label);
-        pairs.push(("fingerprint".to_string(), json!(self.fingerprint.as_str())));
-        pairs.push(("oracle".to_string(), json!(self.oracle.as_str())));
-        pairs.push(("omega".to_string(), json!(self.omega)));
-        pairs.push(("input_gates".to_string(), json!(self.input_gates)));
-        pairs.push(("output_gates".to_string(), json!(self.output_gates)));
-        pairs.push(("reduction".to_string(), json!(self.reduction)));
-        pairs.push(("rounds".to_string(), json!(self.rounds)));
-        pairs.push(("oracle_calls".to_string(), json!(self.oracle_calls)));
-        pairs.push(("cache_hit".to_string(), json!(self.cache_hit)));
-        pairs.push(("coalesced".to_string(), json!(self.coalesced)));
-        pairs.push((
-            "error".to_string(),
-            self.error.as_deref().map_or(Value::Null, |e| json!(e)),
-        ));
-        pairs.push(("queue_seconds".to_string(), json!(self.queue_seconds)));
-        pairs.push(("run_seconds".to_string(), json!(self.run_seconds)));
-        de::push_opt_str(&mut pairs, "qasm", &self.qasm);
-        Value::Object(pairs)
-    }
-
-    /// Decodes a fragment produced by [`to_json`](Self::to_json).
-    pub fn from_json(v: &Value) -> Result<JobReport, ApiError> {
-        Ok(JobReport {
-            label: de::opt_str(v, "label")?,
-            fingerprint: de::req_str(v, "fingerprint")?,
-            oracle: de::req_str(v, "oracle")?,
-            omega: de::req_u64(v, "omega")?,
-            input_gates: de::req_u64(v, "input_gates")?,
-            output_gates: de::req_u64(v, "output_gates")?,
-            reduction: de::req_f64(v, "reduction")?,
-            rounds: de::req_u64(v, "rounds")?,
-            oracle_calls: de::req_u64(v, "oracle_calls")?,
-            cache_hit: de::req_bool(v, "cache_hit")?,
-            coalesced: de::req_bool(v, "coalesced")?,
-            error: de::opt_str(v, "error")?,
-            queue_seconds: de::req_f64(v, "queue_seconds")?,
-            run_seconds: de::req_f64(v, "run_seconds")?,
-            qasm: de::opt_str(v, "qasm")?,
-        })
-    }
-}
+wire_table!(JobReport: fragment {
+    label, fingerprint, oracle, omega, input_gates, output_gates, reduction, rounds, oracle_calls,
+    cache_hit, coalesced, error as null, queue_seconds, run_seconds, qasm,
+});
 
 /// The job document: `POST /v1/optimize` responses, `GET /v1/jobs/{id}`
 /// polling, and the `popqc optimize --json` CLI output are all exactly
@@ -468,40 +457,7 @@ pub struct JobStatus {
 /// endpoint serves.
 pub type OptimizeResponse = JobStatus;
 
-impl JobStatus {
-    /// Serializes to the v1 wire shape.
-    pub fn to_json(&self) -> Value {
-        let mut pairs = vec![
-            ("api_version".to_string(), json!(API_VERSION)),
-            ("job_id".to_string(), json!(self.job_id)),
-            (
-                "label".to_string(),
-                self.label.as_deref().map_or(Value::Null, |l| json!(l)),
-            ),
-            ("done".to_string(), json!(self.done)),
-            ("rounds_completed".to_string(), json!(self.rounds_completed)),
-        ];
-        if let Some(r) = &self.result {
-            pairs.push(("result".to_string(), r.to_json()));
-        }
-        Value::Object(pairs)
-    }
-
-    /// Decodes a document produced by [`to_json`](Self::to_json).
-    pub fn from_json(v: &Value) -> Result<JobStatus, ApiError> {
-        de::check_version(v)?;
-        Ok(JobStatus {
-            job_id: de::req_u64(v, "job_id")?,
-            label: de::opt_str(v, "label")?,
-            done: de::req_bool(v, "done")?,
-            rounds_completed: de::req_u64(v, "rounds_completed")?,
-            result: match v.get("result") {
-                None | Some(Value::Null) => None,
-                Some(r) => Some(JobReport::from_json(r)?),
-            },
-        })
-    }
-}
+wire_table!(JobStatus: document { job_id, label as null, done, rounds_completed, result });
 
 // ---------------------------------------------------------------------------
 // Batch
@@ -548,25 +504,21 @@ pub struct BatchRequest {
 impl BatchRequest {
     /// Serializes to the v1 wire shape.
     pub fn to_json(&self) -> Value {
-        let circuits: Vec<Value> = self
+        let circuits = self
             .circuits
             .iter()
             .map(|c| {
                 let mut pairs = Vec::new();
-                de::push_opt_str(&mut pairs, "label", &c.label);
-                pairs.push(("qasm".to_string(), json!(c.qasm.as_str())));
-                de::push_opt_str(&mut pairs, "oracle", &c.oracle);
-                if let Some(omega) = c.omega {
-                    pairs.push(("omega".to_string(), json!(omega)));
-                }
+                c.label.put("label", &mut pairs);
+                c.qasm.put("qasm", &mut pairs);
+                c.oracle.put("oracle", &mut pairs);
+                c.omega.put("omega", &mut pairs);
                 Value::Object(pairs)
             })
             .collect();
         let mut pairs = vec![("circuits".to_string(), Value::Array(circuits))];
-        if let Some(omega) = self.omega {
-            pairs.push(("omega".to_string(), json!(omega)));
-        }
-        de::push_opt_str(&mut pairs, "oracle", &self.oracle);
+        self.omega.put("omega", &mut pairs);
+        self.oracle.put("oracle", &mut pairs);
         Value::Object(pairs)
     }
 
@@ -574,7 +526,7 @@ impl BatchRequest {
     /// A member may be a bare QASM string (shorthand for an entry with
     /// every override defaulted) or a full [`BatchCircuit`] object.
     pub fn from_json(v: &Value) -> Result<BatchRequest, ApiError> {
-        de::request_shape(v)?;
+        codec::request_shape(v)?;
         let entries = match v.get("circuits") {
             Some(Value::Array(a)) => a,
             _ => return Err(ApiError::InvalidConfig("missing `circuits` array".into())),
@@ -587,12 +539,12 @@ impl BatchRequest {
             circuits.push(match entry {
                 Value::String(s) => BatchCircuit::new(s.as_str()),
                 Value::Object(_) => BatchCircuit {
-                    label: de::opt_str(entry, "label")?,
-                    qasm: de::req_str(entry, "qasm").map_err(|_| {
+                    label: codec::opt_str(entry, "label")?,
+                    qasm: codec::req_str(entry, "qasm").map_err(|_| {
                         ApiError::InvalidConfig(format!("circuits[{i}]: missing `qasm` string"))
                     })?,
-                    oracle: de::opt_str(entry, "oracle")?,
-                    omega: de::opt_u64(entry, "omega")?,
+                    oracle: codec::opt_str(entry, "oracle")?,
+                    omega: codec::opt_u64(entry, "omega")?,
                 },
                 _ => {
                     return Err(ApiError::InvalidConfig(format!(
@@ -603,8 +555,8 @@ impl BatchRequest {
         }
         Ok(BatchRequest {
             circuits,
-            omega: de::opt_u64(v, "omega")?,
-            oracle: de::opt_str(v, "oracle")?,
+            omega: codec::opt_u64(v, "omega")?,
+            oracle: codec::opt_str(v, "oracle")?,
         })
     }
 }
@@ -633,43 +585,10 @@ pub struct BatchResponse {
     pub jobs_per_sec: f64,
 }
 
-impl BatchResponse {
-    /// Serializes to the v1 wire shape.
-    pub fn to_json(&self) -> Value {
-        json!({
-            "api_version": API_VERSION,
-            "pass": self.pass,
-            "jobs": self.jobs.iter().map(JobReport::to_json).collect::<Vec<Value>>(),
-            "job_count": self.job_count,
-            "cache_hits": self.cache_hits,
-            "oracle_calls_issued": self.oracle_calls_issued,
-            "gates_in": self.gates_in,
-            "gates_out": self.gates_out,
-            "wall_seconds": self.wall_seconds,
-            "jobs_per_sec": self.jobs_per_sec,
-        })
-    }
-
-    /// Decodes a document produced by [`to_json`](Self::to_json).
-    pub fn from_json(v: &Value) -> Result<BatchResponse, ApiError> {
-        de::check_version(v)?;
-        let jobs = de::req_array(v, "jobs")?
-            .iter()
-            .map(JobReport::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(BatchResponse {
-            pass: de::req_u64(v, "pass")?,
-            jobs,
-            job_count: de::req_u64(v, "job_count")?,
-            cache_hits: de::req_u64(v, "cache_hits")?,
-            oracle_calls_issued: de::req_u64(v, "oracle_calls_issued")?,
-            gates_in: de::req_u64(v, "gates_in")?,
-            gates_out: de::req_u64(v, "gates_out")?,
-            wall_seconds: de::req_f64(v, "wall_seconds")?,
-            jobs_per_sec: de::req_f64(v, "jobs_per_sec")?,
-        })
-    }
-}
+wire_table!(BatchResponse: document {
+    pass, jobs, job_count, cache_hits, oracle_calls_issued, gates_in, gates_out, wall_seconds,
+    jobs_per_sec,
+});
 
 // ---------------------------------------------------------------------------
 // Cache admin (`/v1/cache`)
@@ -698,33 +617,7 @@ pub struct CacheTierReport {
     pub errors: u64,
 }
 
-impl CacheTierReport {
-    /// Serializes to the v1 wire shape.
-    pub fn to_json(&self) -> Value {
-        json!({
-            "tier": self.tier.as_str(),
-            "entries": self.entries,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "bytes": self.bytes,
-            "errors": self.errors,
-        })
-    }
-
-    /// Decodes a fragment produced by [`to_json`](Self::to_json).
-    pub fn from_json(v: &Value) -> Result<CacheTierReport, ApiError> {
-        Ok(CacheTierReport {
-            tier: de::req_str(v, "tier")?,
-            entries: de::req_u64(v, "entries")?,
-            hits: de::req_u64(v, "hits")?,
-            misses: de::req_u64(v, "misses")?,
-            evictions: de::req_u64(v, "evictions")?,
-            bytes: de::req_u64(v, "bytes")?,
-            errors: de::req_u64(v, "errors")?,
-        })
-    }
-}
+wire_table!(CacheTierReport: fragment { tier, entries, hits, misses, evictions, bytes, errors });
 
 /// `GET /v1/cache`: the result store's backend, aggregate counters, and
 /// per-tier breakdown (front tier first).
@@ -746,39 +639,7 @@ pub struct CacheReport {
     pub tiers: Vec<CacheTierReport>,
 }
 
-impl CacheReport {
-    /// Serializes to the v1 wire shape.
-    pub fn to_json(&self) -> Value {
-        json!({
-            "api_version": API_VERSION,
-            "backend": self.backend.as_str(),
-            "entries": self.entries,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "bytes": self.bytes,
-            "tiers": self.tiers.iter().map(CacheTierReport::to_json).collect::<Vec<Value>>(),
-        })
-    }
-
-    /// Decodes a document produced by [`to_json`](Self::to_json).
-    pub fn from_json(v: &Value) -> Result<CacheReport, ApiError> {
-        de::check_version(v)?;
-        let tiers = de::req_array(v, "tiers")?
-            .iter()
-            .map(CacheTierReport::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(CacheReport {
-            backend: de::req_str(v, "backend")?,
-            entries: de::req_u64(v, "entries")?,
-            hits: de::req_u64(v, "hits")?,
-            misses: de::req_u64(v, "misses")?,
-            evictions: de::req_u64(v, "evictions")?,
-            bytes: de::req_u64(v, "bytes")?,
-            tiers,
-        })
-    }
-}
+wire_table!(CacheReport: document { backend, entries, hits, misses, evictions, bytes, tiers });
 
 /// `DELETE /v1/cache` (and `popqc cache clear`): the result of dropping
 /// every stored entry.
@@ -791,25 +652,7 @@ pub struct CacheClearResponse {
     pub entries_removed: u64,
 }
 
-impl CacheClearResponse {
-    /// Serializes to the v1 wire shape.
-    pub fn to_json(&self) -> Value {
-        json!({
-            "api_version": API_VERSION,
-            "cleared": self.cleared,
-            "entries_removed": self.entries_removed,
-        })
-    }
-
-    /// Decodes a document produced by [`to_json`](Self::to_json).
-    pub fn from_json(v: &Value) -> Result<CacheClearResponse, ApiError> {
-        de::check_version(v)?;
-        Ok(CacheClearResponse {
-            cleared: de::req_bool(v, "cleared")?,
-            entries_removed: de::req_u64(v, "entries_removed")?,
-        })
-    }
-}
+wire_table!(CacheClearResponse: document { cleared, entries_removed });
 
 /// The engine-level segment cache's counters, as embedded in
 /// [`StatsReport::segment_cache`]. Not a top-level document, so it
@@ -836,31 +679,7 @@ pub struct SegmentCacheReport {
     pub evictions: u64,
 }
 
-impl SegmentCacheReport {
-    /// Serializes to the v1 wire shape.
-    pub fn to_json(&self) -> Value {
-        json!({
-            "enabled": self.enabled,
-            "capacity": self.capacity,
-            "entries": self.entries,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        })
-    }
-
-    /// Decodes a fragment produced by [`to_json`](Self::to_json).
-    pub fn from_json(v: &Value) -> Result<SegmentCacheReport, ApiError> {
-        Ok(SegmentCacheReport {
-            enabled: de::req_bool(v, "enabled")?,
-            capacity: de::req_u64(v, "capacity")?,
-            entries: de::req_u64(v, "entries")?,
-            hits: de::req_u64(v, "hits")?,
-            misses: de::req_u64(v, "misses")?,
-            evictions: de::req_u64(v, "evictions")?,
-        })
-    }
-}
+wire_table!(SegmentCacheReport: fragment { enabled, capacity, entries, hits, misses, evictions });
 
 // ---------------------------------------------------------------------------
 // Executor
@@ -891,31 +710,9 @@ pub struct ExecutorReport {
     pub steals: u64,
 }
 
-impl ExecutorReport {
-    /// Serializes to the v1 wire shape.
-    pub fn to_json(&self) -> Value {
-        json!({
-            "workers": self.workers,
-            "grain": self.grain,
-            "parallel_ops": self.parallel_ops,
-            "tasks_executed": self.tasks_executed,
-            "splits": self.splits,
-            "steals": self.steals,
-        })
-    }
-
-    /// Decodes a fragment produced by [`to_json`](Self::to_json).
-    pub fn from_json(v: &Value) -> Result<ExecutorReport, ApiError> {
-        Ok(ExecutorReport {
-            workers: de::req_u64(v, "workers")?,
-            grain: de::req_u64(v, "grain")?,
-            parallel_ops: de::req_u64(v, "parallel_ops")?,
-            tasks_executed: de::req_u64(v, "tasks_executed")?,
-            splits: de::req_u64(v, "splits")?,
-            steals: de::req_u64(v, "steals")?,
-        })
-    }
-}
+wire_table!(ExecutorReport: fragment {
+    workers, grain, parallel_ops, tasks_executed, splits, steals,
+});
 
 // ---------------------------------------------------------------------------
 // Stats / full service report
@@ -945,37 +742,10 @@ pub struct FrontendReport {
     pub write_stalls: u64,
 }
 
-impl FrontendReport {
-    /// Serializes to the v1 wire shape (the `frontend` object inside
-    /// [`StatsReport`]).
-    pub fn to_json(&self) -> Value {
-        Value::Object(vec![
-            ("frontend".to_string(), json!(self.frontend.as_str())),
-            ("connections_open".to_string(), json!(self.connections_open)),
-            (
-                "connections_accepted".to_string(),
-                json!(self.connections_accepted),
-            ),
-            ("requests_shed".to_string(), json!(self.requests_shed)),
-            ("rate_limited".to_string(), json!(self.rate_limited)),
-            ("deadline_closes".to_string(), json!(self.deadline_closes)),
-            ("write_stalls".to_string(), json!(self.write_stalls)),
-        ])
-    }
-
-    /// Decodes a document produced by [`to_json`](Self::to_json).
-    pub fn from_json(v: &Value) -> Result<FrontendReport, ApiError> {
-        Ok(FrontendReport {
-            frontend: de::req_str(v, "frontend")?,
-            connections_open: de::req_u64(v, "connections_open")?,
-            connections_accepted: de::req_u64(v, "connections_accepted")?,
-            requests_shed: de::req_u64(v, "requests_shed")?,
-            rate_limited: de::req_u64(v, "rate_limited")?,
-            deadline_closes: de::req_u64(v, "deadline_closes")?,
-            write_stalls: de::req_u64(v, "write_stalls")?,
-        })
-    }
-}
+wire_table!(FrontendReport: fragment {
+    frontend, connections_open, connections_accepted, requests_shed, rate_limited, deadline_closes,
+    write_stalls,
+});
 
 /// `GET /v1/stats`, the CLI report's `service` section, and the bench
 /// report all derive from this one DTO, so their counters cannot drift.
@@ -1031,91 +801,11 @@ pub struct StatsReport {
     pub frontend: Option<FrontendReport>,
 }
 
-impl StatsReport {
-    /// Serializes to the v1 wire shape.
-    pub fn to_json(&self) -> Value {
-        let mut pairs = vec![
-            ("api_version".to_string(), json!(API_VERSION)),
-            ("workers".to_string(), json!(self.workers)),
-            ("threads_per_job".to_string(), json!(self.threads_per_job)),
-            ("uptime_seconds".to_string(), json!(self.uptime_seconds)),
-            ("version".to_string(), self.version.to_json_fragment()),
-            ("submitted".to_string(), json!(self.submitted)),
-            ("completed".to_string(), json!(self.completed)),
-            ("cache_hits".to_string(), json!(self.cache_hits)),
-            ("coalesced".to_string(), json!(self.coalesced)),
-            ("failed".to_string(), json!(self.failed)),
-            (
-                "oracle_calls_issued".to_string(),
-                json!(self.oracle_calls_issued),
-            ),
-            ("cache_entries".to_string(), json!(self.cache_entries)),
-            ("cache_evictions".to_string(), json!(self.cache_evictions)),
-            (
-                "cache_backend".to_string(),
-                json!(self.cache_backend.as_str()),
-            ),
-            (
-                "cache_tiers".to_string(),
-                Value::Array(
-                    self.cache_tiers
-                        .iter()
-                        .map(CacheTierReport::to_json)
-                        .collect(),
-                ),
-            ),
-            ("segment_cache".to_string(), self.segment_cache.to_json()),
-            ("executor".to_string(), self.executor.to_json()),
-        ];
-        if let Some(tracked) = self.jobs_tracked {
-            pairs.push(("jobs_tracked".to_string(), json!(tracked)));
-        }
-        if let Some(frontend) = &self.frontend {
-            pairs.push(("frontend".to_string(), frontend.to_json()));
-        }
-        Value::Object(pairs)
-    }
-
-    /// Decodes a document produced by [`to_json`](Self::to_json).
-    pub fn from_json(v: &Value) -> Result<StatsReport, ApiError> {
-        de::check_version(v)?;
-        Ok(StatsReport {
-            workers: de::req_u64(v, "workers")?,
-            threads_per_job: de::req_u64(v, "threads_per_job")?,
-            uptime_seconds: de::req_f64(v, "uptime_seconds")?,
-            version: VersionInfo::from_json_fragment(
-                v.get("version")
-                    .ok_or_else(|| de::malformed("missing `version` object"))?,
-            )?,
-            submitted: de::req_u64(v, "submitted")?,
-            completed: de::req_u64(v, "completed")?,
-            cache_hits: de::req_u64(v, "cache_hits")?,
-            coalesced: de::req_u64(v, "coalesced")?,
-            failed: de::req_u64(v, "failed")?,
-            oracle_calls_issued: de::req_u64(v, "oracle_calls_issued")?,
-            cache_entries: de::req_u64(v, "cache_entries")?,
-            cache_evictions: de::req_u64(v, "cache_evictions")?,
-            cache_backend: de::req_str(v, "cache_backend")?,
-            cache_tiers: de::req_array(v, "cache_tiers")?
-                .iter()
-                .map(CacheTierReport::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-            segment_cache: SegmentCacheReport::from_json(
-                v.get("segment_cache")
-                    .ok_or_else(|| de::malformed("missing `segment_cache` object"))?,
-            )?,
-            executor: ExecutorReport::from_json(
-                v.get("executor")
-                    .ok_or_else(|| de::malformed("missing `executor` object"))?,
-            )?,
-            jobs_tracked: de::opt_u64(v, "jobs_tracked")?,
-            frontend: match v.get("frontend") {
-                Some(f) => Some(FrontendReport::from_json(f)?),
-                None => None,
-            },
-        })
-    }
-}
+wire_table!(StatsReport: document {
+    workers, threads_per_job, uptime_seconds, version as fragment, submitted, completed, cache_hits,
+    coalesced, failed, oracle_calls_issued, cache_entries, cache_evictions, cache_backend,
+    cache_tiers, segment_cache, executor, jobs_tracked, frontend,
+});
 
 /// The full CLI report: every pass plus the service's cumulative counters.
 #[derive(Clone, Debug, PartialEq)]
@@ -1126,30 +816,7 @@ pub struct ServiceReport {
     pub service: StatsReport,
 }
 
-impl ServiceReport {
-    /// Serializes to the v1 wire shape.
-    pub fn to_json(&self) -> Value {
-        json!({
-            "api_version": API_VERSION,
-            "passes": self.passes.iter().map(BatchResponse::to_json).collect::<Vec<Value>>(),
-            "service": self.service.to_json(),
-        })
-    }
-
-    /// Decodes a document produced by [`to_json`](Self::to_json).
-    pub fn from_json(v: &Value) -> Result<ServiceReport, ApiError> {
-        de::check_version(v)?;
-        let passes = de::req_array(v, "passes")?
-            .iter()
-            .map(BatchResponse::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let service = StatsReport::from_json(
-            v.get("service")
-                .ok_or_else(|| de::malformed("missing `service` object"))?,
-        )?;
-        Ok(ServiceReport { passes, service })
-    }
-}
+wire_table!(ServiceReport: document { passes, service });
 
 // ---------------------------------------------------------------------------
 // Traces
@@ -1174,36 +841,7 @@ pub struct TraceSpan {
     pub attrs: Vec<(String, Value)>,
 }
 
-impl TraceSpan {
-    /// Serializes to the v1 wire shape.
-    pub fn to_json(&self) -> Value {
-        json!({
-            "id": self.id,
-            "parent": self.parent,
-            "name": self.name.as_str(),
-            "start_nanos": self.start_nanos,
-            "duration_nanos": self.duration_nanos,
-            "attrs": Value::Object(self.attrs.clone()),
-        })
-    }
-
-    /// Decodes a fragment produced by [`to_json`](Self::to_json).
-    pub fn from_json(v: &Value) -> Result<TraceSpan, ApiError> {
-        let attrs = match v.get("attrs") {
-            None | Some(Value::Null) => Vec::new(),
-            Some(Value::Object(pairs)) => pairs.clone(),
-            Some(_) => return Err(de::malformed("bad `attrs` (need an object)")),
-        };
-        Ok(TraceSpan {
-            id: de::req_u64(v, "id")?,
-            parent: de::req_u64(v, "parent")?,
-            name: de::req_str(v, "name")?,
-            start_nanos: de::req_u64(v, "start_nanos")?,
-            duration_nanos: de::req_u64(v, "duration_nanos")?,
-            attrs,
-        })
-    }
-}
+wire_table!(TraceSpan: fragment { id, parent, name, start_nanos, duration_nanos, attrs });
 
 /// One row of the `GET /v1/traces` index. Not a top-level document.
 #[derive(Clone, Debug, PartialEq)]
@@ -1223,31 +861,9 @@ pub struct TraceSummary {
     pub span_count: u64,
 }
 
-impl TraceSummary {
-    /// Serializes to the v1 wire shape.
-    pub fn to_json(&self) -> Value {
-        json!({
-            "trace_id": self.trace_id.as_str(),
-            "status": self.status,
-            "sampled_because": self.sampled_because.as_str(),
-            "start_unix_nanos": self.start_unix_nanos,
-            "duration_nanos": self.duration_nanos,
-            "span_count": self.span_count,
-        })
-    }
-
-    /// Decodes a fragment produced by [`to_json`](Self::to_json).
-    pub fn from_json(v: &Value) -> Result<TraceSummary, ApiError> {
-        Ok(TraceSummary {
-            trace_id: de::req_str(v, "trace_id")?,
-            status: de::req_status(v)?,
-            sampled_because: de::req_str(v, "sampled_because")?,
-            start_unix_nanos: de::req_u64(v, "start_unix_nanos")?,
-            duration_nanos: de::req_u64(v, "duration_nanos")?,
-            span_count: de::req_u64(v, "span_count")?,
-        })
-    }
-}
+wire_table!(TraceSummary: fragment {
+    trace_id, status, sampled_because, start_unix_nanos, duration_nanos, span_count,
+});
 
 /// `GET /v1/traces`: the recent kept traces, newest first.
 #[derive(Clone, Debug, PartialEq, Default)]
@@ -1256,25 +872,7 @@ pub struct TraceIndex {
     pub traces: Vec<TraceSummary>,
 }
 
-impl TraceIndex {
-    /// Serializes to the v1 wire shape.
-    pub fn to_json(&self) -> Value {
-        json!({
-            "api_version": API_VERSION,
-            "traces": self.traces.iter().map(TraceSummary::to_json).collect::<Vec<Value>>(),
-        })
-    }
-
-    /// Decodes a document produced by [`to_json`](Self::to_json).
-    pub fn from_json(v: &Value) -> Result<TraceIndex, ApiError> {
-        de::check_version(v)?;
-        let traces = de::req_array(v, "traces")?
-            .iter()
-            .map(TraceSummary::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(TraceIndex { traces })
-    }
-}
+wire_table!(TraceIndex: document { traces });
 
 /// `GET /v1/traces/{id}`: one kept trace as a causally-linked span tree
 /// plus its per-category time split.
@@ -1305,47 +903,12 @@ pub struct TraceReport {
     pub spans: Vec<TraceSpan>,
 }
 
+wire_table!(TraceReport: document {
+    trace_id, status, sampled_because, start_unix_nanos, duration_nanos, dropped_spans, queue_nanos,
+    engine_nanos, oracle_nanos, store_nanos, spans,
+});
+
 impl TraceReport {
-    /// Serializes to the v1 wire shape.
-    pub fn to_json(&self) -> Value {
-        json!({
-            "api_version": API_VERSION,
-            "trace_id": self.trace_id.as_str(),
-            "status": self.status,
-            "sampled_because": self.sampled_because.as_str(),
-            "start_unix_nanos": self.start_unix_nanos,
-            "duration_nanos": self.duration_nanos,
-            "dropped_spans": self.dropped_spans,
-            "queue_nanos": self.queue_nanos,
-            "engine_nanos": self.engine_nanos,
-            "oracle_nanos": self.oracle_nanos,
-            "store_nanos": self.store_nanos,
-            "spans": self.spans.iter().map(TraceSpan::to_json).collect::<Vec<Value>>(),
-        })
-    }
-
-    /// Decodes a document produced by [`to_json`](Self::to_json).
-    pub fn from_json(v: &Value) -> Result<TraceReport, ApiError> {
-        de::check_version(v)?;
-        let spans = de::req_array(v, "spans")?
-            .iter()
-            .map(TraceSpan::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(TraceReport {
-            trace_id: de::req_str(v, "trace_id")?,
-            status: de::req_status(v)?,
-            sampled_because: de::req_str(v, "sampled_because")?,
-            start_unix_nanos: de::req_u64(v, "start_unix_nanos")?,
-            duration_nanos: de::req_u64(v, "duration_nanos")?,
-            dropped_spans: de::req_u64(v, "dropped_spans")?,
-            queue_nanos: de::req_u64(v, "queue_nanos")?,
-            engine_nanos: de::req_u64(v, "engine_nanos")?,
-            oracle_nanos: de::req_u64(v, "oracle_nanos")?,
-            store_nanos: de::req_u64(v, "store_nanos")?,
-            spans,
-        })
-    }
-
     /// Renders the trace in Chrome `trace_event` JSON (the
     /// `chrome://tracing` / Perfetto import format): one complete (`X`)
     /// event per span, microsecond timestamps, span ids and attributes
@@ -1385,15 +948,19 @@ impl TraceReport {
 }
 
 // ---------------------------------------------------------------------------
-// Decode helpers
+// Codec internals
 // ---------------------------------------------------------------------------
 
-mod de {
+mod codec {
     use super::{ApiError, API_VERSION};
-    use serde_json::{json, Value};
+    use serde_json::Value;
 
     pub(super) fn malformed(msg: impl Into<String>) -> ApiError {
         ApiError::Internal(format!("malformed v1 document: {}", msg.into()))
+    }
+
+    pub(super) fn missing(what: &str, key: &str) -> ApiError {
+        malformed(format!("missing {what} `{key}`"))
     }
 
     /// Top-level response documents must be objects carrying the exact
@@ -1428,12 +995,11 @@ mod de {
     }
 
     pub(super) fn req_str(v: &Value, key: &str) -> Result<String, ApiError> {
-        v.get(key)
-            .and_then(Value::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| malformed(format!("missing string `{key}`")))
+        String::decode(v.get(key), key)
     }
 
+    /// An optional request string; a present non-string is the client's
+    /// mistake.
     pub(super) fn opt_str(v: &Value, key: &str) -> Result<Option<String>, ApiError> {
         match v.get(key) {
             None | Some(Value::Null) => Ok(None),
@@ -1444,12 +1010,8 @@ mod de {
         }
     }
 
-    pub(super) fn req_u64(v: &Value, key: &str) -> Result<u64, ApiError> {
-        v.get(key)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| malformed(format!("missing integer `{key}`")))
-    }
-
+    /// An optional request integer; a present non-integer is the
+    /// client's mistake.
     pub(super) fn opt_u64(v: &Value, key: &str) -> Result<Option<u64>, ApiError> {
         match v.get(key) {
             None | Some(Value::Null) => Ok(None),
@@ -1459,39 +1021,113 @@ mod de {
         }
     }
 
-    /// An HTTP status field: a `u64` on the wire, range-checked into
-    /// `u16`.
-    pub(super) fn req_status(v: &Value) -> Result<u16, ApiError> {
-        u16::try_from(req_u64(v, "status")?).map_err(|_| malformed("bad `status` (need a u16)"))
+    /// One kind of wire value: how it is written under a key and read
+    /// back from that key's (possibly absent) value.
+    pub(super) trait Wire: Sized {
+        fn encode(&self) -> Value;
+
+        fn decode(v: Option<&Value>, key: &str) -> Result<Self, ApiError>;
+
+        /// Appends `key: value` to an object; an omitted `None` appends
+        /// nothing.
+        fn put(&self, key: &str, pairs: &mut Vec<(String, Value)>) {
+            pairs.push((key.to_string(), self.encode()));
+        }
     }
 
-    pub(super) fn req_f64(v: &Value, key: &str) -> Result<f64, ApiError> {
-        v.get(key)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| malformed(format!("missing number `{key}`")))
+    /// A DTO's fields without its `api_version`, as `wire_table!` lists
+    /// them.
+    pub(super) trait Table: Sized {
+        fn put_fields(&self, pairs: &mut Vec<(String, Value)>);
+
+        fn take_fields(v: &Value) -> Result<Self, ApiError>;
     }
 
-    pub(super) fn req_bool(v: &Value, key: &str) -> Result<bool, ApiError> {
-        v.get(key)
-            .and_then(Value::as_bool)
-            .ok_or_else(|| malformed(format!("missing boolean `{key}`")))
+    /// Integers, numbers, booleans and strings: the value itself, and a
+    /// decode error when it is absent or of another JSON type.
+    macro_rules! scalar {
+        ($($ty:ty => $as:ident, $what:literal;)+) => {$(
+            impl Wire for $ty {
+                fn encode(&self) -> Value {
+                    Value::from(self.to_owned())
+                }
+
+                fn decode(v: Option<&Value>, key: &str) -> Result<$ty, ApiError> {
+                    v.and_then(Value::$as)
+                        .map(<$ty>::from)
+                        .ok_or_else(|| missing($what, key))
+                }
+            }
+        )+};
     }
 
-    pub(super) fn req_array<'v>(v: &'v Value, key: &str) -> Result<&'v Vec<Value>, ApiError> {
-        v.get(key)
-            .and_then(Value::as_array)
-            .ok_or_else(|| malformed(format!("missing array `{key}`")))
+    scalar! {
+        u64 => as_u64, "integer";
+        f64 => as_f64, "number";
+        bool => as_bool, "boolean";
+        String => as_str, "string";
     }
 
-    /// Pushes `key` only when the value is present — the wire format omits
-    /// optional string fields instead of emitting `null` for them.
-    pub(super) fn push_opt_str(
-        pairs: &mut Vec<(String, Value)>,
-        key: &str,
-        value: &Option<String>,
-    ) {
-        if let Some(s) = value {
-            pairs.push((key.to_string(), json!(s.as_str())));
+    /// An HTTP status: a `u64` on the wire, range-checked into `u16`.
+    impl Wire for u16 {
+        fn encode(&self) -> Value {
+            Value::from(*self)
+        }
+
+        fn decode(v: Option<&Value>, key: &str) -> Result<u16, ApiError> {
+            u16::try_from(u64::decode(v, key)?)
+                .map_err(|_| malformed(format!("bad `{key}` (need a u16)")))
+        }
+    }
+
+    /// Omitted when `None` (a field marked `as null` writes `null`
+    /// instead); absent and `null` both decode as `None`.
+    impl<T: Wire> Wire for Option<T> {
+        fn encode(&self) -> Value {
+            self.as_ref().map_or(Value::Null, T::encode)
+        }
+
+        fn decode(v: Option<&Value>, key: &str) -> Result<Option<T>, ApiError> {
+            match v {
+                None | Some(Value::Null) => Ok(None),
+                Some(_) => T::decode(v, key).map(Some),
+            }
+        }
+
+        fn put(&self, key: &str, pairs: &mut Vec<(String, Value)>) {
+            if let Some(value) = self {
+                value.put(key, pairs);
+            }
+        }
+    }
+
+    impl<T: Wire> Wire for Vec<T> {
+        fn encode(&self) -> Value {
+            Value::Array(self.iter().map(T::encode).collect())
+        }
+
+        fn decode(v: Option<&Value>, key: &str) -> Result<Vec<T>, ApiError> {
+            v.and_then(Value::as_array)
+                .ok_or_else(|| missing("array", key))?
+                .iter()
+                .map(|item| T::decode(Some(item), key))
+                .collect()
+        }
+    }
+
+    /// The span attribute bag: an object of already-typed values, empty
+    /// when absent or `null`.
+    impl Wire for Vec<(String, Value)> {
+        fn encode(&self) -> Value {
+            Value::Object(self.clone())
+        }
+
+        fn decode(v: Option<&Value>, key: &str) -> Result<Self, ApiError> {
+            match v {
+                None | Some(Value::Null) => Ok(Vec::new()),
+                Some(Value::Object(pairs)) => Ok(pairs.clone()),
+                Some(_) => Err(malformed(format!("bad `{key}` (need an object)"))),
+            }
         }
     }
 }

@@ -30,7 +30,7 @@
 //! * **panic capture** — a panic in any chunk, on any thread, is
 //!   re-raised on the submitter with its original payload once the other
 //!   chunks have settled, and leaves the pool fully operational;
-//! * **observability** — [`stats`] snapshots the executor's counters
+//! * **observability** — [`snapshot`] reads the executor's counters
 //!   ([`ExecStats`]), surfaced end to end through `ServiceStats` and
 //!   `GET /v1/stats`.
 //!
@@ -63,9 +63,6 @@ pub struct ExecStats {
     /// Worker threads spawned so far (0 until the first parallel
     /// operation; grows toward the widest parallelism requested).
     pub workers: u64,
-    /// Always 0: chunk sizes are derived per operation and there is no
-    /// grain setting. Kept for v1 wire compatibility.
-    pub grain: u64,
     /// Parallel maps that actually went parallel (sequential fast paths
     /// are not counted).
     pub parallel_ops: u64,
@@ -82,12 +79,11 @@ impl ExecStats {
     /// The work done since `baseline` (an earlier [`snapshot`]): the four
     /// monotonic counters are differenced (saturating, so snapshots
     /// passed in the wrong order read as zero instead of wrapping), while
-    /// `workers` and `grain` — instantaneous configuration, not work —
-    /// carry over from `self`, the later snapshot.
+    /// `workers` — a gauge, not work — carries over from `self`, the later
+    /// snapshot.
     pub fn delta_since(&self, baseline: &ExecStats) -> ExecStats {
         ExecStats {
             workers: self.workers,
-            grain: self.grain,
             parallel_ops: self.parallel_ops.saturating_sub(baseline.parallel_ops),
             tasks_executed: self.tasks_executed.saturating_sub(baseline.tasks_executed),
             splits: self.splits.saturating_sub(baseline.splits),
@@ -99,22 +95,16 @@ impl ExecStats {
 /// Snapshots the executor counters: the `popqc_exec_*_total` metrics
 /// themselves, so the scrape and this snapshot read the same cells. Never
 /// forces the pool (or its worker threads) into existence: before the
-/// first parallel operation every counter is zero.
-pub fn stats() -> ExecStats {
+/// first parallel operation every counter is zero. Use it as one end of
+/// a [`ExecStats::delta_since`] pair bounding the interval of interest.
+pub fn snapshot() -> ExecStats {
     ExecStats {
         workers: pool::global_if_started().map_or(0, |pool| pool.started_workers() as u64),
-        grain: 0,
         parallel_ops: metrics::parallel_ops_total().get(),
         tasks_executed: metrics::tasks_total().get(),
         splits: metrics::splits_total().get(),
         steals: metrics::steals_total().get(),
     }
-}
-
-/// Alias for [`stats`], named for how it should be used: as one end of a
-/// [`ExecStats::delta_since`] pair bounding the interval of interest.
-pub fn snapshot() -> ExecStats {
-    stats()
 }
 
 #[cfg(test)]
@@ -125,7 +115,6 @@ mod stats_tests {
     fn delta_since_diffs_counters_and_keeps_gauges() {
         let before = ExecStats {
             workers: 4,
-            grain: 0,
             parallel_ops: 10,
             tasks_executed: 100,
             splits: 50,
@@ -133,7 +122,6 @@ mod stats_tests {
         };
         let after = ExecStats {
             workers: 8, // pool grew between the snapshots
-            grain: 16,
             parallel_ops: 12,
             tasks_executed: 180,
             splits: 90,
@@ -144,7 +132,6 @@ mod stats_tests {
             delta,
             ExecStats {
                 workers: 8,
-                grain: 16,
                 parallel_ops: 2,
                 tasks_executed: 80,
                 splits: 40,
@@ -159,12 +146,12 @@ mod stats_tests {
 
     #[test]
     fn snapshot_is_stats() {
-        // Both entry points read the same cells; the counters are
-        // monotonic so a later snapshot can only be >=.
+        // Snapshots read the metric cells, which are monotonic, so a
+        // later snapshot can only be >=.
         let a = snapshot();
-        let b = stats();
+        let b = snapshot();
         assert!(b.tasks_executed >= a.tasks_executed);
-        assert_eq!(a.grain, b.grain);
+        assert!(b.parallel_ops >= a.parallel_ops);
     }
 }
 
@@ -238,7 +225,7 @@ mod tests {
         }
         let distinct = seen.lock().unwrap().len();
         // Other tests in this process may have grown the pool beyond 4.
-        let pool_threads = stats().workers as usize;
+        let pool_threads = snapshot().workers as usize;
         assert!(
             distinct <= pool_threads,
             "expected ids within the {pool_threads}-thread persistent pool, \

@@ -1,6 +1,6 @@
 //! The executor's `popqc-obs` instruments. The four counters are the
 //! only record of what the pool did, advanced once when an op settles in
-//! `pool::run_op`: [`stats`](crate::stats) reads them back into
+//! `pool::run_op`: [`snapshot`](crate::snapshot) reads them back into
 //! [`ExecStats`](crate::ExecStats), so a Prometheus scrape and
 //! `GET /v1/stats` can never disagree.
 

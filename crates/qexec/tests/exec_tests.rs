@@ -216,7 +216,7 @@ fn consecutive_ops_run_on_stable_pool_threads() {
     // ThreadId within a process). Per-call thread spawning would mint
     // fresh ids every operation, far exceeding the pool's census.
     let distinct = seen.lock().unwrap().len();
-    let pool_threads = qexec::stats().workers as usize;
+    let pool_threads = qexec::snapshot().workers as usize;
     assert!(
         distinct <= pool_threads,
         "expected ids within the {pool_threads}-thread pool, saw {distinct}"
@@ -228,13 +228,12 @@ fn stats_counters_advance_under_parallel_work() {
     if env_pins_width() {
         return;
     }
-    let before = qexec::stats();
+    let before = qexec::snapshot();
     qexec::with_width(4, || {
         qexec::par_map_vec((0..4_096u64).collect(), |x| x.wrapping_mul(3))
     });
-    let after = qexec::stats().delta_since(&before);
+    let after = qexec::snapshot().delta_since(&before);
     assert!(after.workers >= 1, "pool must have spawned workers");
-    assert_eq!(after.grain, 0);
     // Other tests in this binary add to the same counters, so these are
     // lower bounds: one op of 8·4 chunks.
     assert!(after.parallel_ops >= 1);

@@ -77,6 +77,6 @@ fn frames_are_never_touched_after_the_map_returns() {
     eprintln!(
         "{calls} tiny maps in {:.2}s, executor: {:?}",
         t0.elapsed().as_secs_f64(),
-        qexec::stats()
+        qexec::snapshot()
     );
 }

@@ -31,7 +31,7 @@ fn serve_state(state: Arc<AppState>) -> EventedServer {
 }
 
 /// The full built-in registry (`rule_based` default + `rule_single_pass`
-/// + `search`) behind one server — the shape `popqc serve` deploys.
+/// + `structural`) behind one server — the shape `popqc serve` deploys.
 fn start_server(workers: usize) -> EventedServer {
     let svc = OptimizationService::new(
         OracleRegistry::builtin(),
@@ -295,7 +295,22 @@ fn concurrent_duplicate_posts_compute_once() {
 
 #[test]
 fn async_submission_and_job_polling() {
-    let server = start_server(2);
+    // The oracle stays gated shut until the 202 is read, so the job
+    // cannot finish before the handler answers.
+    let released = Arc::new((Mutex::new(false), Condvar::new()));
+    let svc = OptimizationService::single(
+        GatedOracle {
+            inner: RuleBasedOptimizer::oracle(),
+            released: Arc::clone(&released),
+        },
+        ServiceConfig {
+            workers: 2,
+            threads_per_job: 1,
+            cache_capacity: 64,
+            seg_cache_capacity: 0,
+        },
+    );
+    let server = serve_state(Arc::new(AppState::new(svc, 80)));
     let addr = server.local_addr();
     let qasm = sample_qasm();
 
@@ -304,6 +319,8 @@ fn async_submission_and_job_polling() {
     let doc = json(&body);
     let id = doc.get("job_id").unwrap().as_u64().unwrap();
     assert!(doc.get("result").is_none());
+    *released.0.lock().unwrap() = true;
+    released.1.notify_all();
 
     // Poll until done (bounded; the circuit is small).
     let mut done = false;
@@ -648,10 +665,7 @@ fn version_and_oracles_endpoints_describe_the_api() {
     assert_eq!(status, 200);
     let list = qapi::OracleList::from_json(&json(&body)).expect("oracle list DTO");
     let ids: Vec<&str> = list.oracles.iter().map(|o| o.id.as_str()).collect();
-    assert_eq!(
-        ids,
-        ["rule_based", "rule_single_pass", "search", "structural"]
-    );
+    assert_eq!(ids, ["rule_based", "rule_single_pass", "structural"]);
     let defaults: Vec<&str> = list
         .oracles
         .iter()
@@ -659,6 +673,17 @@ fn version_and_oracles_endpoints_describe_the_api() {
         .map(|o| o.id.as_str())
         .collect();
     assert_eq!(defaults, ["rule_based"], "exactly one default oracle");
+}
+
+/// The Quartz-style search oracle is a library oracle for offline
+/// experiments, not a served one: asking for it is an unknown oracle.
+#[test]
+fn search_oracle_is_not_served() {
+    let server = start_server(1);
+    let addr = server.local_addr();
+    let (status, body) = request(addr, "POST", "/v1/optimize?oracle=search", &sample_qasm());
+    assert_eq!(status, 404, "body: {body}");
+    assert_error_body(&body, "unknown_oracle");
 }
 
 #[test]

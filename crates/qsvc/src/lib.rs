@@ -14,8 +14,7 @@
 //!   (`Arc<dyn SegmentOracle<Gate>>`); every submission selects its oracle
 //!   (and engine config) per job, so one running service answers
 //!   mixed-oracle traffic. [`OracleRegistry::builtin`] registers the
-//!   workspace oracles (`rule_based`, `rule_single_pass`, `search`,
-//!   `structural`).
+//!   served oracles (`rule_based`, `rule_single_pass`, `structural`).
 //! * [`ResultStore`] — the pluggable memoization backend the service owns
 //!   as `Arc<dyn ResultStore>`: [`MemoryStore`] (the [`ShardedLruCache`]
 //!   LRU, the default), [`DiskStore`] (one versioned file per entry; warm

@@ -108,7 +108,8 @@ pub fn batch_report(
 fn executor_report(e: &qexec::ExecStats) -> qapi::ExecutorReport {
     qapi::ExecutorReport {
         workers: e.workers,
-        grain: e.grain,
+        // v1 keeps the field; the executor has no grain setting.
+        grain: 0,
         parallel_ops: e.parallel_ops,
         tasks_executed: e.tasks_executed,
         splits: e.splits,

@@ -309,12 +309,6 @@ impl SegmentCacheLayer {
         self.enabled() && oracle.angle_independent()
     }
 
-    /// Drops every entry; returns how many were removed. The monotonic
-    /// counters survive (clearing is an admin action, not an eviction).
-    pub fn clear(&self) -> u64 {
-        self.cache.as_ref().map_or(0, ShardedLruCache::clear)
-    }
-
     /// Point-in-time counters (logical hits/misses, storage
     /// entries/evictions), as `ServiceStats::seg_cache` and
     /// `GET /v1/stats` carry them.

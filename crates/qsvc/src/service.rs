@@ -59,7 +59,7 @@ use crate::segcache::SegmentCacheLayer;
 use crate::store::{CachedRun, MemoryStore, ResultStore};
 use popqc_core::{Engine, PopqcConfig, PopqcStats, RoundObserver, RoundRecord};
 use qcir::{Circuit, Fingerprint, Gate};
-use qoracle::{GateCount, RuleBasedOptimizer, SearchOptimizer, SegmentOracle, StructuralOptimizer};
+use qoracle::{RuleBasedOptimizer, SegmentOracle, StructuralOptimizer};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex};
@@ -175,7 +175,12 @@ impl OracleRegistry {
     /// The workspace's built-in oracles: `rule_based` (the paper's primary
     /// VOQC-style configuration, the default), `rule_single_pass` (one
     /// bounded pipeline pass — the whole-circuit baseline ablation), and
-    /// `search` (Quartz-style bounded best-first search on gate count).
+    /// `structural` (value-blind cancellation, the segment cache's
+    /// angle-independent oracle). The Quartz-style search oracle is not
+    /// served: nothing bounds the work of one request with it (one call
+    /// on a 400-gate segment takes about 0.7 s in a release build), so it
+    /// stays a library oracle ([`qoracle::SearchOptimizer`]) for offline
+    /// experiments.
     pub fn builtin() -> OracleRegistry {
         let mut registry =
             OracleRegistry::single_with_id(RuleBasedOptimizer::oracle(), "rule_based");
@@ -186,13 +191,6 @@ impl OracleRegistry {
                 "rule_single_pass",
                 "one bounded pass of the rule pipeline (whole-circuit baseline ablation)",
                 Arc::new(RuleBasedOptimizer::modern_baseline()),
-            )
-            .expect("builtin ids are distinct");
-        registry
-            .register(
-                "search",
-                "bounded best-first search over verified rewrites, minimizing gate count",
-                Arc::new(SearchOptimizer::new(GateCount, 2000)),
             )
             .expect("builtin ids are distinct");
         registry
@@ -240,7 +238,7 @@ impl OracleRegistry {
     /// Resolves an optional request id (`None` = the default) to the
     /// registry id, the oracle's persistence version tag (what the store
     /// layer stamps disk entries with) and the oracle itself.
-    pub fn resolve_versioned(
+    fn resolve_versioned(
         &self,
         id: Option<&str>,
     ) -> Result<(String, String, DynOracle), ServiceError> {
@@ -252,16 +250,8 @@ impl OracleRegistry {
             .ok_or_else(|| self.unknown(id))
     }
 
-    /// The oracle registered under `id`, if any.
-    pub fn get(&self, id: &str) -> Option<DynOracle> {
-        self.entries
-            .iter()
-            .find(|e| e.id == id)
-            .map(|e| Arc::clone(&e.oracle))
-    }
-
     /// Whether `id` is registered.
-    pub fn contains(&self, id: &str) -> bool {
+    fn contains(&self, id: &str) -> bool {
         self.entries.iter().any(|e| e.id == id)
     }
 
@@ -273,11 +263,6 @@ impl OracleRegistry {
     /// Registered ids, in registration order.
     pub fn ids(&self) -> Vec<&str> {
         self.entries.iter().map(|e| e.id.as_str()).collect()
-    }
-
-    /// Registered oracle count.
-    pub fn len(&self) -> usize {
-        self.entries.len()
     }
 
     /// Whether the registry is empty (never true for a constructed one).
@@ -1414,7 +1399,7 @@ impl OptimizationService {
             oracle_calls_issued: self.inner.oracle_calls_issued.load(Relaxed),
             store: self.inner.store.stats(),
             seg_cache: self.inner.segcache.stats(),
-            executor: qexec::stats(),
+            executor: qexec::snapshot(),
             uptime_seconds: self.inner.started.elapsed().as_secs_f64(),
         }
     }
@@ -1437,13 +1422,6 @@ impl OptimizationService {
     /// store as they finish.
     pub fn clear_cache(&self) -> u64 {
         self.inner.store.clear()
-    }
-
-    /// Drops every cached *segment* rewrite; returns how many entries
-    /// were removed. Independent of [`clear_cache`](Self::clear_cache) —
-    /// the two layers cache different things.
-    pub fn clear_segment_cache(&self) -> u64 {
-        self.inner.segcache.clear()
     }
 
     /// Worker pool width.

@@ -478,30 +478,28 @@ fn decode_doc(
 /// persisted for other replicas.
 pub fn decode_entry_owned(text: &str) -> Result<(JobKey, String, CachedRun), EntryRejection> {
     let doc: Value = serde_json::from_str(text).map_err(|_| EntryRejection::Corrupt)?;
-    let field = |name: &str| doc.get(name).and_then(Value::as_str);
-    let num = |name: &str| doc.get(name).and_then(Value::as_u64);
-    let fp_hex = field("fingerprint").ok_or(EntryRejection::Corrupt)?;
-    if fp_hex.len() != 32 {
-        return Err(EntryRejection::Corrupt);
-    }
-    let fingerprint = u128::from_str_radix(fp_hex, 16)
-        .map(qcir::Fingerprint)
-        .map_err(|_| EntryRejection::Corrupt)?;
-    let key = JobKey {
-        fingerprint,
-        oracle_id: field("oracle_id")
-            .ok_or(EntryRejection::Corrupt)?
-            .to_string(),
-        config: popqc_core::PopqcConfig {
-            omega: num("omega").ok_or(EntryRejection::Corrupt)? as usize,
-            max_rounds: num("max_rounds").ok_or(EntryRejection::Corrupt)? as usize,
-        },
-    };
-    let oracle_version = field("oracle_version")
-        .ok_or(EntryRejection::Corrupt)?
-        .to_string();
+    let (key, oracle_version) = decode_key_header(&doc).ok_or(EntryRejection::Corrupt)?;
     let run = decode_doc(&key, &oracle_version, &doc)?;
     Ok((key, oracle_version, run))
+}
+
+/// Reads the `(key, oracle_version)` header that an entry document and a
+/// wire key document share: a 32-hex-digit `fingerprint`, `oracle_id`,
+/// `omega`, `max_rounds` and `oracle_version`. `None` when any of them is
+/// missing or malformed; each caller maps that to its own error.
+pub(crate) fn decode_key_header(doc: &Value) -> Option<(JobKey, String)> {
+    let field = |name: &str| doc.get(name).and_then(Value::as_str);
+    let num = |name: &str| doc.get(name).and_then(Value::as_u64);
+    let fp_hex = field("fingerprint").filter(|hex| hex.len() == 32)?;
+    let key = JobKey {
+        fingerprint: qcir::Fingerprint(u128::from_str_radix(fp_hex, 16).ok()?),
+        oracle_id: field("oracle_id")?.to_string(),
+        config: popqc_core::PopqcConfig {
+            omega: num("omega")? as usize,
+            max_rounds: num("max_rounds")? as usize,
+        },
+    };
+    Some((key, field("oracle_version")?.to_string()))
 }
 
 /// Why a stored entry was refused: the two classes get different

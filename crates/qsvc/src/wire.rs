@@ -45,7 +45,6 @@
 //!   connection", never as data.
 
 use crate::service::JobKey;
-use qcir::Fingerprint;
 use serde_json::{json, Value};
 use std::io::{self, Read, Write};
 
@@ -361,30 +360,8 @@ pub fn decode_key_trace(payload: &[u8]) -> (Option<u64>, bool) {
 
 /// Parses a GET/REMOVE payload back into `(key, oracle_version)`.
 pub fn decode_key(payload: &[u8]) -> Result<(JobKey, String), WireError> {
-    let malformed = WireError::Malformed("key");
-    let text = std::str::from_utf8(payload).map_err(|_| WireError::Malformed("key"))?;
-    let doc: Value = serde_json::from_str(text).map_err(|_| WireError::Malformed("key"))?;
-    let field = |name: &str| doc.get(name).and_then(Value::as_str);
-    let num = |name: &str| doc.get(name).and_then(Value::as_u64);
-    let fp_hex = field("fingerprint").ok_or(WireError::Malformed("key"))?;
-    if fp_hex.len() != 32 {
-        return Err(malformed);
-    }
-    let fingerprint = u128::from_str_radix(fp_hex, 16)
-        .map(Fingerprint)
-        .map_err(|_| WireError::Malformed("key"))?;
-    let key = JobKey {
-        fingerprint,
-        oracle_id: field("oracle_id")
-            .ok_or(WireError::Malformed("key"))?
-            .to_string(),
-        config: popqc_core::PopqcConfig {
-            omega: num("omega").ok_or(WireError::Malformed("key"))? as usize,
-            max_rounds: num("max_rounds").ok_or(WireError::Malformed("key"))? as usize,
-        },
-    };
-    let version = field("oracle_version")
-        .ok_or(WireError::Malformed("key"))?
-        .to_string();
-    Ok((key, version))
+    let malformed = || WireError::Malformed("key");
+    let text = std::str::from_utf8(payload).map_err(|_| malformed())?;
+    let doc: Value = serde_json::from_str(text).map_err(|_| malformed())?;
+    crate::store::decode_key_header(&doc).ok_or_else(malformed)
 }

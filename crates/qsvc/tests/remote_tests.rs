@@ -172,6 +172,59 @@ fn key_documents_round_trip() {
     assert!(wire::decode_key(b"{\"fingerprint\":\"abc\"}").is_err());
 }
 
+/// A disk entry (the PUT path) and a wire key document carry the same
+/// `JobKey` header; one bad header is refused by both, each with its own
+/// error.
+#[test]
+fn entry_and_key_documents_refuse_the_same_bad_headers() {
+    use serde_json::{json, Value};
+    let circuit = sample_circuit();
+    let key = key_for(&circuit, "rule_based", 75);
+    let entry = qsvc::encode_entry(&key, "v3", &run_for(&circuit));
+    let wire_key = String::from_utf8(wire::encode_key(&key, "v3")).unwrap();
+    // `(case, header field, replacement)`; `None` deletes the field.
+    let cases: [(&str, &str, Option<Value>); 7] = [
+        ("short hex", "fingerprint", Some(json!("abc"))),
+        ("non-hex", "fingerprint", Some(json!("z".repeat(32)))),
+        ("no fingerprint", "fingerprint", None),
+        ("no oracle_id", "oracle_id", None),
+        ("no omega", "omega", None),
+        ("no max_rounds", "max_rounds", None),
+        ("no oracle_version", "oracle_version", None),
+    ];
+    let edit = |text: &str, field: &str, value: &Option<Value>| -> String {
+        let Value::Object(mut pairs) = serde_json::from_str(text).unwrap() else {
+            panic!("header documents are objects");
+        };
+        match value {
+            Some(v) => pairs
+                .iter_mut()
+                .filter(|(k, _)| k == field)
+                .for_each(|p| p.1 = v.clone()),
+            None => pairs.retain(|(k, _)| k != field),
+        }
+        serde_json::to_string(&Value::Object(pairs)).unwrap()
+    };
+    assert!(qsvc::decode_entry_owned(&entry).is_ok());
+    assert!(wire::decode_key(wire_key.as_bytes()).is_ok());
+    for (case, field, value) in &cases {
+        assert!(
+            matches!(
+                qsvc::decode_entry_owned(&edit(&entry, field, value)),
+                Err(qsvc::EntryRejection::Corrupt)
+            ),
+            "entry, {case}"
+        );
+        assert!(
+            matches!(
+                wire::decode_key(edit(&wire_key, field, value).as_bytes()),
+                Err(WireError::Malformed("key"))
+            ),
+            "wire key, {case}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 

@@ -526,10 +526,7 @@ fn unknown_and_duplicate_oracles_are_structured_errors() {
             available,
         } => {
             assert_eq!(requested, "nope");
-            assert_eq!(
-                available,
-                &["rule_based", "rule_single_pass", "search", "structural"]
-            );
+            assert_eq!(available, &["rule_based", "rule_single_pass", "structural"]);
         }
         other => panic!("expected UnknownOracle, got {other:?}"),
     }

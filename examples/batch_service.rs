@@ -23,7 +23,7 @@ fn main() {
     );
 
     // The built-in registry: rule_based (default), rule_single_pass,
-    // search — all live behind one service, selected per request.
+    // structural — all live behind one service, selected per request.
     let svc = OptimizationService::new(
         OracleRegistry::builtin(),
         ServiceConfig {

@@ -936,12 +936,12 @@ mod tests {
         settings
     }
 
-    const SERVICE_FLAGS: &str = "--omega 7 --oracle search --workers 3 --threads-per-job 2 \
+    const SERVICE_FLAGS: &str = "--omega 7 --oracle structural --workers 3 --threads-per-job 2 \
         --cache-capacity 11 --seg-cache-capacity 12 --cache-dir d --cache-addr c:2";
 
     fn assert_service_flags_landed(s: &Settings) {
         let c = &s.service;
-        assert_eq!((s.omega, s.oracle.as_deref()), (7, Some("search")));
+        assert_eq!((s.omega, s.oracle.as_deref()), (7, Some("structural")));
         assert_eq!((c.workers, c.threads_per_job), (3, 2));
         assert_eq!((c.cache_capacity, c.seg_cache_capacity), (11, 12));
         assert_eq!(s.cache_dir, Some("d".into()));

@@ -122,9 +122,7 @@ fn distinct_circuits_get_the_cache_off_outputs_and_call_counts() {
 
     let registry = OracleRegistry::builtin();
     for id in registry.ids() {
-        // `search` runs best-first search per segment: at Ω = 200 one call
-        // takes seconds in a debug build, so it gets short segments.
-        let cfg = PopqcConfig::with_omega(if id == "search" { 20 } else { 200 });
+        let cfg = PopqcConfig::with_omega(200);
         let run = |svc: &OptimizationService| -> Vec<_> {
             circuits
                 .iter()

@@ -284,9 +284,10 @@ fn cli_oracles_lists_the_builtin_registry_with_default() {
     let out = run(&["oracles"]);
     assert_success(&out, "oracles");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for id in ["rule_based", "rule_single_pass", "search"] {
+    for id in ["rule_based", "rule_single_pass", "structural"] {
         assert!(stdout.contains(id), "missing {id}: {stdout}");
     }
+    assert!(!stdout.contains("search"), "search is not served: {stdout}");
     assert!(
         stdout.contains("rule_based (default)"),
         "default not marked: {stdout}"
