@@ -33,11 +33,6 @@ pub fn toffoli(c: &mut Circuit, a: Qubit, b: Qubit, t: Qubit) {
         .cnot(a, b);
 }
 
-/// Appends a CZ on `(a, b)`: `H(b)·CNOT(a,b)·H(b)`.
-pub fn cz(c: &mut Circuit, a: Qubit, b: Qubit) {
-    c.h(b).cnot(a, b).h(b);
-}
-
 /// Appends a controlled-RZ(θ) on `(ctrl, tgt)`:
 /// `RZ(tgt,θ/2)·CNOT·RZ(tgt,−θ/2)·CNOT` (exact).
 pub fn crz(c: &mut Circuit, ctrl: Qubit, tgt: Qubit, theta_num: i64, theta_den: i64) {

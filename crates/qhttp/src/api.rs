@@ -469,11 +469,12 @@ impl AppState {
     }
 
     fn handle_metrics(&self) -> Response {
-        // Store occupancy is pull-synced at scrape time (one stats read)
-        // instead of being mirrored on every put; everything else in the
-        // registry is updated at its event site.
-        qsvc::metrics::sync_store_gauges(&self.svc.store().stats());
-        Response::text_with_type(200, "text/plain; version=0.0.4", qobs::render())
+        // This service's and this frontend's counters are copied into the
+        // registry at scrape time, so the scrape reports this instance;
+        // process-wide series are rendered as they stand.
+        let net = self.net_stats.lock().expect("net stats poisoned").clone();
+        let text = qsvc::metrics::render_scrape(&self.svc, net.as_deref());
+        Response::text_with_type(200, "text/plain; version=0.0.4", text)
     }
 
     /// The routing table proper; [`Handler::handle`] wraps it with

@@ -22,14 +22,16 @@
 //! 1. **Rate limit** — the per-peer-IP token bucket (`--rate-limit`).
 //!    A refusal answers 429 `rate_limited` with a computed
 //!    `Retry-After`, keeps the connection alive (bodyless requests),
-//!    and counts into `popqc_net_rate_limited_total`. A request
-//!    admitted at the pre-check is not charged a second token here.
+//!    and counts into the server's [`NetStats`], which a scrape copies
+//!    into `popqc_net_rate_limited_total`. A request admitted at the
+//!    pre-check is not charged a second token here.
 //! 2. **Load shedding** — requests that would enqueue oracle work
 //!    (`POST /v1/optimize`, `POST /v1/batch`) are refused with 503
 //!    `overloaded` + `Retry-After` when the service's job queue is at
-//!    `--shed-queue-depth` (`popqc_net_shed_total`). Cheap reads
-//!    (stats, metrics, health, job polling) are never shed — they are
-//!    exactly what an operator needs during an overload.
+//!    `--shed-queue-depth` (counted in `NetStats` too, scraped as
+//!    `popqc_net_shed_total`). Cheap reads (stats, metrics, health, job
+//!    polling) are never shed — they are exactly what an operator needs
+//!    during an overload.
 //! 3. **Dispatch** — everything else runs on the qnet dispatcher pool,
 //!    which bounds concurrently *executing* requests.
 //!

@@ -152,10 +152,6 @@ fn first_scrape_lists_the_full_typed_inventory() {
         ("popqc_segcache_misses_total", "counter"),
         ("popqc_segcache_evictions_total", "counter"),
         ("popqc_segcache_lookup_duration_seconds", "histogram"),
-        // cache server (`popqc cached`)
-        ("popqc_cached_requests_total", "counter"),
-        ("popqc_cached_entries", "gauge"),
-        ("popqc_cached_bytes", "gauge"),
         // executor
         ("popqc_exec_tasks_total", "counter"),
         ("popqc_exec_steals_total", "counter"),

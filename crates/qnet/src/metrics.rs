@@ -1,13 +1,12 @@
-//! Process-wide `popqc_net_*` metric families.
+//! The `popqc_net_*` metric families.
 //!
-//! These mirror the per-server [`NetStats`](crate::NetStats) counters
-//! into the `popqc-obs` registry so `GET /v1/metrics` exposes the
-//! connection layer next to the job, cache, and executor series. When
-//! several servers run in one process (e.g. the differential test suite)
-//! the global series aggregate across them; per-server numbers come from
-//! `NetStats`.
+//! Nothing here counts an event: each server's
+//! [`NetStats`](crate::NetStats) is the record, and the scrape that
+//! renders `GET /v1/metrics` sets these families from the serving
+//! frontend's `NetStats` first, so a scrape reports the server that
+//! answers it.
 
-/// Connections currently open across all servers in this process.
+/// Connections the serving frontend has open.
 pub fn connections_open() -> &'static qobs::Gauge {
     qobs::static_gauge!(
         "popqc_net_connections_open",
@@ -15,7 +14,7 @@ pub fn connections_open() -> &'static qobs::Gauge {
     )
 }
 
-/// Lifetime accepted-connection count.
+/// Connections the serving frontend accepted.
 pub fn connections_total() -> &'static qobs::Counter {
     qobs::static_counter!(
         "popqc_net_connections_total",
@@ -56,15 +55,4 @@ pub fn write_stalls_total() -> &'static qobs::Counter {
         "Responses that could not be written in one sweep because the \
          peer was not draining its receive window."
     )
-}
-
-/// Registers every `popqc_net_*` family so a scrape shows the full
-/// inventory (with typed headers) before the first connection arrives.
-pub fn describe_metrics() {
-    connections_open();
-    connections_total();
-    shed_total();
-    rate_limited_total();
-    deadline_closes_total();
-    write_stalls_total();
 }

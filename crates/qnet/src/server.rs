@@ -394,7 +394,6 @@ impl NetServer {
         config: NetConfig,
         stats: Arc<NetStats>,
     ) -> std::io::Result<NetServer> {
-        crate::metrics::describe_metrics();
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let loop_threads = config.loop_threads.max(1);

@@ -1,9 +1,10 @@
 //! Per-server connection counters.
 //!
-//! Each [`NetServer`](crate::NetServer) owns one `Arc<NetStats>` so tests
-//! (and `/v1/stats`) can observe a *single* frontend even when several run
-//! in one process; every increment is mirrored into the process-wide
-//! `popqc_net_*` series in [`crate::metrics`] for Prometheus scrapes.
+//! Each [`NetServer`](crate::NetServer) owns one `Arc<NetStats>`, the only
+//! record of what it counts: `/v1/stats` reads it, and a `/v1/metrics`
+//! scrape copies it into the `popqc_net_*` families of
+//! [`crate::metrics`] just before rendering, so several servers in one
+//! process never share or double-count a cell.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
@@ -25,41 +26,34 @@ impl NetStats {
     pub fn conn_opened(&self) {
         self.connections_open.fetch_add(1, Relaxed);
         self.connections_accepted.fetch_add(1, Relaxed);
-        crate::metrics::connections_open().inc();
-        crate::metrics::connections_total().inc();
     }
 
     /// Records a closed connection.
     pub fn conn_closed(&self) {
         self.connections_open.fetch_sub(1, Relaxed);
-        crate::metrics::connections_open().add(-1);
     }
 
     /// Records a request refused by queue-depth load shedding (driver
     /// answered inline instead of dispatching).
     pub fn shed(&self) {
         self.requests_shed.fetch_add(1, Relaxed);
-        crate::metrics::shed_total().inc();
     }
 
     /// Records a request refused by the per-peer rate limiter.
     pub fn rate_limit_hit(&self) {
         self.rate_limited.fetch_add(1, Relaxed);
-        crate::metrics::rate_limited_total().inc();
     }
 
     /// Records a connection closed by the read deadline (slowloris or
     /// idle keep-alive).
     pub fn deadline_close(&self) {
         self.deadline_closes.fetch_add(1, Relaxed);
-        crate::metrics::deadline_closes_total().inc();
     }
 
     /// Records a write that could not complete in one sweep (peer not
     /// draining; the response stays buffered without blocking the loop).
     pub fn write_stall(&self) {
         self.write_stalls.fetch_add(1, Relaxed);
-        crate::metrics::write_stalls_total().inc();
     }
 
     /// Connections currently open.

@@ -11,7 +11,8 @@
 //! Three instrument kinds, all with relaxed-atomic hot paths:
 //!
 //! * [`Counter`] — monotonic `u64`; `inc`/`add` are one relaxed
-//!   `fetch_add`.
+//!   `fetch_add`, and `set` copies in a count kept elsewhere at scrape
+//!   time.
 //! * [`Gauge`] — settable `i64` (queue depths, pool sizes, resident
 //!   bytes).
 //! * [`Histogram`] — fixed bucket bounds chosen at registration; each

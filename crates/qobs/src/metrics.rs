@@ -29,6 +29,13 @@ impl Counter {
         self.value.fetch_add(n, Relaxed);
     }
 
+    /// Overwrites the value with `v`, for a counter whose record lives
+    /// elsewhere: a scrape copies a monotonic per-instance count in just
+    /// before rendering, and nothing else moves the counter.
+    pub fn set(&self, v: u64) {
+        self.value.store(v, Relaxed);
+    }
+
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Relaxed)
@@ -496,6 +503,8 @@ mod tests {
         assert_eq!(c.get(), 3);
         // Re-registration returns the SAME cell.
         assert_eq!(counter("qobs_test_counter_total", "test").get(), 3);
+        c.set(7);
+        assert_eq!(c.get(), 7);
 
         let g = gauge("qobs_test_gauge", "test");
         g.set(5);

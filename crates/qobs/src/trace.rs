@@ -59,11 +59,6 @@ pub fn capacity() -> usize {
     CAPACITY.load(Relaxed)
 }
 
-/// The configured slow-trace threshold.
-pub fn slow_threshold() -> Duration {
-    Duration::from_nanos(SLOW_NANOS.load(Relaxed))
-}
-
 fn trace_id_seed() -> u64 {
     static SEED: OnceLock<u64> = OnceLock::new();
     *SEED.get_or_init(|| {

@@ -166,11 +166,8 @@ impl<K: Hash + Eq + Clone, V> ShardedLruCache<K, V> {
     }
 
     /// Inserts `value` under `key`, evicting LRU entries if the shard is
-    /// full. Re-inserting an existing key refreshes it in place. Returns
-    /// how many entries were evicted (callers keeping their own eviction
-    /// accounting — the segment-cache layer — use this; everyone else
-    /// ignores it).
-    pub fn insert(&self, key: K, value: Arc<V>) -> u64 {
+    /// full. Re-inserting an existing key refreshes it in place.
+    pub fn insert(&self, key: K, value: Arc<V>) {
         let evicted = self
             .shard_for(&key)
             .lock()
@@ -179,7 +176,6 @@ impl<K: Hash + Eq + Clone, V> ShardedLruCache<K, V> {
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Relaxed);
         }
-        evicted
     }
 
     /// Removes `key` if present; returns whether an entry was dropped.

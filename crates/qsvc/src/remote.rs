@@ -206,7 +206,6 @@ impl RemoteStore {
     fn request(&self, req: &Frame) -> Result<Frame, ()> {
         if self.breaker_open() {
             self.errors.fetch_add(1, Relaxed);
-            metrics::remote_errors().inc();
             return Err(());
         }
         let mut attempt = 0u32;
@@ -233,7 +232,6 @@ impl RemoteStore {
                         );
                         self.trip_breaker();
                         self.errors.fetch_add(1, Relaxed);
-                        metrics::remote_errors().inc();
                         return Err(());
                     }
                     std::thread::sleep(self.cfg.backoff * attempt);
@@ -292,21 +290,17 @@ impl ResultStore for RemoteStore {
                 match run {
                     Some(run) => {
                         self.hits.fetch_add(1, Relaxed);
-                        metrics::remote_hits().inc();
                         Some(Arc::new(run))
                     }
                     None => {
                         self.errors.fetch_add(1, Relaxed);
-                        metrics::remote_errors().inc();
                         self.misses.fetch_add(1, Relaxed);
-                        metrics::remote_misses().inc();
                         None
                     }
                 }
             }
             Ok(_) | Err(()) => {
                 self.misses.fetch_add(1, Relaxed);
-                metrics::remote_misses().inc();
                 None
             }
         };
@@ -341,7 +335,6 @@ impl ResultStore for RemoteStore {
             self.request(&req).is_ok()
         } else {
             self.errors.fetch_add(1, Relaxed);
-            metrics::remote_errors().inc();
             false
         };
         if let Some(mut span) = span {
@@ -452,7 +445,6 @@ impl CacheServer {
         store: Arc<dyn ResultStore>,
         cfg: CacheServerConfig,
     ) -> io::Result<CacheServer> {
-        sync_server_gauges(&store.stats());
         let served = Arc::new(Served {
             store,
             versions: Mutex::new(HashMap::new()),
@@ -507,12 +499,10 @@ impl Driver for WireDriver {
             Ok(Some(frame)) => {
                 let served = Arc::clone(&self.0);
                 out.push(Action::Dispatch(Box::new(move || {
-                    metrics::cached_requests(frame.op.name()).inc();
                     (dispatch(&frame, &served).encode(), true)
                 })));
             }
             Err(violation) => {
-                metrics::cached_requests("invalid").inc();
                 let msg = violation.to_string().into_bytes();
                 out.push(Action::Respond {
                     bytes: Frame::new(Op::Error, msg).encode(),
@@ -521,15 +511,6 @@ impl Driver for WireDriver {
             }
         }
     }
-}
-
-/// Mirrors a report of the served store into the server-side entry/byte
-/// gauges. Reading a memory tier's bytes walks every resident entry, so
-/// this runs where a report is built anyway (start-up and `STATS`), not
-/// after every frame.
-fn sync_server_gauges(report: &qapi::CacheReport) {
-    metrics::cached_entries().set(report.entries.min(i64::MAX as u64) as i64);
-    metrics::cached_bytes().set(report.bytes.min(i64::MAX as u64) as i64);
 }
 
 /// The GET path of [`dispatch`]: version gate, then the backing store,
@@ -659,16 +640,12 @@ fn dispatch(frame: &Frame, served: &Served) -> Frame {
             served.versions.lock().expect("versions poisoned").clear();
             Frame::new(Op::Count, store.clear().to_be_bytes().to_vec())
         }
-        Op::Stats => {
-            let report = store.stats();
-            sync_server_gauges(&report);
-            Frame::new(
-                Op::Report,
-                serde_json::to_string(&report.to_json())
-                    .expect("serialize cache report")
-                    .into_bytes(),
-            )
-        }
+        Op::Stats => Frame::new(
+            Op::Report,
+            serde_json::to_string(&store.stats().to_json())
+                .expect("serialize cache report")
+                .into_bytes(),
+        ),
         _ => error("not a request opcode"),
     }
 }

@@ -273,15 +273,14 @@ pub fn derive_template(
 }
 
 /// The service-owned segment cache: a bounded [`ShardedLruCache`] of
-/// segment entries plus hit/miss accounting (one count per engine lookup)
-/// and eviction bookkeeping for the Prometheus counters.
+/// segment entries plus hit/miss accounting (one count per engine lookup;
+/// evictions are the cache's own count).
 pub struct SegmentCacheLayer {
     /// `None` when `capacity == 0`: every hook call is a cheap no-op.
     cache: Option<ShardedLruCache<SegKey, SegEntry>>,
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
 }
 
 impl SegmentCacheLayer {
@@ -293,7 +292,6 @@ impl SegmentCacheLayer {
             capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
         }
     }
 
@@ -313,13 +311,18 @@ impl SegmentCacheLayer {
     /// entries/evictions), as `ServiceStats::seg_cache` and
     /// `GET /v1/stats` carry them.
     pub fn stats(&self) -> qapi::SegmentCacheReport {
+        let storage = self
+            .cache
+            .as_ref()
+            .map(ShardedLruCache::stats)
+            .unwrap_or_default();
         qapi::SegmentCacheReport {
             enabled: self.enabled(),
             capacity: self.capacity as u64,
-            entries: self.cache.as_ref().map_or(0, ShardedLruCache::len) as u64,
+            entries: storage.entries as u64,
             hits: self.hits.load(Relaxed),
             misses: self.misses.load(Relaxed),
-            evictions: self.evictions.load(Relaxed),
+            evictions: storage.evictions,
         }
     }
 
@@ -364,11 +367,8 @@ impl SegmentCacheLayer {
     }
 
     fn record_put(&self, key: SegKey, entry: SegEntry) {
-        let Some(cache) = &self.cache else { return };
-        let evicted = cache.insert(key, Arc::new(entry));
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Relaxed);
-            metrics::segcache_evictions().add(evicted);
+        if let Some(cache) = &self.cache {
+            cache.insert(key, Arc::new(entry));
         }
     }
 }
@@ -434,15 +434,9 @@ impl popqc_core::SegmentCacheHook<Gate> for JobSegmentCache<'_> {
         }
         drop(timer);
         match &result {
-            Some(_) => {
-                self.layer.hits.fetch_add(1, Relaxed);
-                metrics::segcache_hits().inc();
-            }
-            None => {
-                self.layer.misses.fetch_add(1, Relaxed);
-                metrics::segcache_misses().inc();
-            }
-        }
+            Some(_) => self.layer.hits.fetch_add(1, Relaxed),
+            None => self.layer.misses.fetch_add(1, Relaxed),
+        };
         result
     }
 

@@ -54,7 +54,7 @@
 //!   independent retries, and the worker thread survives.
 
 use crate::cache::CACHE_SHARDS;
-use crate::metrics;
+use crate::metrics::{self, OracleCounters};
 use crate::segcache::SegmentCacheLayer;
 use crate::store::{CachedRun, MemoryStore, ResultStore};
 use popqc_core::{Engine, PopqcConfig, PopqcStats, RoundObserver, RoundRecord};
@@ -669,7 +669,6 @@ impl Drop for InflightGuard<'_> {
                 enqueued_at: w.attached_at,
                 trace: w.trace,
             });
-            metrics::queue_depth().inc();
             self.work_ready.notify_one();
         }
     }
@@ -689,10 +688,11 @@ struct Inner {
     /// by the worker that finishes it.
     inflight: Mutex<HashMap<JobKey, Vec<Waiter>>>,
     shutdown: AtomicBool,
+    /// One entry per registered oracle, in registry order: the job
+    /// outcome counters `completed`, `cache_hits` and `coalesced` are
+    /// summed from, and the oracle's latency histograms.
+    oracles: Vec<OracleCounters>,
     submitted: AtomicU64,
-    completed: AtomicU64,
-    cache_hits: AtomicU64,
-    coalesced: AtomicU64,
     failed: AtomicU64,
     oracle_calls_issued: AtomicU64,
     /// Construction time, for the uptime gauge in stats and scrapes.
@@ -751,7 +751,7 @@ impl RoundObserver for SlotProgress<'_> {
 /// added cost per call is an `Instant` pair and one relaxed bucket add.
 struct TimedOracle<'a> {
     inner: &'a (dyn SegmentOracle<Gate> + Send + Sync),
-    histogram: Arc<qobs::Histogram>,
+    histogram: &'a qobs::Histogram,
     /// Carried explicitly (not via the thread-local context) because
     /// `optimize` runs on qexec pool threads that never install one.
     trace: qobs::trace::TraceHandle,
@@ -800,28 +800,35 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 }
 
 impl Inner {
+    /// The counters of the registered oracle `id` (every job key carries
+    /// a registry id).
+    fn oracle(&self, id: &str) -> &OracleCounters {
+        self.oracles
+            .iter()
+            .find(|o| o.id == id)
+            .expect("job keys carry registered oracle ids")
+    }
+
     fn complete(&self, slot: &JobSlot, result: JobResult) {
-        if result.cache_hit {
-            self.cache_hits.fetch_add(1, Relaxed);
-        }
-        self.completed.fetch_add(1, Relaxed);
         // Every completion path funnels through here, so this is the one
         // place the per-oracle outcome counters and the submit→done
         // latency histogram are maintained.
         let oracle = result.key.oracle_id.as_str();
-        if result.cache_hit {
-            if result.coalesced {
-                metrics::jobs_coalesced(oracle).inc();
-            } else {
-                metrics::cache_hits(oracle).inc();
-            }
+        let counters = self.oracle(oracle);
+        let outcome = if result.coalesced {
+            &counters.coalesced
+        } else if result.cache_hit {
+            &counters.hits
         } else {
-            metrics::cache_misses(oracle).inc();
             if result.error.is_none() {
                 metrics::rounds_to_fixpoint().observe(result.stats.rounds as f64);
             }
-        }
-        metrics::job_duration(oracle).observe((result.queue_nanos + result.run_nanos) as f64 / 1e9);
+            &counters.misses
+        };
+        outcome.fetch_add(1, Relaxed);
+        counters
+            .job_duration
+            .observe((result.queue_nanos + result.run_nanos) as f64 / 1e9);
         qobs::log_debug!(
             target: "qsvc",
             "job done",
@@ -846,7 +853,6 @@ impl Inner {
             .expect("inflight table poisoned")
             .remove(key);
         for w in waiters.into_iter().flatten() {
-            self.coalesced.fetch_add(1, Relaxed);
             if w.trace.handle.enabled() {
                 // The waiter's whole service-side story is one span: from
                 // attaching onto the in-flight computation to being
@@ -960,7 +966,7 @@ impl Inner {
         // error-shaped result so its client unblocks.
         let timed_oracle = TimedOracle {
             inner: job.oracle.as_ref(),
-            histogram: metrics::oracle_call_duration(&job.key.oracle_id),
+            histogram: &self.oracle(&job.key.oracle_id).oracle_call_duration,
             trace: trace.clone(),
             engine_span: engine_span_id,
         };
@@ -1007,7 +1013,6 @@ impl Inner {
                 drop(guard); // armed: removes the in-flight entry, re-enqueues waiters
                 let run_nanos = t0.elapsed().as_nanos() as u64;
                 self.failed.fetch_add(1, Relaxed);
-                metrics::jobs_failed().inc();
                 qobs::log_error!(
                     target: "qsvc",
                     "job failed",
@@ -1085,7 +1090,6 @@ impl Inner {
                 let mut q = self.queue.lock().expect("job queue poisoned");
                 loop {
                     if let Some(job) = q.pop_front() {
-                        metrics::queue_depth().dec();
                         break job;
                     }
                     if self.shutdown.load(Relaxed) {
@@ -1162,10 +1166,12 @@ impl OptimizationService {
             work_ready: Condvar::new(),
             inflight: Mutex::new(HashMap::new()),
             shutdown: AtomicBool::new(false),
+            oracles: registry
+                .ids()
+                .into_iter()
+                .map(OracleCounters::new)
+                .collect(),
             submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
             failed: AtomicU64::new(0),
             oracle_calls_issued: AtomicU64::new(0),
             started: Instant::now(),
@@ -1342,7 +1348,6 @@ impl OptimizationService {
             let mut q = self.inner.queue.lock().expect("job queue poisoned");
             q.push_back(job);
         }
-        metrics::queue_depth().inc();
         self.inner.work_ready.notify_one();
         JobHandle { slot }
     }
@@ -1390,11 +1395,17 @@ impl OptimizationService {
 
     /// Point-in-time service counters.
     pub fn stats(&self) -> ServiceStats {
+        let (mut hits, mut misses, mut coalesced) = (0, 0, 0);
+        for o in &self.inner.oracles {
+            hits += o.hits.load(Relaxed);
+            misses += o.misses.load(Relaxed);
+            coalesced += o.coalesced.load(Relaxed);
+        }
         ServiceStats {
             submitted: self.inner.submitted.load(Relaxed),
-            completed: self.inner.completed.load(Relaxed),
-            cache_hits: self.inner.cache_hits.load(Relaxed),
-            coalesced: self.inner.coalesced.load(Relaxed),
+            completed: hits + misses + coalesced,
+            cache_hits: hits + coalesced,
+            coalesced,
             failed: self.inner.failed.load(Relaxed),
             oracle_calls_issued: self.inner.oracle_calls_issued.load(Relaxed),
             store: self.inner.store.stats(),
@@ -1410,6 +1421,11 @@ impl OptimizationService {
     /// against its `--shed-queue-depth` threshold before enqueueing.
     pub fn queue_depth(&self) -> usize {
         self.inner.queue.lock().expect("job queue poisoned").len()
+    }
+
+    /// The per-oracle job counters, in registry order.
+    pub(crate) fn oracle_counters(&self) -> &[OracleCounters] {
+        &self.inner.oracles
     }
 
     /// The result store this service memoizes into.

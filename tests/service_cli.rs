@@ -252,12 +252,65 @@ fn cli_serve_answers_health_and_optimize_over_loopback() {
     let health = send("/healthz", "");
     assert!(health.starts_with("HTTP/1.1 200"), "got: {health}");
 
+    // Each optimize is followed by a scrape: the identical repeat must
+    // show a cache hit that issued no oracle call.
+    let scrape = || {
+        let reply = send("/v1/metrics", "");
+        assert!(reply.starts_with("HTTP/1.1 200"), "got: {reply}");
+        reply
+            .split_once("\r\n\r\n")
+            .expect("header/body split")
+            .1
+            .to_string()
+    };
+    let sample = |scrape: &str, series: &str| -> f64 {
+        scrape
+            .lines()
+            .find_map(|l| l.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("no sample {series} in:\n{scrape}"))
+    };
     let qasm = "OPENQASM 2.0;\nqreg q[2];\nh q[0];\nh q[0];\ncx q[0],q[1];\n";
     let reply = send("/v1/optimize", qasm);
     assert!(reply.starts_with("HTTP/1.1 200"), "got: {reply}");
     assert!(reply.contains("\"cache_hit\":false"), "got: {reply}");
+    let cold = scrape();
     let reply = send("/v1/optimize", qasm);
     assert!(reply.contains("\"cache_hit\":true"), "got: {reply}");
+    let warm = scrape();
+
+    // The series the README's inventory promises, on the release binary.
+    for series in [
+        "popqc_oracle_call_duration_seconds_bucket",
+        "popqc_cache_hits_total",
+        "popqc_cache_misses_total",
+        "popqc_exec_steals_total",
+        "popqc_http_requests_total",
+        "popqc_http_request_duration_seconds_bucket",
+        "popqc_net_connections_open",
+        "popqc_net_shed_total",
+        "popqc_rounds_to_fixpoint_count",
+        "popqc_store_entries",
+    ] {
+        assert!(
+            warm.lines().any(|l| l.starts_with(series)),
+            "missing series {series} in:\n{warm}"
+        );
+    }
+    let calls = r#"popqc_oracle_call_duration_seconds_count{oracle="rule_based"}"#;
+    assert!(
+        sample(&cold, calls) > 0.0,
+        "the cold POST timed no oracle call"
+    );
+    assert_eq!(
+        sample(&warm, calls),
+        sample(&cold, calls),
+        "the cache hit re-ran the oracle"
+    );
+    let hits = r#"popqc_cache_hits_total{oracle="rule_based"}"#;
+    assert!(
+        sample(&warm, hits) >= 1.0,
+        "the hit counter did not advance"
+    );
 }
 
 /// Kills the `popqc serve` child on drop, including on panic.
