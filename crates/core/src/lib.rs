@@ -8,9 +8,10 @@
 //!
 //! The pieces, mapped to the paper:
 //!
-//! * [`index_tree::IndexTree`] — the weighted complete binary tree of
-//!   Section 3 / Figure 1 that locates live gates among tombstones in
-//!   O(lg n).
+//! * [`index_tree::IndexTree`] — the weighted tree of Section 3 /
+//!   Figure 1 that locates live gates among tombstones in O(lg n): a
+//!   liveness bitmap (one bit per slot) under a complete binary count
+//!   tree over 64-slot blocks.
 //! * [`sparse::SparseCircuit`] — the Algorithm 1 interface: `create`,
 //!   `before`, `get`, `substitute`, `gates` (here `to_units`, and the
 //!   consuming `into_units` the engine ends with), with the stated cost

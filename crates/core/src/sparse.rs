@@ -29,12 +29,6 @@ impl<U: Clone + Send + Sync> SparseCircuit<U> {
         }
     }
 
-    /// Number of slots (live + tombstones).
-    #[inline]
-    pub fn num_slots(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Number of live units.
     #[inline]
     pub fn len(&self) -> usize {
@@ -48,7 +42,7 @@ impl<U: Clone + Send + Sync> SparseCircuit<U> {
     }
 
     /// `before` (Algorithm 1): live units strictly before slot `phys`.
-    /// `phys == num_slots()` acts as an end sentinel. O(lg n).
+    /// `phys` one past the last slot acts as an end sentinel. O(lg n).
     #[inline]
     pub fn before(&self, phys: usize) -> usize {
         self.tree.before(phys)
@@ -87,8 +81,9 @@ impl<U: Clone + Send + Sync> SparseCircuit<U> {
     /// repairs the index tree. Slots must be distinct and sorted ascending —
     /// guaranteed by the engine because selected fingers are non-interfering
     /// (Lemma 5) — and the batch is checked in every build, because the
-    /// parallel write below is only sound for distinct slots.
-    /// O(l·lg n) work, O(lg n) span.
+    /// parallel write below is only sound for distinct slots. Only the
+    /// updates that turn a unit into a tombstone or back reach the tree.
+    /// O(l + f·lg n) work for `f` such flips, O(lg n) span.
     pub fn substitute(&mut self, updates: Vec<Update<U>>) {
         if updates.is_empty() {
             return;
@@ -97,10 +92,7 @@ impl<U: Clone + Send + Sync> SparseCircuit<U> {
             updates.windows(2).all(|w| w[0].0 < w[1].0),
             "substitute slots must be sorted and distinct"
         );
-        let leaf_updates: Vec<(usize, u32)> = updates
-            .iter()
-            .map(|(s, u)| (*s, u.is_some() as u32))
-            .collect();
+        let flips = self.leaf_flips(&updates);
         {
             let writer = DisjointWriter::new(&mut self.slots);
             qexec::par_map_range(updates.len(), PAR_THRESHOLD, |i| {
@@ -111,7 +103,19 @@ impl<U: Clone + Send + Sync> SparseCircuit<U> {
                 unsafe { writer.write(*slot, unit.clone()) };
             });
         }
-        self.tree.update_leaves(&leaf_updates);
+        self.tree.update_leaves(&flips);
+    }
+
+    /// The leaf updates of a `substitute` batch that change a weight, so
+    /// the batch built for the tree holds one entry per flip, not one per
+    /// update. An accepted segment rewrites its head in place and
+    /// tombstones its tail, so only the tail is here.
+    fn leaf_flips(&self, updates: &[Update<U>]) -> Vec<(usize, u32)> {
+        updates
+            .iter()
+            .map(|(slot, unit)| (*slot, unit.is_some() as u32))
+            .filter(|&(slot, weight)| self.tree.leaf(slot) != weight)
+            .collect()
     }
 
     /// `gates` (Algorithm 1): the live units in order, tombstones dropped.
@@ -123,12 +127,15 @@ impl<U: Clone + Send + Sync> SparseCircuit<U> {
 
     /// [`to_units`](Self::to_units) for a circuit that is done with: it
     /// compacts the slot array in place instead of cloning every live
-    /// unit into a second O(n) buffer. O(n) work and span.
+    /// unit into a second O(n) buffer, then gives back the capacity the
+    /// tombstones held. O(n) work and span.
     pub fn into_units(self) -> Vec<U> {
         // Not `.flatten()`: only `filter_map` over `vec::IntoIter` collects
         // into the source allocation.
         #[allow(clippy::filter_map_identity)]
-        self.slots.into_iter().filter_map(|s| s).collect()
+        let mut units: Vec<U> = self.slots.into_iter().filter_map(|s| s).collect();
+        units.shrink_to_fit();
+        units
     }
 }
 
@@ -191,6 +198,32 @@ mod tests {
             .iter()
             .enumerate()
             .all(|(k, &v)| v == 2 * k as u64 + 1));
+    }
+
+    #[test]
+    fn accepted_segment_flips_only_its_tail() {
+        let mut c = SparseCircuit::create((0..1000).collect::<Vec<u32>>());
+        // A segment over slots 100..500 optimized to 200 units: the head
+        // is rewritten in place, the tail padded with tombstones.
+        let batch: Vec<Update<u32>> = (100..300)
+            .map(|s| (s, Some(s as u32 + 7)))
+            .chain((300..500).map(|s| (s, None)))
+            .collect();
+        let flips = c.leaf_flips(&batch);
+        assert_eq!(flips, (300..500).map(|s| (s, 0)).collect::<Vec<_>>());
+        c.substitute(batch);
+        assert_eq!(c.len(), 800);
+        assert_eq!(c.get(100), Some(&107));
+        assert_eq!(c.get(300), Some(&500));
+    }
+
+    #[test]
+    fn into_units_returns_a_right_sized_vector() {
+        let mut c = SparseCircuit::create((0..10_000).collect::<Vec<u64>>());
+        c.substitute((0..10_000).step_by(3).map(|i| (i, None)).collect());
+        let units = c.into_units();
+        assert_eq!(units.len(), 6_666);
+        assert_eq!(units.capacity(), units.len());
     }
 
     /// A unit that counts its drops.

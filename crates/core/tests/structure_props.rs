@@ -165,3 +165,67 @@ proptest! {
         }
     }
 }
+
+/// popqc-core's minimum parallel chunk for the index tree and the slot
+/// writes (`index_tree::PAR_THRESHOLD`, crate-private).
+const PAR_THRESHOLD: usize = 1 << 12;
+
+/// One width-3 `substitute` batch large enough to run in parallel chunks,
+/// whose flips cut at chunk boundaries land inside 64-slot bitmap words:
+/// tombstone six of every seven slots, then revive every other one of
+/// them while rewriting every seventh in place.
+#[test]
+fn wide_substitute_with_chunks_splitting_bitmap_words_matches_model() {
+    let n = 3 << 18;
+    let initial: Vec<u32> = (0..n as u32).collect();
+    let mut model = Model(initial.iter().copied().map(Some).collect());
+    let mut sc = qexec::with_width(3, || SparseCircuit::create(initial));
+    let tombstone: Vec<(usize, Option<u32>)> =
+        (0..n).filter(|s| s % 7 != 0).map(|s| (s, None)).collect();
+    let revive: Vec<(usize, Option<u32>)> = (0..n)
+        .filter(|s| s % 7 == 0 || s % 2 == 1)
+        .map(|s| (s, Some(s as u32 ^ 0x5555)))
+        .collect();
+    for batch in [tombstone, revive] {
+        let flips = batch
+            .iter()
+            .filter(|(s, v)| model.0[*s].is_some() != v.is_some())
+            .count();
+        assert!(flips >= 2 * PAR_THRESHOLD);
+        // Where a width-3 map over this batch cuts its chunks (README,
+        // "One op"): some cut falls between two slots of one word.
+        let chunk = batch.len().div_ceil(8 * 3).max(PAR_THRESHOLD);
+        assert!((chunk..batch.len())
+            .step_by(chunk)
+            .any(|i| batch[i - 1].0 / 64 == batch[i].0 / 64));
+        qexec::with_width(3, || sc.substitute(batch.clone()));
+        for (s, v) in batch {
+            model.0[s] = v;
+        }
+        assert_eq!(sc.len(), model.units().len());
+        assert_eq!(sc.to_units(), model.units());
+        for probe in [0usize, 1, 63, 64, 65, n / 3, n / 2, n - 1, n] {
+            assert_eq!(sc.before(probe), model.before(probe), "before({probe})");
+        }
+        // The model's live slots, so a whole-circuit run is checked in
+        // O(n) rather than one O(n) model select per rank.
+        let live: Vec<usize> = (0..n).filter(|&s| model.0[s].is_some()).collect();
+        for rank in [
+            0usize,
+            1,
+            sc.len() / 3,
+            sc.len() / 2,
+            sc.len() - 1,
+            sc.len(),
+        ] {
+            assert_eq!(sc.select(rank), model.select(rank), "select({rank})");
+        }
+        check_select_run(
+            sc.len(),
+            |r| live.get(r).copied(),
+            |rank, len, out| sc.select_run(rank, len, out),
+            &[(0, 500), (sc.len() / 2, 400)],
+        );
+    }
+    assert_eq!(sc.into_units(), model.units());
+}

@@ -23,6 +23,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 fn service(workers: usize) -> OptimizationService {
+    // The access log writes one `info` line per request to stderr,
+    // which the test harness does not capture.
+    qobs::set_log_filter("warn").expect("valid log filter");
     OptimizationService::new(
         OracleRegistry::builtin(),
         ServiceConfig {
@@ -274,6 +277,7 @@ impl SegmentOracle<Gate> for GatedOracle {
 /// new work is accepted again.
 #[test]
 fn shed_answers_fast_503_with_retry_after_and_recovers() {
+    qobs::set_log_filter("warn").expect("valid log filter");
     let released = Arc::new((Mutex::new(false), Condvar::new()));
     let svc = OptimizationService::single(
         GatedOracle {

@@ -22,6 +22,9 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
 fn start_server() -> EventedServer {
+    // The access log writes one `info` line per request to stderr,
+    // which the test harness does not capture.
+    qobs::set_log_filter("warn").expect("valid log filter");
     let svc = OptimizationService::new(
         OracleRegistry::builtin(),
         ServiceConfig {

@@ -27,6 +27,9 @@ use std::sync::{Arc, Condvar, Mutex};
 /// Serves `state` on an ephemeral loopback port in the including crate's
 /// configuration.
 fn serve_state(state: Arc<AppState>) -> EventedServer {
+    // The access log writes one `info` line per request to stderr,
+    // which the test harness does not capture.
+    qobs::set_log_filter("warn").expect("valid log filter");
     EventedServer::serve("127.0.0.1:0", state, crate::config()).expect("bind loopback")
 }
 

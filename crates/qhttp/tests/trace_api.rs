@@ -20,6 +20,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn start_server() -> EventedServer {
+    // The access log writes one `info` line per request to stderr,
+    // which the test harness does not capture.
+    qobs::set_log_filter("warn").expect("valid log filter");
     let svc = OptimizationService::new(
         OracleRegistry::builtin(),
         ServiceConfig {

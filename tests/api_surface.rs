@@ -45,7 +45,10 @@ fn http_and_cli_job_documents_are_byte_identical() {
     let circuit = Family::Vqe.generate(Family::Vqe.ladder(0)[0], 33);
     let qasm = popqc::ir::qasm::to_qasm(&circuit);
 
-    // Surface 1: the HTTP frontend over a registry-based service.
+    // Surface 1: the HTTP frontend over a registry-based service. Its
+    // access log writes one `info` line per request to stderr, which the
+    // test harness does not capture.
+    qobs::set_log_filter("warn").expect("valid log filter");
     let server = EventedServer::serve(
         "127.0.0.1:0",
         Arc::new(AppState::new(
