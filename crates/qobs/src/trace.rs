@@ -367,12 +367,11 @@ impl TraceHandle {
     pub fn span(&self, name: &'static str, parent: u64) -> SpanGuard {
         match &self.inner {
             Some(t) => SpanGuard {
-                trace: Some(Arc::clone(t)),
+                trace: Some((Arc::clone(t), Instant::now())),
                 id: t.next_span.fetch_add(1, Relaxed),
                 parent,
                 name,
                 start_nanos: t.start.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-                started: Instant::now(),
                 attrs: Vec::new(),
             },
             None => SpanGuard {
@@ -381,7 +380,6 @@ impl TraceHandle {
                 parent,
                 name,
                 start_nanos: 0,
-                started: Instant::now(),
                 attrs: Vec::new(),
             },
         }
@@ -537,12 +535,13 @@ impl TraceHandle {
 
 /// A live span: records itself into the trace when dropped.
 pub struct SpanGuard {
-    trace: Option<Arc<ActiveTrace>>,
+    /// The trace and the span's start; `None` on a disabled handle, which
+    /// reads no clock.
+    trace: Option<(Arc<ActiveTrace>, Instant)>,
     id: u64,
     parent: u64,
     name: &'static str,
     start_nanos: u64,
-    started: Instant,
     attrs: Vec<(&'static str, AttrValue)>,
 }
 
@@ -566,13 +565,13 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some(t) = self.trace.take() {
+        if let Some((t, started)) = self.trace.take() {
             t.record(SpanRecord {
                 id: self.id,
                 parent: self.parent,
                 name: self.name,
                 start_nanos: self.start_nanos,
-                duration_nanos: self.started.elapsed().as_nanos().min(u64::MAX as u128) as u64,
+                duration_nanos: started.elapsed().as_nanos().min(u64::MAX as u128) as u64,
                 attrs: std::mem::take(&mut self.attrs),
             });
         }

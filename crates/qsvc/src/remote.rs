@@ -571,13 +571,12 @@ fn dispatch(frame: &Frame, served: &Served) -> Frame {
     let store = &served.store;
     match frame.op {
         Op::Ping => Frame::empty(Op::Pong),
-        Op::Get => match wire::decode_key(&frame.payload) {
-            Ok((key, version)) => {
+        Op::Get => match wire::decode_key_traced(&frame.payload) {
+            Ok((key, version, trace_id, trace_forced)) => {
                 // Join the client's trace when the key document carries
                 // one: the server records its own mini-trace under the
                 // same id, so `popqc trace <id>` against either process
                 // shows the same causal request.
-                let (trace_id, trace_forced) = wire::decode_key_trace(&frame.payload);
                 let trace = match trace_id {
                     Some(id) => qobs::trace::start_trace_with_id("cached_get", id),
                     None => qobs::trace::disabled(),

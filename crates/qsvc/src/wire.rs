@@ -337,31 +337,28 @@ pub fn encode_key_traced(
         .into_bytes()
 }
 
-/// Pulls the optional trace propagation fields off a GET payload:
-/// `(trace_id, trace_forced)`. Absent or unparseable fields read as
-/// "untraced" — propagation is best-effort and never fails a lookup.
-pub fn decode_key_trace(payload: &[u8]) -> (Option<u64>, bool) {
-    let Ok(text) = std::str::from_utf8(payload) else {
-        return (None, false);
-    };
-    let Ok(doc) = serde_json::from_str(text) else {
-        return (None, false);
-    };
-    let id = doc
-        .get("trace_id")
-        .and_then(Value::as_str)
-        .and_then(qobs::trace::parse_id);
-    let forced = doc
-        .get("trace_forced")
-        .and_then(Value::as_bool)
-        .unwrap_or(false);
-    (id, forced)
-}
-
 /// Parses a GET/REMOVE payload back into `(key, oracle_version)`.
 pub fn decode_key(payload: &[u8]) -> Result<(JobKey, String), WireError> {
+    decode_key_traced(payload).map(|(key, version, _, _)| (key, version))
+}
+
+/// Parses a GET payload in one pass: [`decode_key`]'s `(key,
+/// oracle_version)` plus the optional trace propagation fields
+/// `(trace_id, trace_forced)` that [`encode_key_traced`] stamps on.
+/// Absent or unparseable trace fields read as "untraced": propagation is
+/// best-effort and never fails a lookup.
+pub fn decode_key_traced(payload: &[u8]) -> Result<(JobKey, String, Option<u64>, bool), WireError> {
     let malformed = || WireError::Malformed("key");
     let text = std::str::from_utf8(payload).map_err(|_| malformed())?;
     let doc: Value = serde_json::from_str(text).map_err(|_| malformed())?;
-    crate::store::decode_key_header(&doc).ok_or_else(malformed)
+    let (key, version) = crate::store::decode_key_header(&doc).ok_or_else(malformed)?;
+    let trace_id = doc
+        .get("trace_id")
+        .and_then(Value::as_str)
+        .and_then(qobs::trace::parse_id);
+    let trace_forced = doc
+        .get("trace_forced")
+        .and_then(Value::as_bool)
+        .unwrap_or(false);
+    Ok((key, version, trace_id, trace_forced))
 }

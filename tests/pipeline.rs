@@ -225,3 +225,25 @@ fn optimizer_outputs_are_pinned() {
         assert_eq!(got, want, "{}: optimizer output changed", family.name());
     }
 }
+
+/// ROADMAP item 3 step 0: at Ω ≥ n the engine hands the whole circuit to
+/// one oracle call, so its output is the oracle's whole-circuit output,
+/// byte for byte, at every executor width.
+#[test]
+fn omega_at_least_n_equals_the_whole_circuit_oracle() {
+    let oracle = RuleBasedOptimizer::oracle();
+    for family in Family::PAPER {
+        let circuit = family.generate(family.ladder(0)[0], 42);
+        let whole = popqc::ir::qasm::to_qasm(&oracle.optimize_circuit(&circuit));
+        let cfg = PopqcConfig::with_omega(circuit.len());
+        for width in [1, 2] {
+            let (out, _) =
+                popqc::exec::with_width(width, || optimize_circuit(&circuit, &oracle, &cfg));
+            assert!(
+                popqc::ir::qasm::to_qasm(&out) == whole,
+                "{} at width {width}: Ω = n differs from the whole-circuit oracle",
+                family.name()
+            );
+        }
+    }
+}

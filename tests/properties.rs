@@ -32,21 +32,46 @@ fn arb_circuit(n: u32, max_len: usize) -> impl Strategy<Value = Circuit> {
     )
 }
 
+/// Every built-in oracle under its registry id: the oracle properties
+/// below run on each.
+fn builtin_oracles() -> [(&'static str, Box<dyn SegmentOracle<Gate>>); 3] {
+    [
+        ("rule_based", Box::new(RuleBasedOptimizer::oracle())),
+        (
+            "rule_single_pass",
+            Box::new(RuleBasedOptimizer::modern_baseline()),
+        ),
+        (
+            "structural",
+            Box::new(popqc::oracles::StructuralOptimizer::new()),
+        ),
+    ]
+}
+
+/// A new built-in oracle cannot skip the oracle properties.
+#[test]
+fn oracle_properties_cover_every_builtin_oracle() {
+    let ids = builtin_oracles().map(|(id, _)| id);
+    assert_eq!(ids.to_vec(), OracleRegistry::builtin().ids());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn oracle_never_increases_gate_count(c in arb_circuit(4, 120)) {
-        let oracle = RuleBasedOptimizer::oracle();
-        let out = oracle.optimize(&c.gates, c.num_qubits);
-        prop_assert!(out.len() <= c.gates.len());
+        for (id, oracle) in builtin_oracles() {
+            let out = oracle.optimize(&c.gates, c.num_qubits);
+            prop_assert!(out.len() <= c.gates.len(), "{id}");
+        }
     }
 
     #[test]
     fn oracle_preserves_semantics(c in arb_circuit(4, 80)) {
-        let oracle = RuleBasedOptimizer::oracle();
-        let out = Circuit { num_qubits: c.num_qubits, gates: oracle.optimize(&c.gates, c.num_qubits) };
-        prop_assert!(popqc::sim::circuits_equivalent(&c, &out, 2, 0xfeed));
+        for (id, oracle) in builtin_oracles() {
+            let out = Circuit { num_qubits: c.num_qubits, gates: oracle.optimize(&c.gates, c.num_qubits) };
+            prop_assert!(popqc::sim::circuits_equivalent(&c, &out, 2, 0xfeed), "{id}");
+        }
     }
 
     #[test]

@@ -11,8 +11,15 @@
 //! hit replaces exactly one call of the cache-off run. Only the
 //! angle-independent `structural` oracle is cached at all; every other
 //! oracle leaves the cache's counters and entries at zero.
+//!
+//! A third test checks the same on the `popqc` binary: `serve` with the
+//! segment cache on (the CLI default) against `optimize
+//! --seg-cache-capacity 0 --verify`.
+
+mod support;
 
 use popqc::prelude::*;
+use support::{at, popqc, run_ok, Cleanup, Server};
 
 const QUBITS: u32 = 12;
 const SWEEP_SEEDS: std::ops::Range<u64> = 1..6;
@@ -178,5 +185,119 @@ fn distinct_circuits_get_the_cache_off_outputs_and_call_counts() {
                 "{id}: the segment cache moved"
             );
         }
+    }
+}
+
+/// The release binary's sweep: `popqc serve` with the segment cache on
+/// (the CLI default) and the `structural` oracle answers a fresh-angle
+/// resubmission of a `Parameterized` ansatz with near-zero marginal oracle
+/// calls at a ≥ 90 % segment hit rate, and both circuits equal a
+/// seg-cache-disabled `popqc optimize --verify` run byte for byte. A
+/// `rule_based` pass on bwt, sqrt, hhl and boolsat circuits is compared
+/// the same way and must leave the segment cache alone: only
+/// angle-independent oracles are cached.
+#[test]
+fn served_sweep_hits_the_segment_cache_and_matches_the_cold_cli() {
+    let tmp = Cleanup::new("segcache", &[]);
+    let gen = |family: &str, qubits: u32, seed: u64| {
+        let out = format!("{family}-{seed}.qasm");
+        run_ok(tmp.popqc(&format!(
+            "gen --family {family} --qubits {qubits} --seed {seed} --out {out}"
+        )));
+        tmp.read(&out)
+    };
+    // The CLI's cold path over `names`, seg cache off and every output
+    // equivalence-checked in the simulator; returns the circuits.
+    let cold = |oracle: &str, names: &[&str]| -> Vec<String> {
+        run_ok(tmp.popqc(&format!(
+            "optimize {}.qasm --oracle {oracle} --omega 40 --seg-cache-capacity 0 --verify \
+             --quiet --out {oracle}-cold",
+            names.join(".qasm ")
+        )));
+        names
+            .iter()
+            .map(|n| tmp.read(&format!("{oracle}-cold/{n}.qasm")))
+            .collect()
+    };
+
+    let sweep = [gen("parameterized", 12, 1), gen("parameterized", 12, 2)];
+    let server = Server::spawn(popqc("serve --workers 2 --omega 40 --oracle structural"));
+    server.ok("GET", "/healthz", "");
+
+    // Seed 1 pays the oracle and fills the segment cache; seed 2 is the
+    // same skeleton under an angle substitution.
+    let warm = server.optimize("?oracle=structural", &sweep[0]);
+    let s1 = server.get_json("/v1/stats");
+    server.scrape();
+    let swept = server.optimize("?oracle=structural", &sweep[1]);
+    let s2 = server.get_json("/v1/stats");
+    let scrape = server.scrape();
+
+    // Fresh angles: a genuine engine run, not a result-store hit.
+    assert_eq!(at(&swept, "cache_hit").as_bool(), Some(false));
+    let count = |doc: &support::Value, path: &str| at(doc, path).as_u64().unwrap();
+    let cold_calls = count(&s1, "oracle_calls_issued");
+    let marginal = count(&s2, "oracle_calls_issued") - cold_calls;
+    assert!(cold_calls > 0, "the warm POST called no oracle");
+    assert!(
+        marginal * 20 <= cold_calls,
+        "the sweep issued {marginal} oracle calls against {cold_calls} cold"
+    );
+    assert_eq!(at(&s2, "segment_cache.enabled").as_bool(), Some(true));
+    let hits = count(&s2, "segment_cache.hits") - count(&s1, "segment_cache.hits");
+    let misses = count(&s2, "segment_cache.misses") - count(&s1, "segment_cache.misses");
+    assert!(
+        hits * 10 >= (hits + misses) * 9,
+        "sweep hit rate below 90%: {hits} hits / {misses} misses"
+    );
+    for series in [
+        "popqc_segcache_hits_total",
+        "popqc_segcache_misses_total",
+        "popqc_segcache_evictions_total",
+        "popqc_segcache_lookup_duration_seconds_bucket",
+    ] {
+        assert!(
+            scrape.lines().any(|l| l.starts_with(series)),
+            "scrape misses {series}:\n{scrape}"
+        );
+    }
+    let served = [warm, swept].map(|r| at(&r, "qasm").as_str().unwrap().to_string());
+    assert_eq!(
+        served.to_vec(),
+        cold("structural", &["parameterized-1", "parameterized-2"]),
+        "the cached path diverged from the cold path"
+    );
+
+    // rule_based is not angle-independent, so its jobs run with no cache
+    // hook. A bwt circuit, the same circuit with one gate appended (a new
+    // result-store key whose segments mostly repeat), then sqrt, hhl and
+    // boolsat circuits (distinct circuits, the serve-cold shape).
+    let bwt = gen("bwt", 8, 1);
+    tmp.write("bwt-2.qasm", &format!("{bwt}h q[0];\n"));
+    let mut circuits = vec![bwt, tmp.read("bwt-2.qasm")];
+    circuits.extend([("sqrt", 12), ("hhl", 6), ("boolsat", 8)].map(|(f, q)| gen(f, q, 1)));
+    let names = ["bwt-1", "bwt-2", "sqrt-1", "hhl-1", "boolsat-1"];
+    let before = server.get_json("/v1/stats");
+    let served: Vec<String> = circuits
+        .iter()
+        .map(|qasm| {
+            let result = server.optimize("?oracle=rule_based", qasm);
+            assert_eq!(at(&result, "cache_hit").as_bool(), Some(false));
+            at(&result, "qasm").as_str().unwrap().to_string()
+        })
+        .collect();
+    let after = server.get_json("/v1/stats");
+    assert_eq!(
+        served,
+        cold("rule_based", &names),
+        "the cached rule_based path diverged from the cold path"
+    );
+    for field in ["hits", "misses", "entries"] {
+        let path = format!("segment_cache.{field}");
+        assert_eq!(
+            count(&after, &path),
+            count(&before, &path),
+            "rule_based moved the segment cache's {field}"
+        );
     }
 }
