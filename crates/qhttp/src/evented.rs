@@ -18,7 +18,9 @@
 //!    or any body buffering: a refused client gets its 429/503
 //!    immediately instead of an invitation to upload `MAX_BODY_BYTES`
 //!    first. The unread body makes the connection's framing unusable,
-//!    so these early refusals close the connection.
+//!    so these early refusals close the connection — lingering
+//!    ([`Action::Refuse`]), so a client that sent its body at once
+//!    still reads the refusal instead of a reset.
 //! 1. **Rate limit** — the per-peer-IP token bucket (`--rate-limit`).
 //!    A refusal answers 429 `rate_limited` with a computed
 //!    `Retry-After`, keeps the connection alive (bodyless requests),
@@ -361,10 +363,7 @@ impl Driver for HttpDriver {
                         HttpError::Io(_) => None,
                     };
                     match resp {
-                        Some(r) => out.push(Action::Respond {
-                            bytes: serialize(&r, false),
-                            keep_alive: false,
-                        }),
+                        Some(r) => out.push(Action::Refuse(serialize(&r, false))),
                         None => out.push(Action::Close),
                     }
                     return;
@@ -378,15 +377,14 @@ impl Driver for HttpDriver {
                     // client must not be invited (via 100 Continue) to
                     // upload its payload first. The unread body makes
                     // the framing unusable, so the refusal closes the
-                    // connection. Bodyless requests reach `Done`
-                    // immediately and are checked there instead.
+                    // connection, lingering: a client already sending
+                    // the body still reads the refusal. Bodyless
+                    // requests reach `Done` immediately and are checked
+                    // there instead.
                     if self.parser.body_expected() {
                         if let Some(resp) = self.refuse_before_body() {
                             input.clear();
-                            out.push(Action::Respond {
-                                bytes: serialize(&resp, false),
-                                keep_alive: false,
-                            });
+                            out.push(Action::Refuse(serialize(&resp, false)));
                             return;
                         }
                     }

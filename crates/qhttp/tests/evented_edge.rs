@@ -498,6 +498,57 @@ fn rate_limited_body_upload_is_refused_before_100_continue() {
     server.shutdown();
 }
 
+/// An early refusal reaches a client that writes its whole request
+/// before it reads, as simple clients do: the server closes lingering
+/// (it shuts down its write side, then reads and discards the body until
+/// the peer closes), because closing over unread bytes resets the
+/// connection, which fails the client's upload before it reads the 429.
+/// The body outgrows the loopback socket buffers, so the refusal lands
+/// while the upload is still running.
+#[test]
+fn early_refusal_reaches_a_client_that_sends_its_body_at_once() {
+    let state = Arc::new(AppState::new(service(1), 80));
+    let mut server = EventedServer::serve(
+        "127.0.0.1:0",
+        Arc::clone(&state),
+        EventedConfig {
+            rate_limit: 0.01, // a burst of 1, refilled after 100 s
+            ..EventedConfig::default()
+        },
+    )
+    .expect("bind loopback");
+    let addr = server.local_addr();
+
+    let mut warm = TcpStream::connect(addr).unwrap();
+    let (status, _) = roundtrip(&mut warm, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+
+    const BODY: usize = 12 << 20;
+    let mut upload =
+        format!("POST /v1/optimize HTTP/1.1\r\nHost: t\r\nContent-Length: {BODY}\r\n\r\n")
+            .into_bytes();
+    upload.resize(upload.len() + BODY, b'x');
+    for round in 0..3 {
+        let mut c = TcpStream::connect(addr).unwrap();
+        c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        c.set_write_timeout(Some(Duration::from_secs(5))).unwrap();
+        c.write_all(&upload)
+            .unwrap_or_else(|e| panic!("round {round}: upload cut short ({e})"));
+        let (status, head, body) = read_response(&mut c);
+        assert_eq!(status, 429, "round {round}: {body}");
+        assert_eq!(header_value(&head, "connection"), Some("close"), "{head}");
+        let mut rest = Vec::new();
+        let tail = c.read_to_end(&mut rest);
+        assert_eq!(
+            tail.ok(),
+            Some(0),
+            "round {round}: the refusal must end in a clean close"
+        );
+    }
+    assert!(server.stats().rate_limited() >= 3);
+    server.shutdown();
+}
+
 /// A pipelined burst from a client that delays reading: the responses
 /// queue in the connection's output buffer (and the dispatch replay
 /// path), arrive complete and in order, and never block other clients.

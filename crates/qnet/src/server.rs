@@ -30,7 +30,9 @@
 use crate::stats::NetStats;
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs, UdpSocket};
+use std::net::{
+    IpAddr, Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs, UdpSocket,
+};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::raw::{c_int, c_short};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -61,6 +63,13 @@ pub enum Action {
     /// Run the closure on the dispatcher pool; the connection is busy
     /// (no further reads) until the completion posts back.
     Dispatch(DispatchFn),
+    /// A final response to a request whose rest is never read (a refusal
+    /// before the body, a protocol error): queue `bytes` and close
+    /// lingering once they drain. The write side is shut down, and what
+    /// the peer still sends is discarded until it closes or two seconds
+    /// pass: a plain close over unread input resets the connection, which
+    /// fails a peer still uploading before it reads the response.
+    Refuse(Vec<u8>),
     /// Protocol-fatal: close the connection once pending writes drain.
     Close,
 }
@@ -132,6 +141,10 @@ impl Default for NetConfig {
 /// rest of the sweep (`poll` reports the unread rest at once, so the loop
 /// re-sweeps immediately).
 const READ_SLICE: usize = 256 * 1024;
+
+/// How long a connection closed by [`Action::Refuse`] waits for its peer
+/// to close, or the read deadline if that is shorter.
+const LINGER: Duration = Duration::from_secs(2);
 
 /// `struct pollfd` from `<poll.h>`. An entry whose `fd` is negative is
 /// skipped by the kernel.
@@ -271,6 +284,10 @@ struct Conn {
     busy: bool,
     closing: bool,
     read_closed: bool,
+    /// Close lingering once the output drains ([`Action::Refuse`]).
+    linger: bool,
+    /// While lingering: when the sweep stops waiting for the peer's close.
+    linger_until: Option<Instant>,
     stalled: bool,
     last_request: Instant,
     /// Last time the peer made write progress (or the backlog was
@@ -290,6 +307,8 @@ impl Conn {
             busy: false,
             closing: false,
             read_closed: false,
+            linger: false,
+            linger_until: None,
             stalled: false,
             last_request: Instant::now(),
             last_write: Instant::now(),
@@ -330,7 +349,7 @@ impl Conn {
     /// to read the answer to.
     fn wants_read(&self, max_buffer: usize) -> bool {
         !self.busy
-            && !self.closing
+            && (!self.closing || self.linger_until.is_some())
             && !self.read_closed
             && self.input.len() < max_buffer
             && self.pending_output() < max_buffer
@@ -351,8 +370,12 @@ impl Conn {
     ///   the peer is gone or hostile; it is reaped even mid-dispatch
     ///   (the completion for a removed connection is dropped
     ///   harmlessly).
+    /// * Linger deadline: a lingering connection is reaped when its
+    ///   linger time is up.
     fn deadline(&self, read_deadline: Duration) -> Option<Instant> {
-        if !self.output_drained() {
+        if self.linger_until.is_some() {
+            self.linger_until
+        } else if !self.output_drained() {
             self.last_write.checked_add(read_deadline)
         } else if !self.busy {
             self.last_request.checked_add(read_deadline)
@@ -673,7 +696,10 @@ fn event_loop(
                             break;
                         }
                         Ok(n) => {
-                            c.input.extend_from_slice(&scratch[..n]);
+                            // A lingering connection discards what it reads.
+                            if c.linger_until.is_none() {
+                                c.input.extend_from_slice(&scratch[..n]);
+                            }
                             got += n;
                             if got >= READ_SLICE || c.input.len() >= cfg.max_buffer {
                                 break;
@@ -688,7 +714,7 @@ fn event_loop(
                         }
                     }
                 }
-                if got > 0 {
+                if got > 0 && c.linger_until.is_none() {
                     run_driver(id, c, &dispatch, idx, &mut actions);
                 }
             }
@@ -734,9 +760,19 @@ fn event_loop(
                 }
             }
 
-            // Reap: explicit close after flush, or a peer that went away.
+            // Reap: explicit close after flush (a lingering close first
+            // shuts down its write side and waits for the peer's close or
+            // its linger time), or a peer that went away.
             if c.closing && c.output_drained() && !c.busy {
-                dead.push(id);
+                if c.linger && !c.read_closed && c.linger_until.is_none() {
+                    let _ = c.stream.shutdown(Shutdown::Write);
+                    c.linger_until = Some(now + LINGER.min(cfg.read_deadline));
+                }
+                if c.linger_until
+                    .is_none_or(|until| c.read_closed || now >= until)
+                {
+                    dead.push(id);
+                }
                 continue;
             }
             if c.read_closed && !c.busy && c.input.is_empty() && c.output_drained() {
@@ -813,6 +849,12 @@ fn run_driver(
                 });
                 drop(queue);
                 dispatch.ready.notify_one();
+            }
+            Action::Refuse(bytes) => {
+                c.queue_output(bytes);
+                c.last_request = Instant::now();
+                c.closing = true;
+                c.linger = true;
             }
             Action::Close => c.closing = true,
         }
@@ -932,6 +974,21 @@ mod tests {
         // A busy connection with nothing to write is exempt.
         a.busy = true;
         assert_eq!(poll_timeout([&a], DEADLINE, now), -1);
+    }
+
+    #[test]
+    fn a_lingering_conn_polls_for_read_until_its_linger_deadline() {
+        let (mut c, _client) = accepted();
+        let now = Instant::now();
+        c.closing = true;
+        c.linger = true;
+        c.linger_until = Some(now + Duration::from_millis(40));
+        let p = interest(&c, MAX_BUFFER);
+        assert_eq!((p.fd, p.events), (c.stream.as_raw_fd(), POLLIN));
+        assert_eq!(poll_timeout([&c], DEADLINE, now), 40);
+        // Its peer closed: nothing left to wait for.
+        c.read_closed = true;
+        assert_eq!(interest(&c, MAX_BUFFER).fd, -1);
     }
 
     #[test]

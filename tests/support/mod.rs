@@ -157,7 +157,8 @@ impl Drop for Cleanup {
 /// a thread of its own for the whole run, so the child never blocks on a
 /// full pipe, and the last [`TAIL_LINES`] lines are kept for messages.
 pub struct Server {
-    child: Child,
+    /// `None` once [`Server::kill`] has run.
+    child: Option<KillOnDrop>,
     reader: Option<thread::JoinHandle<()>>,
     /// The announced `HOST:PORT`: `serve` logs `addr=http://HOST:PORT`,
     /// `cached` logs `addr=HOST:PORT`.
@@ -189,7 +190,7 @@ impl Server {
             }
         });
         let mut server = Server {
-            child,
+            child: Some(KillOnDrop(child)),
             reader: Some(reader),
             addr: String::new(),
             tail,
@@ -211,8 +212,7 @@ impl Server {
 
     /// Kills the child now and reaps it.
     pub fn kill(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
+        self.child = None;
     }
 
     /// One request, whatever its status.
@@ -289,37 +289,22 @@ impl Reply {
     }
 }
 
-/// One blocking `Connection: close` request to `addr`; a reply that takes
+/// One blocking `Connection: close` request to `addr`, its body written
+/// with its head before any reply is read; a request or reply that takes
 /// longer than [`HANG_GUARD`] fails the test.
-///
-/// A request with a body sends `Expect: 100-continue` and its body only
-/// after the `100 Continue`: a server that refuses it up front (a shed
-/// 503) closes without reading the body, and a close over unread bytes
-/// resets the connection, which can destroy the refusal in flight.
 pub fn request(addr: &str, method: &str, target: &str, body: &str) -> Reply {
+    let what = format!("{method} {target}");
     let stream = TcpStream::connect(addr).unwrap_or_else(|e| panic!("connect {addr}: {e}"));
     stream.set_read_timeout(Some(HANG_GUARD)).unwrap();
-    let expect = if body.is_empty() {
-        ""
-    } else {
-        "Expect: 100-continue\r\n"
-    };
+    stream.set_write_timeout(Some(HANG_GUARD)).unwrap();
     let length = body.len();
-    write!(&stream, "{method} {target} HTTP/1.1\r\nHost: t\r\n{expect}")
-        .and_then(|()| {
-            write!(
-                &stream,
-                "Content-Length: {length}\r\nConnection: close\r\n\r\n"
-            )
-        })
-        .expect("send request head");
+    write!(
+        &stream,
+        "{method} {target} HTTP/1.1\r\nHost: t\r\nContent-Length: {length}\r\nConnection: close\r\n\r\n{body}"
+    )
+    .unwrap_or_else(|e| panic!("{what}: request cut short ({e})"));
     let mut reader = BufReader::new(&stream);
-    let what = format!("{method} {target}");
-    let mut head = read_head(&mut reader, &what);
-    if head.0 == 100 {
-        (&stream).write_all(body.as_bytes()).expect("send body");
-        head = read_head(&mut reader, &what);
-    }
+    let head = read_head(&mut reader, &what);
     let mut body = Vec::new();
     reader
         .read_to_end(&mut body)
